@@ -49,23 +49,16 @@ from tritile.graphs import (
     SearchBudgetExceeded,
     complete_colouring,
     from_json_dict,
-    read_graph,
+    parse_graph_text,
     to_json_dict,
     write_graph,
 )
-from tritile.proofs import (
-    bes_large,
-    bes_small,
-    bowtie_through_vertex_k6,
-    moon_large,
-    moon_small,
-    phased_tiler,
-    second_bowtie_k7,
-)
-from tritile.solvers import find_bowtie, max_mixed_tiling, max_single_colour_tiling
+from tritile.proofs import bes_large, bes_small, moon_large, moon_small, phased_tiler
+from tritile.solvers import max_mixed_tiling, max_single_colour_tiling
 from tritile.verifiers import (
     K7X2_EDGES,
     audit_tightness,
+    bowtie_extraction_holds,
     compute_ramsey,
     compute_special_ramsey,
     has_mono_pair_sharing_at_most,
@@ -129,12 +122,12 @@ def _emit(args, *, text: Optional[str] = None, payload: Optional[dict] = None,
 
 
 def _load_graph(path: str) -> ColouredGraph:
+    """Read a host file in the JSON or the text format, whichever it holds."""
     with open(path, encoding="ascii") as fh:
-        head = fh.read(1)
-    if head == "{":
-        with open(path, encoding="ascii") as fh:
-            return from_json_dict(json.load(fh))
-    return read_graph(path)
+        text = fh.read()
+    if text.lstrip().startswith("{"):
+        return from_json_dict(json.loads(text))
+    return parse_graph_text(text)
 
 
 def _clique_rows(tiling) -> list:
@@ -309,20 +302,7 @@ def _still_violates(lemma: str, g: ColouredGraph, extra: dict) -> bool:
     if lemma == "bowtie":
         # A violation code is a qualifying colouring whose extraction failed;
         # re-run the pipeline and confirm it still fails.
-        try:
-            if g.n == 6:
-                for v in range(6):
-                    bow = bowtie_through_vertex_k6(g, v)
-                    if not (bow.verify(g) and v in bow.vertex_set):
-                        return True
-                return False
-            known = find_bowtie(g)
-            if known is None or not known.verify(g):
-                return True
-            nxt = second_bowtie_k7(g, known)
-            return not (nxt.verify(g) and nxt != known)
-        except (ValueError, AnomalyError):
-            return True
+        return not bowtie_extraction_holds(g)
     raise ValueError(f"unknown lemma {lemma!r}")
 
 

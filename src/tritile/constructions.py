@@ -19,10 +19,7 @@ from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from tritile.graphs import ColouredGraph, blow_up
-
-RED = 0
-BLUE = 1
+from tritile.graphs import BLUE, RED, ColouredGraph, blow_up
 
 BADLY_RED_PAIRS = ((1, 2), (2, 3), (3, 4), (4, 5), (1, 5))
 BADLY_BLUE_PAIRS = ((1, 3), (1, 4), (2, 4), (2, 5), (3, 5))
@@ -338,31 +335,52 @@ class BoundReport:
         return asdict(self)
 
 
+def moon_formulas(n: int, delta: int) -> dict[str, int]:
+    """Raw mixed-colour piece values by band label; the degree range is not checked."""
+    return {"low": 5 * delta - 4 * n, "mid": (4 * delta - 3 * n) // 2,
+            "high": (2 * delta - n) // 3}
+
+
+def bes_formulas(n: int, delta: int) -> dict[str, int]:
+    """Raw single-colour piece values by band label; the degree range is not checked.
+
+    The pieces are floor((d+1)/5), floor((4d-3n+1)/3) and ceil((5d-4n)/2).
+    """
+    return {"high": (delta + 1) // 5, "mid": (4 * delta - 3 * n + 1) // 3,
+            "low": (5 * delta - 4 * n + 1) // 2}
+
+
+def bes_band(n: int, delta: int) -> str:
+    """Single-colour band of ``(n, delta)``: high from 15n/17, mid from 6n/7."""
+    if 17 * delta >= 15 * n:
+        return "high"
+    if 7 * delta >= 6 * n:
+        return "mid"
+    return "low"
+
+
 def extremal_min_formula(n: int, delta: int) -> int:
-    return min(5 * delta - 4 * n, (4 * delta - 3 * n) // 2, (2 * delta - n) // 3)
+    return min(moon_formulas(n, delta).values())
 
 
 def bound_report(n: int, delta: int) -> BoundReport:
     _check(4 * n <= 5 * delta and delta <= n - 1,
            f"bounds are stated for 4n/5 <= delta <= n-1, got n={n}, delta={delta}")
+    moon = moon_formulas(n, delta)
     if 6 * delta <= 5 * n:
-        moon = (5 * delta - 4 * n, "low", False)
+        moon_piece = "low"
     elif 8 * delta >= 7 * n:
-        moon = ((2 * delta - n) // 3, "high", False)
+        moon_piece = "high"
     else:
-        moon = ((4 * delta - 3 * n) // 2, "mid", True)
-    if 17 * delta >= 15 * n:
-        proved = 66 * delta >= 65 * n or n >= 25
-        bes = ((delta + 1) // 5, "high", not proved)
-    elif 7 * delta >= 6 * n:
-        bes = ((4 * delta - 3 * n + 1) // 3, "mid", True)
-    else:
-        proved = 6 * delta <= 5 * n or n >= 25
-        bes = ((5 * delta - 4 * n + 1) // 2, "low", not proved)
-    return BoundReport(n=n, delta=delta,
-                       moon_bound=moon[0], moon_piece=moon[1], moon_asymptotic=moon[2],
-                       bes_bound=bes[0], bes_piece=bes[1], bes_conjectural=bes[2],
-                       extremal_min=extremal_min_formula(n, delta))
+        moon_piece = "mid"
+    bes_piece = bes_band(n, delta)
+    proved = {"high": 66 * delta >= 65 * n or n >= 25, "mid": False,
+              "low": 6 * delta <= 5 * n or n >= 25}[bes_piece]
+    return BoundReport(n=n, delta=delta, moon_bound=moon[moon_piece],
+                       moon_piece=moon_piece, moon_asymptotic=moon_piece == "mid",
+                       bes_bound=bes_formulas(n, delta)[bes_piece],
+                       bes_piece=bes_piece, bes_conjectural=not proved,
+                       extremal_min=min(moon.values()))
 
 
 def trivial_degree_threshold(ramsey_number: int, n: int) -> int:

@@ -21,6 +21,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
+# Colour indices of two-coloured hosts; bit 0 of an edge code is red.
+RED = 0
+BLUE = 1
+
 
 class AnomalyError(RuntimeError):
     """A step that a proven guarantee says cannot fail has failed anyway.
@@ -384,13 +388,18 @@ def write_graph(g: ColouredGraph, path) -> None:
 
 
 def read_graph(path) -> ColouredGraph:
-    """Parse the text format; ``#`` starts a comment, blank lines are skipped."""
+    """Read a file in the text format."""
     with open(path, "r", encoding="ascii") as fh:
-        rows = []
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                rows.append(line)
+        return parse_graph_text(fh.read())
+
+
+def parse_graph_text(text: str) -> ColouredGraph:
+    """Parse the text format; ``#`` starts a comment, blank lines are skipped."""
+    rows = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            rows.append(line)
     if not rows:
         raise ValueError("empty graph file")
     head = rows[0].split()
@@ -414,10 +423,18 @@ def to_json_dict(g: ColouredGraph) -> dict:
 
 
 def from_json_dict(data: dict) -> ColouredGraph:
-    try:
-        n, r, edges = data["n"], data["r"], data["edges"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"graph json needs keys n, r, edges: {exc}") from exc
+    """Inverse of :func:`to_json_dict`; malformed input raises ValueError."""
+    if not isinstance(data, dict) or not {"n", "r", "edges"} <= data.keys():
+        raise ValueError("graph json needs an object with keys n, r, edges")
+    n, r, edges = data["n"], data["r"], data["edges"]
+    if not (isinstance(n, int) and isinstance(r, int)):
+        raise ValueError(f"graph json n and r must be integers, got {n!r} and {r!r}")
+    if not isinstance(edges, list):
+        raise ValueError("graph json edges must be a list")
+    for e in edges:
+        if not (isinstance(e, (list, tuple)) and len(e) == 3
+                and all(isinstance(x, int) for x in e)):
+            raise ValueError(f"graph json edge must be [u, v, c] integers, got {e!r}")
     return ColouredGraph(n, r, [tuple(e) for e in edges])
 
 

@@ -20,6 +20,8 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from tritile.graphs import (
+    BLUE,
+    RED,
     AnomalyError,
     Bowtie,
     ColouredGraph,
@@ -38,9 +40,6 @@ from tritile.solvers import (
 # scratch by the verification module and pinned against these in the tests.
 RAMSEY_NUMBERS = {(2, 3): 6}
 SPECIAL_RAMSEY_NUMBERS = {(2, 3): 4}
-
-RED = 0
-BLUE = 1
 
 
 def _complete_set(g: ColouredGraph, vertices: Sequence[int], what: str) -> tuple[int, ...]:
@@ -131,21 +130,11 @@ def extract_two_disjoint_k8(g: ColouredGraph,
     """
     verts = _complete_set(g, range(8) if vertices is None else vertices,
                           "extract_two_disjoint_k8")
-    if len(verts) != 8:
-        raise ValueError(f"need exactly 8 vertices, got {len(verts)}")
-    triples = list(combinations(verts, 3))
-    monos = {t: g.edge_colour(t[0], t[1])
-             for t in triples
-             if g.edge_colour(t[0], t[1]) == g.edge_colour(t[0], t[2])
-             == g.edge_colour(t[1], t[2])}
-    for i, t1 in enumerate(triples):
-        if t1 not in monos:
-            continue
-        for t2 in triples[i + 1:]:
-            if t2 in monos and not set(t1) & set(t2):
-                return (MonoClique(t1, monos[t1]), MonoClique(t2, monos[t2]))
-    raise AnomalyError("complete 8-set without two disjoint monochromatic triangles",
-                       graph=g, detail={"vertices": verts})
+    pair = _first_disjoint_pair(g, verts, 8, same_colour=False)
+    if pair is None:
+        raise AnomalyError("complete 8-set without two disjoint monochromatic triangles",
+                           graph=g, detail={"vertices": verts})
+    return pair
 
 
 def extract_two_disjoint_same_colour_k10(g: ColouredGraph,
@@ -158,8 +147,19 @@ def extract_two_disjoint_same_colour_k10(g: ColouredGraph,
     """
     verts = _complete_set(g, range(10) if vertices is None else vertices,
                           "extract_two_disjoint_same_colour_k10")
-    if len(verts) != 10:
-        raise ValueError(f"need exactly 10 vertices, got {len(verts)}")
+    pair = _first_disjoint_pair(g, verts, 10, same_colour=True)
+    if pair is None:
+        raise AnomalyError(
+            "complete 10-set without a same-colour disjoint triangle pair",
+            graph=g, detail={"vertices": verts})
+    return pair
+
+
+def _first_disjoint_pair(g: ColouredGraph, verts: tuple[int, ...], size: int,
+                         same_colour: bool) -> Optional[tuple[MonoClique, MonoClique]]:
+    """Lex-first pair of disjoint mono triangles among exactly ``size`` vertices."""
+    if len(verts) != size:
+        raise ValueError(f"need exactly {size} vertices, got {len(verts)}")
     triples = list(combinations(verts, 3))
     monos = {t: g.edge_colour(t[0], t[1])
              for t in triples
@@ -169,11 +169,10 @@ def extract_two_disjoint_same_colour_k10(g: ColouredGraph,
         if t1 not in monos:
             continue
         for t2 in triples[i + 1:]:
-            if monos.get(t2) == monos[t1] and not set(t1) & set(t2):
+            if (t2 in monos and not set(t1) & set(t2)
+                    and (not same_colour or monos[t2] == monos[t1])):
                 return (MonoClique(t1, monos[t1]), MonoClique(t2, monos[t2]))
-    raise AnomalyError(
-        "complete 10-set without a same-colour disjoint triangle pair",
-        graph=g, detail={"vertices": verts})
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -649,18 +648,6 @@ def _serving_pool_index(g: ColouredGraph, pool_b: list[tuple[int, ...]],
 
 # ---------------------------------------------------------------------------
 # Generalisations beyond (2 colours, triangles).
-
-def generalized_moon_small(g: ColouredGraph, r: int = 2, ell: int = 3,
-                           budget: Optional[int] = None) -> Tiling:
-    """Low-band tiling through interpolated K_R tiles, R the Ramsey number."""
-    if (r, ell) not in RAMSEY_NUMBERS:
-        raise ValueError(f"no pinned Ramsey number for (r={r}, ell={ell})")
-    if g.r != r:
-        raise ValueError(f"host has {g.r} colours, expected {r}")
-    big_r = RAMSEY_NUMBERS[(r, ell)]
-    tiles, _ = clique_tiling_interpolated(g, big_r, budget=budget)
-    return Tiling(tuple(extract_mono_triangle_k6(g, t.vertices) for t in tiles))
-
 
 @dataclass(frozen=True)
 class PhasedResult:

@@ -188,65 +188,6 @@ def max_single_colour_tiling(g: ColouredGraph, budget: Optional[int] = None) -> 
 # ---------------------------------------------------------------------------
 # Colour-blind perfect clique tilings and the degree interpolation.
 
-def _perfect_masks(n: int, adj: Sequence[int], t: int, budget: int) -> Optional[list[tuple[int, ...]]]:
-    """Partition ``0..n-1`` into cliques of size ``t`` over the adjacency masks.
-
-    Branches on the unused vertex with the fewest remaining candidates (the
-    scan that finds it doubles as a dead-end prune: any vertex left with
-    fewer than ``t - 1`` live neighbours kills the node), extending it by
-    every K_{t-1} in its neighbourhood in rank-lexicographic order.  Returns
-    None only after an exhaustive search.
-    """
-    order = sorted(range(n), key=lambda v: (adj[v].bit_count(), v))
-    rank = {v: i for i, v in enumerate(order)}
-    prefix = []
-    seen = 0
-    for v in order:
-        seen |= 1 << v
-        prefix.append(seen)
-    calls = 0
-
-    def cliques(cand: int, size: int) -> Iterator[tuple[int, ...]]:
-        if size == 0:
-            yield ()
-            return
-        for i in range(n):
-            v = order[i]
-            if (cand >> v) & 1:
-                rest = cand & adj[v] & ~prefix[i]
-                for tail in cliques(rest, size - 1):
-                    yield (v,) + tail
-
-    def dfs(used: int, acc: list[tuple[int, ...]]) -> bool:
-        nonlocal calls
-        calls += 1
-        if calls > budget:
-            raise SearchBudgetExceeded(f"perfect tiling search exceeded {budget} nodes")
-        if used == (1 << n) - 1:
-            return True
-        pick = None
-        for w in range(n):
-            if (used >> w) & 1:
-                continue
-            live = (adj[w] & ~used).bit_count()
-            if live < t - 1:
-                return False
-            key = (live, rank[w])
-            if pick is None or key < pick:
-                pick, v = key, w
-        cand = adj[v] & ~used
-        for tail in cliques(cand, t - 1):
-            tile = (v,) + tail
-            acc.append(tile)
-            if dfs(used | sum(1 << w for w in tile), acc):
-                return True
-            acc.pop()
-        return False
-
-    acc: list[tuple[int, ...]] = []
-    return acc if dfs(0, acc) else None
-
-
 def find_perfect_clique_tiling(g: ColouredGraph, t: int,
                                budget: Optional[int] = None) -> Optional[Tiling]:
     """Exact perfect partition of the vertex set into K_t's, colours ignored.
@@ -259,20 +200,24 @@ def find_perfect_clique_tiling(g: ColouredGraph, t: int,
     if g.n % t != 0:
         raise ValueError(f"perfect {t}-tiling needs t | n, got n={g.n}")
     budget = DEFAULT_TILING_BUDGET if budget is None else budget
-    tiles = _perfect_masks(g.n, g.adj, t, budget)
-    if tiles is None:
+    found = _quota_masks(g.n, g.adj, t, g.n // t, 0, budget)
+    if found is None:
         return None
-    return Tiling(tuple(MonoClique(tuple(sorted(tile)), None) for tile in tiles))
+    return Tiling(tuple(MonoClique(tuple(sorted(tile)), None) for tile in found[0]))
 
 
 def _quota_masks(n: int, adj: Sequence[int], t: int, whole: int, stripped: int,
                  budget: int) -> Optional[tuple[list[tuple[int, ...]], list[tuple[int, ...]]]]:
     """Partition ``0..n-1`` into ``whole`` K_t's plus ``stripped`` K_{t-1}'s.
 
-    Same fail-first engine as :func:`_perfect_masks` with a second tile size
-    under an exact quota.  Searching the two sizes directly avoids the
-    padded-graph encoding, whose interchangeable pad vertices blow the
-    branching up by a factorial factor.
+    Branches on the unused vertex with the fewest remaining candidates (the
+    scan that finds it doubles as a dead-end prune: a vertex left with too
+    few live neighbours for the smallest tile still allowed kills the node),
+    extending it by every clique of an allowed size in its neighbourhood in
+    rank-lexicographic order, whole tiles first.  Searching
+    the two sizes directly avoids the padded-graph encoding, whose
+    interchangeable pad vertices blow the branching up by a factorial
+    factor.  Returns None only after an exhaustive search.
     """
     order = sorted(range(n), key=lambda v: (adj[v].bit_count(), v))
     rank = {v: i for i, v in enumerate(order)}
@@ -298,7 +243,7 @@ def _quota_masks(n: int, adj: Sequence[int], t: int, whole: int, stripped: int,
         nonlocal calls
         calls += 1
         if calls > budget:
-            raise SearchBudgetExceeded(f"quota tiling search exceeded {budget} nodes")
+            raise SearchBudgetExceeded(f"clique tiling search exceeded {budget} nodes")
         if used == (1 << n) - 1:
             return True
         floor_live = t - 1 if sq == 0 else t - 2

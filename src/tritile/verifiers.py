@@ -20,17 +20,16 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from dataclasses import asdict, dataclass, field
-from functools import lru_cache
+from dataclasses import asdict, dataclass, field, replace
+from functools import lru_cache, partial
 from itertools import combinations, product
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from tritile.constructions import (
-    BLUE,
-    RED,
-    bound_report,
+    bes_band,
+    bes_formulas,
     ex_bes_1,
     ex_bes_2,
     ex_bes_3,
@@ -64,6 +63,7 @@ MODE_ADVERSARIAL = "adversarial"
 
 _CHUNK = 1 << 20
 _TASK_SIZE = 1 << 22
+_CHECK_TASK_SIZE = 1 << 12
 
 
 # --------------------------------------------------------------------------
@@ -259,11 +259,7 @@ def enumerate_colourings(n: int, r: int,
     hot path and are cross-checked against this one in the tests.  Returns
     the number of colourings visited.
     """
-    edges = n * (n - 1) // 2
-    if edges > MAX_SCAN_EDGES:
-        raise ValueError(f"refusing to enumerate r^{edges} colourings; "
-                         f"the exhaustive cap is {MAX_SCAN_EDGES} edges")
-    total = r ** edges
+    total = r ** _edge_count_or_raise(n)
     if hi is None:
         hi = total
     if not 0 <= lo <= hi <= total:
@@ -280,117 +276,134 @@ def _confirm(cond: bool, what: str, g: Optional[ColouredGraph] = None) -> None:
 
 
 # --------------------------------------------------------------------------
-# vectorised kernels over edge codes (r = 2)
+# scan engine over edge codes (r = 2)
 
 
 @lru_cache(maxsize=None)
-def _triples(n: int) -> tuple[tuple[int, int, int], ...]:
-    return tuple(combinations(range(n), 3))
-
-
-@lru_cache(maxsize=None)
-def _tri_edge_masks(n: int) -> tuple[int, ...]:
+def _clique_edge_masks(n: int, ell: int) -> tuple[int, ...]:
+    """Edge bitmask of every K_ell, in ``combinations(range(n), ell)`` order."""
     index = {e: i for i, e in enumerate(lex_edges(n))}
     out = []
-    for a, b, c in _triples(n):
-        out.append((1 << index[(a, b)]) | (1 << index[(a, c)]) | (1 << index[(b, c)]))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _partner_masks(n: int, max_shared: int) -> tuple[int, ...]:
-    """For triangle ``t``, the bitmask of triangles overlapping it in <= k vertices."""
-    tris = _triples(n)
-    sets = [frozenset(t) for t in tris]
-    out = []
-    for i in range(len(tris)):
+    for verts in combinations(range(n), ell):
         m = 0
-        for j in range(len(tris)):
-            if i != j and len(sets[i] & sets[j]) <= max_shared:
-                m |= 1 << j
+        for u, v in combinations(verts, 2):
+            m |= 1 << index[(u, v)]
         out.append(m)
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _share_one_masks(n: int) -> tuple[int, ...]:
-    tris = _triples(n)
-    sets = [frozenset(t) for t in tris]
+def _overlap_masks(n: int, lo: int, hi: int) -> tuple[int, ...]:
+    """For triangle ``t``, the bitmask of the other triangles meeting it in lo..hi vertices.
+
+    Triangles are numbered in ``combinations(range(n), 3)`` order, the bit
+    order of :func:`_colour_bits`.
+    """
+    sets = [frozenset(t) for t in combinations(range(n), 3)]
     out = []
-    for i in range(len(tris)):
+    for a in sets:
         m = 0
-        for j in range(len(tris)):
-            if i != j and len(sets[i] & sets[j]) == 1:
+        for j, b in enumerate(sets):
+            if b != a and lo <= len(a & b) <= hi:
                 m |= 1 << j
         out.append(m)
     return tuple(out)
 
 
-def _mono_matrix(codes: np.ndarray, n: int) -> np.ndarray:
-    """Bit ``t`` of the result marks triangle ``t`` monochromatic (either colour)."""
-    out = np.zeros(codes.shape, dtype=np.uint64)
-    for t, m in enumerate(_tri_edge_masks(n)):
-        mm = np.uint64(m)
-        sub = codes & mm
-        mono = (sub == 0) | (sub == mm)
-        out |= mono.astype(np.uint64) << np.uint64(t)
-    return out
+def _colour_bits(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Red and blue triangle bitmaps: bit ``t`` marks triangle ``t`` red (blue).
 
-
-def _colour_mono_matrices(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    red = np.zeros(codes.shape, dtype=np.uint64)
-    blue = np.zeros(codes.shape, dtype=np.uint64)
-    for t, m in enumerate(_tri_edge_masks(n)):
-        mm = np.uint64(m)
-        sub = codes & mm
-        red |= (sub == 0).astype(np.uint64) << np.uint64(t)
-        blue |= (sub == mm).astype(np.uint64) << np.uint64(t)
+    Every step writes into a preallocated buffer, so a chunk costs the two
+    bitmaps, one scratch word and one flag per code.
+    """
+    red = np.zeros_like(codes)
+    blue = np.zeros_like(codes)
+    sub = np.empty_like(codes)
+    hit = np.empty(codes.shape, dtype=bool)
+    for t, m in enumerate(_clique_edge_masks(n, 3)):
+        mm, bit = np.uint64(m), np.uint64(1 << t)
+        np.bitwise_and(codes, mm, out=sub)
+        np.equal(sub, 0, out=hit)
+        np.bitwise_or(red, bit, out=red, where=hit)
+        np.equal(sub, mm, out=hit)
+        np.bitwise_or(blue, bit, out=blue, where=hit)
     return red, blue
 
 
-def _chunk_violations(codes: np.ndarray, n: int, checker: str) -> np.ndarray:
-    """Boolean violation mask for one chunk of edge codes."""
-    kind, _, arg = checker.partition(":")
-    mono = _mono_matrix(codes, n)
-    if kind == "mono-lt":
-        k = int(arg)
-        x = mono.copy()
-        one = np.uint64(1)
-        for _ in range(k - 1):
-            # x & (x - 1) clears the lowest set bit; k - 1 clears empty x
-            # exactly when fewer than k triangles are monochromatic.
-            np.bitwise_and(x, x - one, out=x)
-        return x == 0
-    if kind == "no-pair-share-le":
-        partners = _partner_masks(n, int(arg))
-        ok = np.zeros(codes.shape, dtype=bool)
-        for t, pm in enumerate(partners):
-            if not pm:
-                continue
-            has = (mono & np.uint64(1 << t)) != 0
-            ok |= has & ((mono & np.uint64(pm)) != 0)
-        return ~ok
-    raise ValueError(f"unknown checker {checker!r}")
+def _mono_bits(codes: np.ndarray, n: int) -> np.ndarray:
+    red, blue = _colour_bits(codes, n)
+    return np.bitwise_or(red, blue, out=red)
 
 
-def _scan_task(args: tuple) -> tuple[int, int, list[int]]:
-    n, checker, lo, hi, shift = args
-    checked = 0
-    count = 0
-    found: list[int] = []
+def _pair_hits(first: np.ndarray, second: np.ndarray,
+               partners: Sequence[int]) -> np.ndarray:
+    """True where some triangle ``t`` of ``first`` has a ``partners[t]`` triangle in ``second``."""
+    out = np.zeros(first.shape, dtype=bool)
+    scratch = np.empty_like(first)
+    has = np.empty(first.shape, dtype=bool)
+    meets = np.empty(first.shape, dtype=bool)
+    for t, pm in enumerate(partners):
+        if not pm:
+            continue
+        np.bitwise_and(first, np.uint64(1 << t), out=scratch)
+        np.not_equal(scratch, 0, out=has)
+        np.bitwise_and(second, np.uint64(pm), out=scratch)
+        np.not_equal(scratch, 0, out=meets)
+        np.logical_and(has, meets, out=has)
+        np.logical_or(out, has, out=out)
+    return out
+
+
+# Vector filters: ``filt(codes, n)`` flags codes; extra parameters are bound
+# with functools.partial so that scan tasks stay picklable.
+
+
+def _fewer_mono(codes: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Codes with fewer than ``k`` monochromatic triangles."""
+    x = _mono_bits(codes, n)
+    scratch = np.empty_like(x)
+    for _ in range(k - 1):
+        # x & (x - 1) clears the lowest set bit; k - 1 clears empty x
+        # exactly when fewer than k triangles are monochromatic.
+        np.subtract(x, np.uint64(1), out=scratch)
+        np.bitwise_and(x, scratch, out=x)
+    return x == 0
+
+
+def _no_mono_pair(codes: np.ndarray, n: int, share: int) -> np.ndarray:
+    """Codes without two mono triangles meeting in at most ``share`` vertices."""
+    mono = _mono_bits(codes, n)
+    return ~_pair_hits(mono, mono, _overlap_masks(n, 0, share))
+
+
+def _split_pair(codes: np.ndarray, n: int, share: int) -> np.ndarray:
+    """Codes with a red and a blue triangle meeting in exactly ``share`` vertices."""
+    red, blue = _colour_bits(codes, n)
+    return _pair_hits(red, blue, _overlap_masks(n, share, share))
+
+
+def _code_chunks(lo: int, hi: int, shift: int = 0, low: int = 0):
+    """The codes ``(i << shift) | low`` for i in [lo, hi), as increasing numpy chunks."""
     for clo in range(lo, hi, _CHUNK):
-        chi = min(clo + _CHUNK, hi)
-        codes = np.arange(clo, chi, dtype=np.uint64)
-        if shift:
-            codes = codes << np.uint64(shift)
-        viol = _chunk_violations(codes, n, checker)
-        hits = int(np.count_nonzero(viol))
-        count += hits
-        if hits and len(found) < WITNESS_CAP:
-            idx = np.flatnonzero(viol)[:WITNESS_CAP - len(found)]
-            found.extend(int(codes[i]) for i in idx)
-        checked += chi - clo
-    return checked, count, found
+        codes = np.arange(clo, min(clo + _CHUNK, hi), dtype=np.uint64)
+        np.left_shift(codes, np.uint64(shift), out=codes)
+        np.bitwise_or(codes, np.uint64(low), out=codes)
+        yield codes
+
+
+def _scan_task(args: tuple) -> tuple[int, int, int, list[int]]:
+    n, filt, check, lo, hi, shift = args
+    checked = hits = fails = 0
+    found: list[int] = []
+    for codes in _code_chunks(lo, hi, shift):
+        checked += len(codes)
+        bad = np.flatnonzero(filt(codes, n))
+        hits += len(bad)
+        if check is not None:
+            bad = [i for i in bad if not check(complete_colouring(n, 2, int(codes[i])))]
+        fails += len(bad)
+        found.extend(int(codes[i]) for i in bad[:WITNESS_CAP - len(found)])
+    return checked, hits, fails, found
 
 
 def _resolve_workers(workers: Optional[int]) -> int:
@@ -409,21 +422,25 @@ def _map_tasks(fn: Callable, tasks: list, workers: Optional[int]) -> list:
         return pool.map(fn, tasks)
 
 
-def _run_scan(n: int, checker: str, total: int, workers: Optional[int],
-              shift: int = 0) -> tuple[int, int, list[int]]:
-    # Fixed task boundaries keep the merged witness list (the lex-first
-    # WITNESS_CAP codes) independent of the worker count.
-    tasks = [(n, checker, lo, min(lo + _TASK_SIZE, total), shift)
-             for lo in range(0, total, _TASK_SIZE)]
+def _run_scan(n: int, filt: Callable, lo: int, hi: int, workers: Optional[int] = 1,
+              shift: int = 0, check: Optional[Callable[[ColouredGraph], bool]] = None
+              ) -> tuple[int, int, int, list[int]]:
+    """Run the vector filter ``filt`` over the codes ``i << shift``, i in [lo, hi).
+
+    Without ``check`` every flagged code is a violation; with it, flagged
+    codes are the qualifying ones and a violation is one whose graph fails
+    ``check``.  Returns (checked, flagged, violations, the lex-first
+    ``WITNESS_CAP`` violation codes).  Fixed task boundaries keep the merged
+    result independent of the worker count; tasks that run the scalar check
+    are cut finer so that the pool can balance them.
+    """
+    size = _TASK_SIZE if check is None else _CHECK_TASK_SIZE
+    tasks = [(n, filt, check, clo, min(clo + size, hi), shift)
+             for clo in range(lo, hi, size)]
     results = _map_tasks(_scan_task, tasks, workers)
-    checked = sum(r[0] for r in results)
-    count = sum(r[1] for r in results)
-    found: list[int] = []
-    for r in results:
-        if len(found) >= WITNESS_CAP:
-            break
-        found.extend(r[2][:WITNESS_CAP - len(found)])
-    return checked, count, found
+    found = [code for r in results for code in r[3]][:WITNESS_CAP]
+    return (sum(r[0] for r in results), sum(r[1] for r in results),
+            sum(r[2] for r in results), found)
 
 
 def _edge_count_or_raise(n: int) -> int:
@@ -432,6 +449,28 @@ def _edge_count_or_raise(n: int) -> int:
         raise ValueError(f"K_{n} has {edges} edges; exhaustive scans stop at "
                          f"{MAX_SCAN_EDGES}")
     return edges
+
+
+def _scan_report(lemma_id: str, n: int, filt: Callable,
+                 violates: Callable[[ColouredGraph], bool], workers: Optional[int],
+                 shift: int = 0, extra: Optional[dict] = None) -> LemmaReport:
+    """Exhaustive report over the K_n codes whose low ``shift`` bits are zero.
+
+    ``filt`` flags the violations; every witness is re-confirmed by the slow
+    predicate ``violates``.
+    """
+    start = time.perf_counter()
+    universe = 1 << _edge_count_or_raise(n)
+    checked, _, count, found = _run_scan(n, filt, 0, universe >> shift, workers,
+                                         shift=shift)
+    for code in found:
+        g = complete_colouring(n, 2, code)
+        _confirm(violates(g), f"a {lemma_id} witness", g)
+    return LemmaReport(lemma_id=lemma_id, n=n, r=2, mode=MODE_EXHAUSTIVE,
+                       universe_size=universe, checked=checked,
+                       reduction_factor=1 << shift,
+                       violation_count=count, violations=tuple(found),
+                       elapsed=time.perf_counter() - start, extra=extra or {})
 
 
 # --------------------------------------------------------------------------
@@ -448,33 +487,16 @@ def verify_fact_k6(n: int = 6, min_triangles: int = 2,
     """
     if min_triangles < 1:
         raise ValueError(f"min_triangles must be positive, got {min_triangles}")
-    edges = _edge_count_or_raise(n)
-    start = time.perf_counter()
-    total = 1 << edges
-    checked, count, found = _run_scan(n, f"mono-lt:{min_triangles}", total, workers)
-    for code in found:
-        g = complete_colouring(n, 2, code)
-        _confirm(mono_triangle_count(g) < min_triangles, "a mono-count witness", g)
     lemma_id = "fact-k6" if (n, min_triangles) == (6, 2) else f"mono-count-k{n}"
-    return LemmaReport(lemma_id=lemma_id, n=n, r=2, mode=MODE_EXHAUSTIVE,
-                       universe_size=total, checked=checked, reduction_factor=1,
-                       violation_count=count, violations=tuple(found),
-                       elapsed=time.perf_counter() - start,
-                       extra={"min_triangles": min_triangles})
+    return _scan_report(lemma_id, n, partial(_fewer_mono, k=min_triangles),
+                        lambda g: mono_triangle_count(g) < min_triangles, workers,
+                        extra={"min_triangles": min_triangles})
 
 
 def verify_claim_k7(workers: Optional[int] = 1) -> LemmaReport:
     """Scan all 2-colourings of K7 for a mono-triangle pair sharing <= 1 vertex."""
-    start = time.perf_counter()
-    total = 1 << 21
-    checked, count, found = _run_scan(7, "no-pair-share-le:1", total, workers)
-    for code in found:
-        g = complete_colouring(7, 2, code)
-        _confirm(not has_mono_pair_sharing_at_most(g, 1), "a claim-k7 witness", g)
-    return LemmaReport(lemma_id="claim-k7", n=7, r=2, mode=MODE_EXHAUSTIVE,
-                       universe_size=total, checked=checked, reduction_factor=1,
-                       violation_count=count, violations=tuple(found),
-                       elapsed=time.perf_counter() - start)
+    return _scan_report("claim-k7", 7, partial(_no_mono_pair, share=1),
+                        lambda g: not has_mono_pair_sharing_at_most(g, 1), workers)
 
 
 def _extract_k8_task(codes: tuple[int, ...]) -> tuple[int, list[int]]:
@@ -505,21 +527,18 @@ def verify_lemma_k8(n: int = 8, workers: Optional[int] = None,
     ``extractor_samples`` additionally runs the constructive K8 extractor on
     that many uniformly sampled codes (n=8 only) and counts its failures.
     """
-    edges = _edge_count_or_raise(n)
     if extractor_samples and n != 8:
         raise ValueError("the extractor subset is defined on the K8 universe")
     start = time.perf_counter()
-    universe = 1 << edges
     shift = 1 if n == 8 else 0
-    checked, count, found = _run_scan(n, "no-pair-share-le:0",
-                                      universe >> shift, workers, shift=shift)
-    for code in found:
-        g = complete_colouring(n, 2, code)
-        _confirm(not has_mono_pair_sharing_at_most(g, 0), "a disjoint-pair witness", g)
-    extra: dict = {}
+    report = _scan_report("lemma-k8" if n == 8 else f"disjoint-pair-k{n}", n,
+                          partial(_no_mono_pair, share=0),
+                          lambda g: not has_mono_pair_sharing_at_most(g, 0),
+                          workers, shift=shift)
     if extractor_samples:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        sample = rng.integers(0, universe, size=extractor_samples, dtype=np.int64)
+        sample = rng.integers(0, report.universe_size, size=extractor_samples,
+                              dtype=np.int64)
         step = 10_000
         tasks = [tuple(int(c) for c in sample[i:i + step])
                  for i in range(0, extractor_samples, step)]
@@ -527,114 +546,48 @@ def verify_lemma_k8(n: int = 8, workers: Optional[int] = None,
         failures: list[int] = []
         for _, f in results:
             failures.extend(f)
-        extra = {"extractor_samples": extractor_samples,
-                 "extractor_failures": len(failures),
-                 "extractor_failure_codes": failures[:WITNESS_CAP],
-                 "extractor_seed": seed}
-    lemma_id = "lemma-k8" if n == 8 else f"disjoint-pair-k{n}"
-    return LemmaReport(lemma_id=lemma_id, n=n, r=2, mode=MODE_EXHAUSTIVE,
-                       universe_size=universe, checked=checked,
-                       reduction_factor=1 << shift,
-                       violation_count=count, violations=tuple(found),
-                       elapsed=time.perf_counter() - start, extra=extra)
+        report = replace(report, elapsed=time.perf_counter() - start,
+                         extra={"extractor_samples": extractor_samples,
+                                "extractor_failures": len(failures),
+                                "extractor_failure_codes": failures[:WITNESS_CAP],
+                                "extractor_seed": seed})
+    return report
 
 
 # --------------------------------------------------------------------------
 # bowtie lemma sweeps
 
 
-@lru_cache(maxsize=None)
-def _complement_bits(n: int) -> tuple[int, ...]:
-    """For K6 triples only: the bit of the unique vertex-disjoint partner."""
-    tris = _triples(n)
-    index = {t: i for i, t in enumerate(tris)}
-    out = []
-    for t in tris:
-        comp = tuple(v for v in range(n) if v not in t)
-        out.append(1 << index[comp] if len(comp) == 3 else 0)
-    return tuple(out)
+def bowtie_extraction_holds(g: ColouredGraph) -> bool:
+    """True when the bowtie extractor for a complete K6 or K7 succeeds and verifies.
 
-
-def _bowtie_k6_task(args: tuple) -> tuple[int, int, int, list[int]]:
-    lo, hi = args
-    comp = _complement_bits(6)
-    qualifying = 0
-    fail_count = 0
-    fails: list[int] = []
-    for clo in range(lo, hi, _CHUNK):
-        chi = min(clo + _CHUNK, hi)
-        codes = np.arange(clo, chi, dtype=np.uint64)
-        red, blue = _colour_mono_matrices(codes, 6)
-        hit = np.zeros(codes.shape, dtype=bool)
-        for t, pm in enumerate(comp):
-            if not pm:
-                continue
-            hit |= ((red & np.uint64(1 << t)) != 0) & ((blue & np.uint64(pm)) != 0)
-        for i in np.flatnonzero(hit):
-            code = int(codes[i])
-            qualifying += 1
-            g = complete_colouring(6, 2, code)
+    On K6 a verified bowtie through each of the six vertices is demanded; on
+    K7 a verified second bowtie distinct from the lexicographically first.
+    """
+    try:
+        if g.n == 6:
             for v in range(6):
-                try:
-                    bow = bowtie_through_vertex_k6(g, v)
-                    ok = bow.verify(g) and v in bow.vertex_set
-                except (ValueError, AnomalyError):
-                    ok = False
-                if not ok:
-                    fail_count += 1
-                    if len(fails) < WITNESS_CAP:
-                        fails.append(code)
-    return hi - lo, qualifying, fail_count, fails
+                bow = bowtie_through_vertex_k6(g, v)
+                if not (bow.verify(g) and v in bow.vertex_set):
+                    return False
+            return True
+        known = find_bowtie(g)
+        if known is None or not known.verify(g):
+            return False
+        nxt = second_bowtie_k7(g, known)
+        return nxt.verify(g) and nxt != known
+    except (ValueError, AnomalyError):
+        return False
 
 
-def _bowtie_k7_task(args: tuple) -> tuple[int, int, int, list[int]]:
-    lo, hi = args
-    share1 = _share_one_masks(7)
-    qualifying = 0
-    fail_count = 0
-    fails: list[int] = []
-    for clo in range(lo, hi, _CHUNK):
-        chi = min(clo + _CHUNK, hi)
-        codes = np.arange(clo, chi, dtype=np.uint64)
-        red, blue = _colour_mono_matrices(codes, 7)
-        hit = np.zeros(codes.shape, dtype=bool)
-        for t, pm in enumerate(share1):
-            hit |= ((red & np.uint64(1 << t)) != 0) & ((blue & np.uint64(pm)) != 0)
-        for i in np.flatnonzero(hit):
-            code = int(codes[i])
-            qualifying += 1
-            g = complete_colouring(7, 2, code)
-            known = find_bowtie(g)
-            ok = known is not None and known.verify(g)
-            if ok:
-                try:
-                    nxt = second_bowtie_k7(g, known)
-                    ok = nxt.verify(g) and nxt != known
-                except (ValueError, AnomalyError):
-                    ok = False
-            if not ok:
-                fail_count += 1
-                if len(fails) < WITNESS_CAP:
-                    fails.append(code)
-    return hi - lo, qualifying, fail_count, fails
-
-
-def _run_bowtie_sweep(task_fn: Callable, n: int, workers: Optional[int],
-                      task_size: int) -> LemmaReport:
+def _bowtie_sweep(n: int, share: int, workers: Optional[int]) -> LemmaReport:
+    """Extract from every code whose red and blue triangles meet in ``share`` vertices."""
     start = time.perf_counter()
     total = 1 << (n * (n - 1) // 2)
-    tasks = [(lo, min(lo + task_size, total)) for lo in range(0, total, task_size)]
-    results = _map_tasks(task_fn, tasks, workers)
-    checked = sum(r[0] for r in results)
-    qualifying = sum(r[1] for r in results)
-    count = sum(r[2] for r in results)
-    fails: list[int] = []
-    for r in results:
-        if len(fails) >= WITNESS_CAP:
-            break
-        fails.extend(r[3][:WITNESS_CAP - len(fails)])
-    lemma_id = f"bowtie-k{n}"
-    return LemmaReport(lemma_id=lemma_id, n=n, r=2, mode=MODE_EXHAUSTIVE,
+    checked, qualifying, count, fails = _run_scan(
+        n, partial(_split_pair, share=share), 0, total, workers,
+        check=bowtie_extraction_holds)
+    return LemmaReport(lemma_id=f"bowtie-k{n}", n=n, r=2, mode=MODE_EXHAUSTIVE,
                        universe_size=total, checked=checked, reduction_factor=1,
                        violation_count=count, violations=tuple(fails),
                        elapsed=time.perf_counter() - start,
@@ -652,9 +605,7 @@ def verify_bowtie_lemmas(workers: Optional[int] = 1) -> tuple[LemmaReport, Lemma
     first one.  A violation in either report is an extractor failure, not a
     statistical event, so both are expected to be zero.
     """
-    k6 = _run_bowtie_sweep(_bowtie_k6_task, 6, workers, 1 << 12)
-    k7 = _run_bowtie_sweep(_bowtie_k7_task, 7, workers, 1 << 15)
-    return k6, k7
+    return _bowtie_sweep(6, 0, workers), _bowtie_sweep(7, 1, workers)
 
 
 # --------------------------------------------------------------------------
@@ -748,11 +699,8 @@ def _k7x2_sample_task(args: tuple) -> tuple[int, list[int], list[int]]:
 
 
 def _k7x2_objective(bits: np.ndarray) -> tuple[int, int]:
-    tri_edges, vmasks = _k7x2_tables()
-    sums = bits[tri_edges].sum(axis=1)
-    idx = np.flatnonzero((sums == 0) | (sums == 3))
-    floor = _max_disjoint_capped([vmasks[i] for i in idx], 3)
-    return floor, len(idx)
+    monos = _k7x2_mono_vmasks(bits)
+    return _max_disjoint_capped(monos, 3), len(monos)
 
 
 def _k7x2_adversarial_task(args: tuple) -> tuple[int, int, list[int]]:
@@ -810,15 +758,11 @@ def verify_k7_blowup(samples: int = 1_000_000, adversarial_restarts: int = 1_000
     """
     if samples < 0 or adversarial_restarts < 0:
         raise ValueError("sample and restart counts must be nonnegative")
+    if chunk_size < 1:
+        raise ValueError(f"chunk size must be positive, got {chunk_size}")
     start = time.perf_counter()
-    tasks = []
-    offset = 0
-    index = 0
-    while offset < samples:
-        n = min(chunk_size, samples - offset)
-        tasks.append((index, n, seed))
-        offset += n
-        index += 1
+    tasks = [(index, min(chunk_size, samples - lo), seed)
+             for index, lo in enumerate(range(0, samples, chunk_size))]
     sample_results = _map_tasks(_k7x2_sample_task, tasks, workers)
     checked = sum(r[0] for r in sample_results)
     violations: list[int] = []
@@ -856,18 +800,6 @@ def verify_k7_blowup(samples: int = 1_000_000, adversarial_restarts: int = 1_000
 # Ramsey-style searches
 
 
-@lru_cache(maxsize=None)
-def _clique_edge_masks(n: int, ell: int) -> tuple[int, ...]:
-    index = {e: i for i, e in enumerate(lex_edges(n))}
-    out = []
-    for verts in combinations(range(n), ell):
-        m = 0
-        for u, v in combinations(verts, 2):
-            m |= 1 << index[(u, v)]
-        out.append(m)
-    return tuple(out)
-
-
 def _first_clique_free_code(n: int, r: int, ell: int,
                             codes_iter) -> Optional[int]:
     """Lex-first code among ``codes_iter`` with no monochromatic K_ell, else None.
@@ -876,12 +808,6 @@ def _first_clique_free_code(n: int, r: int, ell: int,
     the generic path takes iterables of plain ints instead.
     """
     masks = _clique_edge_masks(n, ell)
-    if not masks:
-        # No ell-subset exists, so every colouring violates.
-        for chunk in codes_iter:
-            for code in chunk:
-                return int(code)
-        return None
     if r == 2:
         for chunk in codes_iter:
             ok = np.zeros(chunk.shape, dtype=bool)
@@ -909,11 +835,6 @@ def _has_mono_clique(g: ColouredGraph, ell: int) -> bool:
     return False
 
 
-def _full_code_chunks(total: int):
-    for lo in range(0, total, _CHUNK):
-        yield np.arange(lo, min(lo + _CHUNK, total), dtype=np.uint64)
-
-
 def compute_ramsey(ell: int, r: int = 2, n_max: int = 8,
                    budget: int = DEFAULT_RAMSEY_BUDGET) -> RamseyResult:
     """Least ``n`` such that every r-colouring of K_n has a mono K_ell.
@@ -937,7 +858,7 @@ def compute_ramsey(ell: int, r: int = 2, n_max: int = 8,
         if universe > (budget if r == 2 else min(budget, 1 << 22)):
             break
         if r == 2:
-            code = _first_clique_free_code(n, r, ell, _full_code_chunks(universe))
+            code = _first_clique_free_code(n, r, ell, _code_chunks(0, universe))
         else:
             code = _first_clique_free_code(n, r, ell, [range(universe)])
         checked[n] = universe
@@ -954,20 +875,6 @@ def _special_universe_size(n: int, r: int) -> int:
     if n < 1:
         raise ValueError(f"need at least one vertex, got n={n}")
     return (r - 1) ** (n - 1) * r ** ((n - 1) * (n - 2) // 2)
-
-
-def _special_code_chunks_r2(n: int):
-    """Two-colour codes with every vertex-0 edge blue, as increasing chunks.
-
-    The n-1 edges at vertex 0 occupy the low bits of the lexicographic edge
-    order, so the special universe is the free universe shifted up by n-1
-    bits with those low bits forced to 1.
-    """
-    low = np.uint64((1 << (n - 1)) - 1)
-    total = 1 << ((n - 1) * (n - 2) // 2)
-    for lo in range(0, total, _CHUNK):
-        block = np.arange(lo, min(lo + _CHUNK, total), dtype=np.uint64)
-        yield (block << np.uint64(n - 1)) | low
 
 
 def _special_codes_generic(n: int, r: int):
@@ -1005,8 +912,13 @@ def compute_special_ramsey(ell: int, r: int = 2, n_max: int = 6,
             witness_n = n
             witness_code = (r ** (n - 1) - 1) // (r - 1)
             continue
-        chunks = _special_code_chunks_r2(n) if r == 2 \
-            else [_special_codes_generic(n, r)]
+        if r == 2:
+            # The n-1 edges at vertex 0 occupy the low bits of the lexicographic
+            # edge order, so the two-colour special codes are the free codes of
+            # the other edges shifted up by n-1 bits with those bits forced to 1.
+            chunks = _code_chunks(0, universe, n - 1, (1 << (n - 1)) - 1)
+        else:
+            chunks = [_special_codes_generic(n, r)]
         code = _first_clique_free_code(n, r, ell, chunks)
         checked[n] = universe
         if code is None:
@@ -1042,16 +954,9 @@ AUDIT_INSTANCES = (
 )
 
 
-def _audit_bound(construction: str, n: int, delta: int) -> int:
-    if construction in ("ex-triangle", "ex-triangle-alt"):
-        return extremal_min_formula(n, delta)
-    if construction == "ex-bes-1":
-        return (delta + 1) // 5
-    if construction == "ex-bes-2":
-        return (4 * delta - 3 * n + 1) // 3
-    if construction == "ex-bes-3":
-        return (5 * delta - 4 * n + 1) // 2
-    raise ValueError(f"unknown construction {construction!r}")
+# The single-colour piece each ex-bes construction is extremal for; the
+# mixed constructions meet extremal_min_formula.
+_BES_PIECES = {"ex-bes-1": "high", "ex-bes-2": "mid", "ex-bes-3": "low"}
 
 
 def audit_tightness(budget: Optional[int] = None) -> list[AuditRow]:
@@ -1069,7 +974,9 @@ def audit_tightness(budget: Optional[int] = None) -> list[AuditRow]:
             result = max_mixed_tiling(g, budget=budget)
         else:
             result = max_single_colour_tiling(g, budget=budget)
-        bound = _audit_bound(construction, n, delta)
+        piece = _BES_PIECES.get(construction)
+        bound = (extremal_min_formula(n, delta) if piece is None
+                 else bes_formulas(n, delta)[piece])
         if result.proved_optimal and result.optimum > bound:
             raise AnomalyError(
                 f"{construction}({n},{delta}) packs {result.optimum} triangles, "
@@ -1087,14 +994,6 @@ def audit_tightness(budget: Optional[int] = None) -> list[AuditRow]:
 
 # --------------------------------------------------------------------------
 # open-question probe
-
-
-def _bes_piece(n: int, delta: int) -> tuple[str, int]:
-    if 17 * delta >= 15 * n:
-        return "high", (delta + 1) // 5
-    if 7 * delta >= 6 * n:
-        return "mid", (4 * delta - 3 * n + 1) // 3
-    return "low", (5 * delta - 4 * n + 1) // 2
 
 
 def probe_question(n_values: Sequence[int] = (25,),
@@ -1136,17 +1035,18 @@ def probe_question(n_values: Sequence[int] = (25,),
                     np.random.SeedSequence(seed, spawn_key=(n, delta, 1, k)))
                 hosts.append((f"perturbed-{base[0]}-{k}",
                               _recolour_edges(base[1], rng)))
-            piece, value = _bes_piece(n, delta)
+            formulas = bes_formulas(n, delta)
+            piece = bes_band(n, delta)
             for source, g in hosts:
                 result = max_single_colour_tiling(g, budget=budget)
                 records.append(ProbeRecord(
                     n=n, delta=delta, source=source, optimum=result.optimum,
                     proved_optimal=result.proved_optimal,
-                    formula_high=(delta + 1) // 5,
-                    formula_mid=(4 * delta - 3 * n + 1) // 3,
-                    formula_low=(5 * delta - 4 * n + 1) // 2,
-                    applicable_piece=piece, applicable_value=value,
-                    below_formula=result.proved_optimal and result.optimum < value))
+                    formula_high=formulas["high"], formula_mid=formulas["mid"],
+                    formula_low=formulas["low"],
+                    applicable_piece=piece, applicable_value=formulas[piece],
+                    below_formula=(result.proved_optimal
+                                   and result.optimum < formulas[piece])))
     return records
 
 

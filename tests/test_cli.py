@@ -127,6 +127,28 @@ class TestSolveAndTile:
         assert rc == 0
         assert doc["optimum"] == 2
 
+    def test_solve_reads_json_after_leading_whitespace(self, tmp_path, monkeypatch,
+                                                       capsys):
+        (tmp_path / "g.json").write_text(
+            '\n  {"n": 3, "r": 2, "edges": [[0, 1, 0], [0, 2, 0], [1, 2, 0]]}')
+        rc = run_in(tmp_path, monkeypatch,
+                    ["solve", str(tmp_path / "g.json"), "--json"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["optimum"] == 1
+
+    @pytest.mark.parametrize("text", [
+        '{"n": 3, "r": 2, "edges": [1, 2]}',
+        '{"n": "3", "r": 2, "edges": [[0, 1, 0]]}',
+        '  {"n": 3, "r": 2, "edges": [[0, 1]]}',
+    ])
+    def test_malformed_json_graph_is_one_error_line(self, tmp_path, monkeypatch,
+                                                    capsys, text):
+        (tmp_path / "g.json").write_text(text)
+        rc = run_in(tmp_path, monkeypatch, ["solve", str(tmp_path / "g.json")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: graph json") and err.count("\n") == 1
+
 
 class TestVerifyCommand:
     def test_clean_lemma_exits_zero(self, tmp_path, monkeypatch, capsys):

@@ -39,7 +39,6 @@ from tritile.proofs import (
     extract_three_disjoint_k7x2,
     extract_two_disjoint_k8,
     extract_two_disjoint_same_colour_k10,
-    generalized_moon_small,
     moon_large,
     moon_small,
     phased_tiler,
@@ -297,12 +296,6 @@ class TestMoonSmall:
         assert len(tiling) >= (5 * 20 - 4 * 24 + 1) // 2
         assert len({t.colour for t in tiling}) == 1
         assert tiling.verify(g)
-
-    def test_generalized_matches_triangle_case(self):
-        g = ex_triangle(12, 10)
-        assert generalized_moon_small(g) == moon_small(g)
-        with pytest.raises(ValueError):
-            generalized_moon_small(g, r=3, ell=3)
 
 
 class TestMoonLarge:

@@ -6,6 +6,8 @@ once with the slow python predicates and frozen; the vector kernels must
 keep reproducing them exactly.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,12 +35,15 @@ from tritile.verifiers import (
     verify_fact_k6,
     verify_k7_blowup,
     verify_lemma_k8,
-    _bowtie_k6_task,
-    _bowtie_k7_task,
-    _chunk_violations,
-    _scan_task,
+    bowtie_extraction_holds,
+    _bowtie_sweep,
+    _fewer_mono,
+    _no_mono_pair,
+    _run_scan,
     _special_codes_generic,
+    _split_pair,
 )
+from tritile.solvers import find_bowtie
 
 
 class TestExhaustiveScans:
@@ -89,7 +94,7 @@ class TestExhaustiveScans:
         enumerate_colourings(
             6, 2, lambda code, g: slow.append(code)
             if mono_triangle_count(g) < 2 else None, lo=4000, hi=6000)
-        checked, count, found = _scan_task((6, "mono-lt:2", 4000, 6000, 0))
+        checked, _, count, found = _run_scan(6, partial(_fewer_mono, k=2), 4000, 6000)
         assert checked == 2000
         assert count == len(slow)
         assert found == slow[:32]
@@ -99,7 +104,7 @@ class TestExhaustiveScans:
         enumerate_colourings(
             7, 2, lambda code, g: slow.append(code)
             if not has_mono_pair_sharing_at_most(g, 0) else None, hi=1 << 13)
-        checked, count, found = _scan_task((7, "no-pair-share-le:0", 0, 1 << 13, 0))
+        checked, _, count, found = _run_scan(7, partial(_no_mono_pair, share=0), 0, 1 << 13)
         assert count == len(slow)
         assert found == slow[:32]
 
@@ -142,24 +147,24 @@ class TestExhaustiveScans:
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=(1 << 21) - 1))
 def test_pair_checker_matches_slow_predicate(code):
-    viol = _chunk_violations(np.array([code], dtype=np.uint64), 7,
-                             "no-pair-share-le:1")
+    found = _run_scan(7, partial(_no_mono_pair, share=1), code, code + 1)[3]
     g = complete_colouring(7, 2, code)
-    assert bool(viol[0]) == (not has_mono_pair_sharing_at_most(g, 1))
+    assert (found == [code]) == (not has_mono_pair_sharing_at_most(g, 1))
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=(1 << 15) - 1))
 def test_mono_count_checker_matches_slow_predicate(code):
-    viol = _chunk_violations(np.array([code], dtype=np.uint64), 6, "mono-lt:2")
+    found = _run_scan(6, partial(_fewer_mono, k=2), code, code + 1)[3]
     g = complete_colouring(6, 2, code)
-    assert bool(viol[0]) == (mono_triangle_count(g) < 2)
+    assert (found == [code]) == (mono_triangle_count(g) < 2)
 
 
 class TestBowtieSweeps:
     def test_k6_sweep_is_clean(self):
-        k6, = [_bowtie_k6_task((0, 1 << 15))]
-        checked, qualifying, failures, fails = k6
+        checked, qualifying, failures, fails = _run_scan(
+            6, partial(_split_pair, share=0), 0, 1 << 15,
+            check=bowtie_extraction_holds)
         assert (checked, qualifying, failures) == (32768, 7810, 0)
         assert fails == []
 
@@ -170,9 +175,21 @@ class TestBowtieSweeps:
         assert rep.violation_count == 0
 
     def test_k7_slice_is_clean(self):
-        checked, qualifying, failures, fails = _bowtie_k7_task((0, 1 << 13))
+        checked, qualifying, failures, fails = _run_scan(
+            7, partial(_split_pair, share=1), 0, 1 << 13,
+            check=bowtie_extraction_holds)
         assert (checked, qualifying, failures) == (8192, 4842, 0)
         assert fails == []
+
+    def test_k7_filter_flags_exactly_the_bowtie_colourings(self):
+        slow = []
+        enumerate_colourings(
+            7, 2, lambda code, g: slow.append(code)
+            if find_bowtie(g) is not None else None, hi=1 << 10)
+        _, qualifying, count, found = _run_scan(
+            7, partial(_split_pair, share=1), 0, 1 << 10)
+        assert qualifying == count == len(slow)
+        assert found == slow[:32]
 
 
 _BOWTIE_CACHE = []
@@ -181,8 +198,7 @@ _BOWTIE_CACHE = []
 def _small_bowtie_reports():
     # The K6 sweep is cheap; the full K7 sweep lives in the acceptance run.
     if not _BOWTIE_CACHE:
-        from tritile.verifiers import _run_bowtie_sweep
-        k6 = _run_bowtie_sweep(_bowtie_k6_task, 6, 1, 1 << 12)
+        k6 = _bowtie_sweep(6, 0, 1)
         _BOWTIE_CACHE.append((k6, None))
     return _BOWTIE_CACHE[0]
 
@@ -215,6 +231,10 @@ class TestDoubledK7Campaign:
         assert a.extra["adversarial_min_packing"] == 3
         assert a.mode == "adversarial"
         assert a.comparable() == b.comparable()
+
+    def test_rejects_a_nonpositive_chunk_size(self):
+        with pytest.raises(ValueError, match="chunk size"):
+            verify_k7_blowup(samples=1, chunk_size=0)
 
     def test_pure_sampling_mode_label(self):
         rep = verify_k7_blowup(samples=50, adversarial_restarts=0, workers=1)
