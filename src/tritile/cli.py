@@ -25,18 +25,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from tritile.constructions import (
+    CONSTRUCTIONS,
     badly_coloured_k5,
     bound_report,
-    ex_bes_1,
-    ex_bes_1_layout,
-    ex_bes_2,
-    ex_bes_2_layout,
-    ex_bes_3,
-    ex_bes_3_layout,
-    ex_triangle,
-    ex_triangle_alt,
-    ex_triangle_alt_layout,
-    ex_triangle_layout,
     pinned_apex_colouring,
     pinned_apex_sizes,
     random_min_degree_colouring,
@@ -58,14 +49,11 @@ from tritile.solvers import max_mixed_tiling, max_single_colour_tiling
 from tritile.verifiers import (
     K7X2_EDGES,
     audit_tightness,
-    bowtie_extraction_holds,
     compute_ramsey,
     compute_special_ramsey,
-    has_mono_pair_sharing_at_most,
     k7x2_bits,
     k7x2_graph,
-    max_disjoint_mono_capped,
-    mono_triangle_count,
+    lemma_violated,
     probe_question,
     verify_bowtie_lemmas,
     verify_claim_k7,
@@ -139,15 +127,7 @@ def _clique_rows(tiling) -> list:
 # gen
 
 
-_LAYOUTS = {
-    "ex-triangle": (ex_triangle, ex_triangle_layout),
-    "ex-triangle-alt": (ex_triangle_alt, ex_triangle_alt_layout),
-    "ex-bes-1": (ex_bes_1, ex_bes_1_layout),
-    "ex-bes-2": (ex_bes_2, ex_bes_2_layout),
-    "ex-bes-3": (ex_bes_3, ex_bes_3_layout),
-}
-
-GEN_FAMILIES = tuple(_LAYOUTS) + (
+GEN_FAMILIES = tuple(CONSTRUCTIONS) + (
     "pinned-apex", "special-blowup", "random", "badly-k5", "doubled-k7")
 
 
@@ -157,9 +137,9 @@ def _cmd_gen(args) -> int:
     family = args.family
     params: dict = {}
     classes = None
-    if family in _LAYOUTS:
+    if family in CONSTRUCTIONS:
         _require(args, "n", "delta")
-        builder, layout = _LAYOUTS[family]
+        builder, layout = CONSTRUCTIONS[family]
         g = builder(args.n, args.delta)
         classes = layout(args.n, args.delta)
         params = {"n": args.n, "delta": args.delta}
@@ -289,23 +269,6 @@ def _witness_graph(lemma: str, report, code: int) -> ColouredGraph:
     return complete_colouring(report.n, 2, code)
 
 
-def _still_violates(lemma: str, g: ColouredGraph, extra: dict) -> bool:
-    """Slow-path re-check used when a witness file is reloaded."""
-    if lemma == "fact-k6":
-        return mono_triangle_count(g) < extra.get("min_triangles", 2)
-    if lemma == "claim-k7":
-        return not has_mono_pair_sharing_at_most(g, 1)
-    if lemma == "lemma-k8":
-        return not has_mono_pair_sharing_at_most(g, 0)
-    if lemma == "k7x2":
-        return max_disjoint_mono_capped(g, 3) < 3
-    if lemma == "bowtie":
-        # A violation code is a qualifying colouring whose extraction failed;
-        # re-run the pipeline and confirm it still fails.
-        return not bowtie_extraction_holds(g)
-    raise ValueError(f"unknown lemma {lemma!r}")
-
-
 def _write_and_reconfirm_witnesses(lemma: str, reports, path: str) -> None:
     entries = []
     for rep in reports:
@@ -323,7 +286,7 @@ def _write_and_reconfirm_witnesses(lemma: str, reports, path: str) -> None:
         reloaded = json.load(fh)
     for entry in reloaded["witnesses"]:
         g = from_json_dict(entry["graph"])
-        if not _still_violates(lemma, g, entry.get("extra", {})):
+        if not lemma_violated(lemma, g, entry.get("extra", {})):
             raise AnomalyError(
                 f"reloaded {lemma} witness {entry['code']} no longer violates",
                 graph=g, detail={"path": path})
@@ -484,8 +447,8 @@ def _experiment_rows(config: dict) -> list[list]:
     n_values = config.get("n_values")
     if not n_values:
         raise _UsageError("experiment config needs n_values")
-    families = config.get("families", list(_LAYOUTS))
-    unknown = [f for f in families if f not in _LAYOUTS]
+    families = config.get("families", list(CONSTRUCTIONS))
+    unknown = [f for f in families if f not in CONSTRUCTIONS]
     if unknown:
         raise _UsageError(f"unknown families in config: {unknown}")
     samples = int(config.get("samples_per_cell", 0))
@@ -504,7 +467,7 @@ def _experiment_rows(config: dict) -> list[list]:
             hosts = []
             for fam in families:
                 try:
-                    hosts.append((fam, _LAYOUTS[fam][0](n, delta)))
+                    hosts.append((fam, CONSTRUCTIONS[fam][0](n, delta)))
                 except ValueError:
                     continue
             for k in range(samples):

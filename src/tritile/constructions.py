@@ -208,6 +208,16 @@ def ex_bes_3(n: int, delta: int) -> ColouredGraph:
     return ColouredGraph(n, 2, edges)
 
 
+# The extremal constructions by name: (builder, layout), both taking (n, delta).
+CONSTRUCTIONS = {
+    "ex-triangle": (ex_triangle, ex_triangle_layout),
+    "ex-triangle-alt": (ex_triangle_alt, ex_triangle_alt_layout),
+    "ex-bes-1": (ex_bes_1, ex_bes_1_layout),
+    "ex-bes-2": (ex_bes_2, ex_bes_2_layout),
+    "ex-bes-3": (ex_bes_3, ex_bes_3_layout),
+}
+
+
 # ---------------------------------------------------------------------------
 # Apex blow-up: the colouring where every triangle goes through one class.
 
@@ -287,20 +297,24 @@ def random_min_degree_colouring(n: int, delta: int, rng, r: int = 2) -> Coloured
     left the minimum degree equals ``delta`` (deletion never drops a degree
     below it, and if every degree exceeded it some edge would qualify).
     Colours are then drawn uniformly.  ``rng`` is a numpy Generator.
+
+    The candidate edges stay in one sorted list; it is filtered only when a
+    deletion brings an endpoint down to ``delta``, the one event that can
+    disqualify edges other than the deleted one.
     """
     _check(0 <= delta <= n - 1, f"need 0 <= delta <= n-1, got n={n}, delta={delta}")
-    present = {(u, v) for u, v in combinations(range(n), 2)}
+    candidates = list(combinations(range(n), 2)) if delta < n - 1 else []
+    deleted = set()
     deg = [n - 1] * n
-    while True:
-        candidates = sorted((u, v) for u, v in present
-                            if deg[u] > delta and deg[v] > delta)
-        if not candidates:
-            break
-        u, v = candidates[int(rng.integers(len(candidates)))]
-        present.remove((u, v))
+    while candidates:
+        u, v = candidates.pop(int(rng.integers(len(candidates))))
+        deleted.add((u, v))
         deg[u] -= 1
         deg[v] -= 1
-    ordered = sorted(present)
+        if deg[u] == delta or deg[v] == delta:
+            candidates = [(a, b) for a, b in candidates
+                          if deg[a] > delta and deg[b] > delta]
+    ordered = [e for e in combinations(range(n), 2) if e not in deleted]
     colours = rng.integers(0, r, size=len(ordered))
     return ColouredGraph(n, r, [(u, v, int(c)) for (u, v), c in zip(ordered, colours)])
 

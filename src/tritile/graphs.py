@@ -25,6 +25,10 @@ from typing import Iterable, Iterator, Optional, Sequence
 RED = 0
 BLUE = 1
 
+# Largest vertex count a graph may declare; rows cost about 50 bytes a vertex,
+# so an unchecked count read from a file could exhaust memory.
+MAX_VERTICES = 1 << 16
+
 
 class AnomalyError(RuntimeError):
     """A step that a proven guarantee says cannot fail has failed anyway.
@@ -79,8 +83,8 @@ class ColouredGraph:
     __slots__ = ("n", "r", "colour_adj", "adj", "edge_count", "_hash")
 
     def __init__(self, n: int, r: int, edges: Iterable[tuple[int, int, int]]):
-        if n < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {n}")
+        if not 0 <= n <= MAX_VERTICES:
+            raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}, got {n}")
         if not 1 <= r <= 8:
             raise ValueError(f"colour count must be in 1..8, got {r}")
         rows = [[0] * n for _ in range(r)]
@@ -175,20 +179,36 @@ class ColouredGraph:
         out.sort()
         return out
 
+    def iter_mono_triangles(self, within: int = -1) -> Iterator["MonoClique"]:
+        """Monochromatic triangles inside the vertex mask ``within``, lazily.
+
+        Yields in lexicographic vertex order without sorting: edge ``uv``
+        has one colour, so for fixed ``u < v`` the third vertices ``w`` come
+        out increasing.
+        """
+        rest = within & ((1 << self.n) - 1)
+        cadj = self.colour_adj
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            rest ^= low
+            later = self.adj[u] & rest
+            while later:
+                low = later & -later
+                v = low.bit_length() - 1
+                later ^= low
+                for c, rows in enumerate(cadj):
+                    if rows[u] & low:
+                        break
+                third = rows[u] & rows[v] & later
+                while third:
+                    low = third & -third
+                    third ^= low
+                    yield MonoClique((u, v, low.bit_length() - 1), c)
+
     def mono_triangles(self) -> list["MonoClique"]:
-        """Every monochromatic triangle, sorted by (vertices, colour)."""
-        out = []
-        for c in range(self.r):
-            rows = self.colour_adj[c]
-            for u in range(self.n):
-                row_u = rows[u] >> (u + 1)
-                for off_v in iter_bits(row_u):
-                    v = u + 1 + off_v
-                    common = rows[u] & rows[v]
-                    for off_w in iter_bits(common >> (v + 1)):
-                        out.append(MonoClique((u, v, v + 1 + off_w), c))
-        out.sort(key=lambda t: (t.vertices, t.colour))
-        return out
+        """Every monochromatic triangle, in lexicographic vertex order."""
+        return list(self.iter_mono_triangles())
 
     def relabelled(self, perm: Sequence[int]) -> "ColouredGraph":
         """Image under the vertex permutation ``i -> perm[i]``."""
@@ -329,6 +349,25 @@ class Bowtie:
         return self.first.verify(g) and self.second.verify(g)
 
 
+def first_pair(tris: Sequence[MonoClique], lo: int, hi: int,
+               same_colour: Optional[bool] = None
+               ) -> Optional[tuple[MonoClique, MonoClique]]:
+    """First pair ``(tris[i], tris[j])``, ``i < j``, meeting in ``lo..hi`` vertices.
+
+    ``same_colour`` True asks for equal colours, False for different ones.
+    The colour test runs before the overlap, and masks are read only for
+    pairs that pass it.
+    """
+    for i, a in enumerate(tris):
+        a_mask = a.mask
+        for b in tris[i + 1:]:
+            if same_colour is not None and (a.colour == b.colour) != same_colour:
+                continue
+            if lo <= (a_mask & b.mask).bit_count() <= hi:
+                return a, b
+    return None
+
+
 def blow_up(g: ColouredGraph, sizes: Sequence[int]) -> ColouredGraph:
     """Replace vertex ``i`` of ``g`` by an independent class of ``sizes[i]``.
 
@@ -435,7 +474,10 @@ def from_json_dict(data: dict) -> ColouredGraph:
         if not (isinstance(e, (list, tuple)) and len(e) == 3
                 and all(isinstance(x, int) for x in e)):
             raise ValueError(f"graph json edge must be [u, v, c] integers, got {e!r}")
-    return ColouredGraph(n, r, [tuple(e) for e in edges])
+    try:
+        return ColouredGraph(n, r, [tuple(e) for e in edges])
+    except ValueError as exc:
+        raise ValueError(f"graph json: {exc}") from None
 
 
 def write_graph_json(g: ColouredGraph, path) -> None:

@@ -27,6 +27,7 @@ from tritile.graphs import (
     ColouredGraph,
     MonoClique,
     Tiling,
+    first_pair,
     iter_bits,
     mask_of,
 )
@@ -54,22 +55,24 @@ def _complete_set(g: ColouredGraph, vertices: Sequence[int], what: str) -> tuple
     return verts
 
 
+def _exact_set(g: ColouredGraph, vertices: Optional[Sequence[int]], size: int,
+               what: str) -> tuple[int, ...]:
+    """``_complete_set`` of exactly ``size`` vertices, ``0..size-1`` by default."""
+    verts = _complete_set(g, range(size) if vertices is None else vertices, what)
+    if len(verts) != size:
+        raise ValueError(f"need exactly {size} vertices, got {len(verts)}")
+    return verts
+
+
+def _mono_triangles_in(g: ColouredGraph, vertices: Sequence[int]) -> list[MonoClique]:
+    return list(g.iter_mono_triangles(mask_of(vertices)))
+
+
 def _first_mono_triangle(g: ColouredGraph, vertices: Sequence[int],
-                         colour: Optional[int] = None,
-                         not_colour: Optional[int] = None) -> Optional[MonoClique]:
-    """Lex-first monochromatic triangle within ``vertices``, with colour filters."""
-    verts = sorted(vertices)
-    for a, b, c in combinations(verts, 3):
-        col = g.edge_colour(a, b)
-        if col is None:
-            continue
-        if colour is not None and col != colour:
-            continue
-        if not_colour is not None and col == not_colour:
-            continue
-        if g.edge_colour(a, c) == col and g.edge_colour(b, c) == col:
-            return MonoClique((a, b, c), col)
-    return None
+                         colour: Optional[int] = None) -> Optional[MonoClique]:
+    """Lex-first monochromatic triangle within ``vertices``, optionally of ``colour``."""
+    return next((t for t in g.iter_mono_triangles(mask_of(vertices))
+                 if colour is None or t.colour == colour), None)
 
 
 def _find_clique(g: ColouredGraph, size: int, allowed: int) -> Optional[tuple[int, ...]]:
@@ -125,12 +128,11 @@ def extract_two_disjoint_k8(g: ColouredGraph,
                             ) -> tuple[MonoClique, MonoClique]:
     """Two disjoint mono triangles (any colours) in a complete 8-set.
 
-    Exhausts the 280 unordered disjoint triple pairs in lexicographic order;
-    every 2-colouring of K8 admits one, so exhaustion raises AnomalyError.
+    Returns the lex-first disjoint pair of its mono triangles; every
+    2-colouring of K8 admits one, so a miss raises AnomalyError.
     """
-    verts = _complete_set(g, range(8) if vertices is None else vertices,
-                          "extract_two_disjoint_k8")
-    pair = _first_disjoint_pair(g, verts, 8, same_colour=False)
+    verts = _exact_set(g, vertices, 8, "extract_two_disjoint_k8")
+    pair = first_pair(_mono_triangles_in(g, verts), 0, 0)
     if pair is None:
         raise AnomalyError("complete 8-set without two disjoint monochromatic triangles",
                            graph=g, detail={"vertices": verts})
@@ -145,34 +147,13 @@ def extract_two_disjoint_same_colour_k10(g: ColouredGraph,
     Every 2-colouring of K10 contains a monochromatic pair of disjoint
     triangles; a miss after exhausting all pairs raises AnomalyError.
     """
-    verts = _complete_set(g, range(10) if vertices is None else vertices,
-                          "extract_two_disjoint_same_colour_k10")
-    pair = _first_disjoint_pair(g, verts, 10, same_colour=True)
+    verts = _exact_set(g, vertices, 10, "extract_two_disjoint_same_colour_k10")
+    pair = first_pair(_mono_triangles_in(g, verts), 0, 0, same_colour=True)
     if pair is None:
         raise AnomalyError(
             "complete 10-set without a same-colour disjoint triangle pair",
             graph=g, detail={"vertices": verts})
     return pair
-
-
-def _first_disjoint_pair(g: ColouredGraph, verts: tuple[int, ...], size: int,
-                         same_colour: bool) -> Optional[tuple[MonoClique, MonoClique]]:
-    """Lex-first pair of disjoint mono triangles among exactly ``size`` vertices."""
-    if len(verts) != size:
-        raise ValueError(f"need exactly {size} vertices, got {len(verts)}")
-    triples = list(combinations(verts, 3))
-    monos = {t: g.edge_colour(t[0], t[1])
-             for t in triples
-             if g.edge_colour(t[0], t[1]) == g.edge_colour(t[0], t[2])
-             == g.edge_colour(t[1], t[2])}
-    for i, t1 in enumerate(triples):
-        if t1 not in monos:
-            continue
-        for t2 in triples[i + 1:]:
-            if (t2 in monos and not set(t1) & set(t2)
-                    and (not same_colour or monos[t2] == monos[t1])):
-                return (MonoClique(t1, monos[t1]), MonoClique(t2, monos[t2]))
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -190,22 +171,10 @@ def bowtie_through_vertex_k6(g: ColouredGraph, v: int,
     leaves two same-coloured edges meeting in the other triangle.  The
     result always contains ``v``.
     """
-    verts = _complete_set(g, range(6) if vertices is None else vertices,
-                          "bowtie_through_vertex_k6")
-    if len(verts) != 6:
-        raise ValueError(f"need exactly 6 vertices, got {len(verts)}")
+    verts = _exact_set(g, vertices, 6, "bowtie_through_vertex_k6")
     if v not in verts:
         raise ValueError(f"vertex {v} is not among {verts}")
-    split = None
-    for t1 in combinations(verts, 3):
-        t2 = tuple(sorted(set(verts) - set(t1)))
-        c1 = g.edge_colour(t1[0], t1[1])
-        c2 = g.edge_colour(t2[0], t2[1])
-        if (c1 != c2
-                and g.edge_colour(t1[0], t1[2]) == c1 == g.edge_colour(t1[1], t1[2])
-                and g.edge_colour(t2[0], t2[2]) == c2 == g.edge_colour(t2[1], t2[2])):
-            split = (MonoClique(t1, c1), MonoClique(t2, c2))
-            break
+    split = first_pair(_mono_triangles_in(g, verts), 0, 0, same_colour=False)
     if split is None:
         raise ValueError("the 6-set does not split into two disjoint "
                          "different-coloured monochromatic triangles")
@@ -240,10 +209,7 @@ def second_bowtie_k7(g: ColouredGraph, known: Bowtie,
     and the crossing triangle pairs off directly or via the 6-set builder.
     The result always contains x or y.
     """
-    verts = _complete_set(g, range(7) if vertices is None else vertices,
-                          "second_bowtie_k7")
-    if len(verts) != 7:
-        raise ValueError(f"need exactly 7 vertices, got {len(verts)}")
+    verts = _exact_set(g, vertices, 7, "second_bowtie_k7")
     span = known.vertex_set
     if not (span <= set(verts) and known.verify(g)):
         raise ValueError("known bowtie does not verify inside the 7-set")
@@ -277,20 +243,8 @@ def second_bowtie_k7(g: ColouredGraph, known: Bowtie,
 def claim_pair_k7(g: ColouredGraph, vertices: Optional[Sequence[int]] = None
                   ) -> Optional[tuple[MonoClique, MonoClique]]:
     """Lex-first pair of mono triangles sharing at most one vertex in a K7."""
-    verts = _complete_set(g, range(7) if vertices is None else vertices,
-                          "claim_pair_k7")
-    if len(verts) != 7:
-        raise ValueError(f"need exactly 7 vertices, got {len(verts)}")
-    tris = []
-    for t in combinations(verts, 3):
-        col = g.edge_colour(t[0], t[1])
-        if g.edge_colour(t[0], t[2]) == col == g.edge_colour(t[1], t[2]):
-            tris.append(MonoClique(t, col))
-    for i, t1 in enumerate(tris):
-        for t2 in tris[i + 1:]:
-            if (t1.mask & t2.mask).bit_count() <= 1:
-                return (t1, t2)
-    return None
+    verts = _exact_set(g, vertices, 7, "claim_pair_k7")
+    return first_pair(_mono_triangles_in(g, verts), 0, 1)
 
 
 def extract_three_disjoint_k7x2(g: ColouredGraph
@@ -390,45 +344,41 @@ def moon_large(g: ColouredGraph, budget: Optional[int] = None) -> Tiling:
     Close to the band floor, eight times the degree defect many lowest-degree
     vertices induce a host dense enough for a perfect K8 tiling, and each K8
     carries two disjoint triangles.  Higher up, a K6 survives every common
-    neighbourhood; its triangle is removed and the rest recurses with the
+    neighbourhood; its triangle is removed and the loop repeats with the
     degree floor dropped by three.
     """
     if g.r != 2:
         raise ValueError(f"two colours required, got r={g.r}")
-    delta = g.min_degree()
-    if not (8 * delta >= 7 * g.n and delta <= g.n - 1):
-        raise ValueError(f"needs 7n/8 <= delta <= n-1, got n={g.n}, delta={delta}")
+    delta_lb = g.min_degree()
+    if not (8 * delta_lb >= 7 * g.n and delta_lb <= g.n - 1):
+        raise ValueError(f"needs 7n/8 <= delta <= n-1, got n={g.n}, delta={delta_lb}")
     out: list[MonoClique] = []
-    _moon_large_step(g, (1 << g.n) - 1, delta, out, budget)
+    mask = (1 << g.n) - 1
+    while (2 * delta_lb - mask.bit_count()) // 3 > 0:
+        n1 = mask.bit_count()
+        if 8 * delta_lb <= 7 * n1 + 2:
+            verts = sorted(iter_bits(mask),
+                           key=lambda v: ((g.adj[v] & mask).bit_count(), v))
+            horizon = verts[:8 * (n1 - delta_lb)]
+            sub, back = g.induced(horizon)
+            tiling = find_perfect_clique_tiling(sub, 8, budget=budget)
+            if tiling is None:
+                raise AnomalyError(
+                    "dense 8k-set refused a perfect K8 tiling", graph=g,
+                    detail={"horizon": horizon, "delta_lb": delta_lb})
+            for tile in tiling:
+                eight = tuple(back[v] for v in tile.vertices)
+                out.extend(extract_two_disjoint_k8(g, eight))
+            break
+        six = _find_clique(g, 6, mask)
+        if six is None:
+            raise AnomalyError("guaranteed K6 missing above the 7n/8 band",
+                               graph=g, detail={"delta_lb": delta_lb, "n": n1})
+        tri = extract_mono_triangle_k6(g, six)
+        out.append(tri)
+        mask &= ~tri.mask
+        delta_lb -= 3
     return Tiling(tuple(out))
-
-
-def _moon_large_step(g: ColouredGraph, mask: int, delta_lb: int,
-                     out: list[MonoClique], budget: Optional[int]) -> None:
-    n1 = mask.bit_count()
-    if (2 * delta_lb - n1) // 3 <= 0:
-        return
-    if 8 * delta_lb <= 7 * n1 + 2:
-        verts = sorted(iter_bits(mask),
-                       key=lambda v: ((g.adj[v] & mask).bit_count(), v))
-        horizon = verts[:8 * (n1 - delta_lb)]
-        sub, back = g.induced(horizon)
-        tiling = find_perfect_clique_tiling(sub, 8, budget=budget)
-        if tiling is None:
-            raise AnomalyError(
-                "dense 8k-set refused a perfect K8 tiling", graph=g,
-                detail={"horizon": horizon, "delta_lb": delta_lb})
-        for tile in tiling:
-            eight = tuple(back[v] for v in tile.vertices)
-            out.extend(extract_two_disjoint_k8(g, eight))
-        return
-    six = _find_clique(g, 6, mask)
-    if six is None:
-        raise AnomalyError("guaranteed K6 missing above the 7n/8 band",
-                           graph=g, detail={"delta_lb": delta_lb, "n": n1})
-    tri = extract_mono_triangle_k6(g, six)
-    out.append(tri)
-    _moon_large_step(g, mask & ~tri.mask, delta_lb - 3, out, budget)
 
 
 def bes_large(g: ColouredGraph, budget: Optional[int] = None) -> Tiling:

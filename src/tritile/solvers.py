@@ -34,7 +34,9 @@ from tritile.graphs import (
     MonoClique,
     SearchBudgetExceeded,
     Tiling,
+    first_pair,
     iter_bits,
+    mask_of,
 )
 
 DEFAULT_NODE_BUDGET = 5_000_000
@@ -314,14 +316,6 @@ def find_bowtie(g: ColouredGraph, forbidden: Sequence[int] = ()) -> Optional[Bow
     Scans triangle pairs in lexicographic order, skipping any triangle that
     touches ``forbidden``; None when the graph has no such bowtie.
     """
-    banned = 0
-    for v in forbidden:
-        banned |= 1 << v
-    tris = [t for t in g.mono_triangles() if not t.mask & banned]
-    for i, first in enumerate(tris):
-        for second in tris[i + 1:]:
-            if first.colour == second.colour:
-                continue
-            if (first.mask & second.mask).bit_count() == 1:
-                return Bowtie(first, second)
-    return None
+    pair = first_pair(list(g.iter_mono_triangles(~mask_of(forbidden))), 1, 1,
+                      same_colour=False)
+    return None if pair is None else Bowtie(*pair)

@@ -28,21 +28,17 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from tritile.constructions import (
+    CONSTRUCTIONS,
     bes_band,
     bes_formulas,
-    ex_bes_1,
-    ex_bes_2,
-    ex_bes_3,
-    ex_triangle,
-    ex_triangle_alt,
     extremal_min_formula,
     random_min_degree_colouring,
 )
 from tritile.graphs import (
     AnomalyError,
     ColouredGraph,
-    colouring_code,
     complete_colouring,
+    first_pair,
     lex_edges,
 )
 from tritile.proofs import (
@@ -217,17 +213,32 @@ def mono_triangle_count(g: ColouredGraph) -> int:
 
 def has_mono_pair_sharing_at_most(g: ColouredGraph, shared: int) -> bool:
     """True when two monochromatic triangles overlap in <= ``shared`` vertices."""
-    tris = g.mono_triangles()
-    for i, a in enumerate(tris):
-        for b in tris[i + 1:]:
-            if (a.mask & b.mask).bit_count() <= shared:
-                return True
-    return False
+    return first_pair(g.mono_triangles(), 0, shared) is not None
 
 
 def max_disjoint_mono_capped(g: ColouredGraph, cap: int = 3) -> int:
     """Size of a largest vertex-disjoint monochromatic-triangle family, capped."""
     return _max_disjoint_capped([t.mask for t in g.mono_triangles()], cap)
+
+
+def lemma_violated(lemma: str, g: ColouredGraph, extra: Optional[dict] = None) -> bool:
+    """Slow-path check that ``g`` is a counterexample to ``lemma``.
+
+    ``lemma`` is one of the CLI's ``verify --lemma`` names; ``extra`` is the
+    report's ``extra`` block, of which fact-k6 reads ``min_triangles``.
+    """
+    if lemma == "fact-k6":
+        return mono_triangle_count(g) < (extra or {}).get("min_triangles", 2)
+    if lemma == "claim-k7":
+        return not has_mono_pair_sharing_at_most(g, 1)
+    if lemma == "lemma-k8":
+        return not has_mono_pair_sharing_at_most(g, 0)
+    if lemma == "k7x2":
+        return max_disjoint_mono_capped(g, 3) < 3
+    if lemma == "bowtie":
+        # A violation is a qualifying colouring whose extraction failed.
+        return not bowtie_extraction_holds(g)
+    raise ValueError(f"unknown lemma {lemma!r}")
 
 
 def _max_disjoint_capped(masks: Sequence[int], cap: int) -> int:
@@ -451,13 +462,13 @@ def _edge_count_or_raise(n: int) -> int:
     return edges
 
 
-def _scan_report(lemma_id: str, n: int, filt: Callable,
-                 violates: Callable[[ColouredGraph], bool], workers: Optional[int],
-                 shift: int = 0, extra: Optional[dict] = None) -> LemmaReport:
+def _scan_report(lemma_id: str, n: int, filt: Callable, lemma: str,
+                 workers: Optional[int], shift: int = 0,
+                 extra: Optional[dict] = None) -> LemmaReport:
     """Exhaustive report over the K_n codes whose low ``shift`` bits are zero.
 
     ``filt`` flags the violations; every witness is re-confirmed by the slow
-    predicate ``violates``.
+    predicate ``lemma_violated(lemma, ...)``.
     """
     start = time.perf_counter()
     universe = 1 << _edge_count_or_raise(n)
@@ -465,7 +476,7 @@ def _scan_report(lemma_id: str, n: int, filt: Callable,
                                          shift=shift)
     for code in found:
         g = complete_colouring(n, 2, code)
-        _confirm(violates(g), f"a {lemma_id} witness", g)
+        _confirm(lemma_violated(lemma, g, extra), f"a {lemma_id} witness", g)
     return LemmaReport(lemma_id=lemma_id, n=n, r=2, mode=MODE_EXHAUSTIVE,
                        universe_size=universe, checked=checked,
                        reduction_factor=1 << shift,
@@ -489,14 +500,13 @@ def verify_fact_k6(n: int = 6, min_triangles: int = 2,
         raise ValueError(f"min_triangles must be positive, got {min_triangles}")
     lemma_id = "fact-k6" if (n, min_triangles) == (6, 2) else f"mono-count-k{n}"
     return _scan_report(lemma_id, n, partial(_fewer_mono, k=min_triangles),
-                        lambda g: mono_triangle_count(g) < min_triangles, workers,
-                        extra={"min_triangles": min_triangles})
+                        "fact-k6", workers, extra={"min_triangles": min_triangles})
 
 
 def verify_claim_k7(workers: Optional[int] = 1) -> LemmaReport:
     """Scan all 2-colourings of K7 for a mono-triangle pair sharing <= 1 vertex."""
-    return _scan_report("claim-k7", 7, partial(_no_mono_pair, share=1),
-                        lambda g: not has_mono_pair_sharing_at_most(g, 1), workers)
+    return _scan_report("claim-k7", 7, partial(_no_mono_pair, share=1), "claim-k7",
+                        workers)
 
 
 def _extract_k8_task(codes: tuple[int, ...]) -> tuple[int, list[int]]:
@@ -532,8 +542,7 @@ def verify_lemma_k8(n: int = 8, workers: Optional[int] = None,
     start = time.perf_counter()
     shift = 1 if n == 8 else 0
     report = _scan_report("lemma-k8" if n == 8 else f"disjoint-pair-k{n}", n,
-                          partial(_no_mono_pair, share=0),
-                          lambda g: not has_mono_pair_sharing_at_most(g, 0),
+                          partial(_no_mono_pair, share=0), "lemma-k8",
                           workers, shift=shift)
     if extractor_samples:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -778,8 +787,8 @@ def verify_k7_blowup(samples: int = 1_000_000, adversarial_restarts: int = 1_000
         min_floor = min(min_floor, floor)
         violations.extend(viols)
     for code in violations[:WITNESS_CAP]:
-        _confirm(k7x2_packing_floor(k7x2_bits(code)) < 3,
-                 "a doubled-K7 witness", k7x2_graph(k7x2_bits(code)))
+        g = k7x2_graph(k7x2_bits(code))
+        _confirm(lemma_violated("k7x2", g), "a doubled-K7 witness", g)
     mode = MODE_ADVERSARIAL if adversarial_restarts else MODE_RANDOMIZED
     return LemmaReport(lemma_id="k7x2", n=K7X2_N, r=2, mode=mode,
                        universe_size=1 << len(K7X2_EDGES), checked=checked,
@@ -934,14 +943,6 @@ def compute_special_ramsey(ell: int, r: int = 2, n_max: int = 6,
 # tightness audit
 
 
-_BUILDERS = {
-    "ex-triangle": ex_triangle,
-    "ex-triangle-alt": ex_triangle_alt,
-    "ex-bes-1": ex_bes_1,
-    "ex-bes-2": ex_bes_2,
-    "ex-bes-3": ex_bes_3,
-}
-
 # (construction, n, delta, solver mode, a proved bound covers this band)
 AUDIT_INSTANCES = (
     ("ex-triangle", 12, 10, "mixed", True),
@@ -968,7 +969,7 @@ def audit_tightness(budget: Optional[int] = None) -> list[AuditRow]:
     """
     rows = []
     for construction, n, delta, mode, in_band in AUDIT_INSTANCES:
-        g = _BUILDERS[construction](n, delta)
+        g = CONSTRUCTIONS[construction][0](n, delta)
         start = time.perf_counter()
         if mode == "mixed":
             result = max_mixed_tiling(g, budget=budget)
@@ -1018,7 +1019,7 @@ def probe_question(n_values: Sequence[int] = (25,),
             if 5 * delta < 4 * n or delta > n - 1:
                 raise ValueError(f"delta={delta} outside 4n/5..n-1 for n={n}")
             hosts: list[tuple[str, ColouredGraph]] = []
-            for name, builder in _BUILDERS.items():
+            for name, (builder, _) in CONSTRUCTIONS.items():
                 if name in ("ex-triangle", "ex-triangle-alt"):
                     continue
                 try:

@@ -140,6 +140,7 @@ class TestSolveAndTile:
         '{"n": 3, "r": 2, "edges": [1, 2]}',
         '{"n": "3", "r": 2, "edges": [[0, 1, 0]]}',
         '  {"n": 3, "r": 2, "edges": [[0, 1]]}',
+        '{"n": 1000000, "r": 2, "edges": []}',
     ])
     def test_malformed_json_graph_is_one_error_line(self, tmp_path, monkeypatch,
                                                     capsys, text):
@@ -148,6 +149,15 @@ class TestSolveAndTile:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error: graph json") and err.count("\n") == 1
+
+
+    def test_huge_declared_order_is_one_error_line(self, tmp_path, monkeypatch,
+                                                   capsys):
+        (tmp_path / "g.txt").write_text("1000000000 2\n")
+        rc = run_in(tmp_path, monkeypatch, ["solve", str(tmp_path / "g.txt")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: vertex count") and err.count("\n") == 1
 
 
 class TestVerifyCommand:

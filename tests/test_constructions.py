@@ -263,6 +263,36 @@ class TestRandomInstances:
             assert g1 == g2
             assert g1.min_degree() == delta
 
+    @staticmethod
+    def reference_colouring(n, delta, rng, r=2):
+        """The plain loop: re-sort every qualifying edge after each deletion."""
+        present = set(combinations(range(n), 2))
+        deg = [n - 1] * n
+        while True:
+            candidates = sorted((u, v) for u, v in present
+                                if deg[u] > delta and deg[v] > delta)
+            if not candidates:
+                break
+            u, v = candidates[int(rng.integers(len(candidates)))]
+            present.remove((u, v))
+            deg[u] -= 1
+            deg[v] -= 1
+        ordered = sorted(present)
+        colours = rng.integers(0, r, size=len(ordered))
+        return ColouredGraph(n, r, [(u, v, int(c)) for (u, v), c in zip(ordered, colours)])
+
+    def test_matches_the_reference_loop(self):
+        for n in (1, 2, 5, 9, 14, 20):
+            for delta in sorted({0, n // 2, max(0, n - 2), max(0, n - 1)}):
+                for seed in range(3):
+                    got = random_min_degree_colouring(n, delta, np.random.default_rng(seed))
+                    want = self.reference_colouring(n, delta, np.random.default_rng(seed))
+                    assert got == want
+
+    def test_large_order_smoke(self):
+        g = random_min_degree_colouring(120, 100, np.random.default_rng(0))
+        assert (g.n, g.min_degree()) == (120, 100)
+
     def test_multicolour(self):
         g = random_min_degree_colouring(10, 6, np.random.default_rng(5), r=3)
         assert g.r == 3 and g.min_degree() == 6

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tritile.graphs import (
+    MAX_VERTICES,
     Bowtie,
     ColouredGraph,
     MonoClique,
@@ -19,6 +20,7 @@ from tritile.graphs import (
     blow_up,
     colouring_code,
     complete_colouring,
+    first_pair,
     from_json_dict,
     lex_edges,
     read_graph,
@@ -125,6 +127,19 @@ class TestTriangles:
         got = {(t.vertices, t.colour) for t in g.mono_triangles()}
         assert got == oracle_mono_triangles(g)
 
+    @settings(max_examples=100, deadline=None)
+    @given(small_graphs(r=3), st.integers(0, (1 << 7) - 1))
+    def test_iter_within_mask_is_lex_ordered_oracle(self, g: ColouredGraph, within: int):
+        got = [(t.vertices, t.colour) for t in g.iter_mono_triangles(within)]
+        assert got == sorted(got)
+        assert set(got) == {(vs, c) for vs, c in oracle_mono_triangles(g)
+                            if all(within >> v & 1 for v in vs)}
+
+    def test_iter_is_lazy(self):
+        tris = complete_colouring(2000, 2, 0).iter_mono_triangles()
+        assert next(tris).vertices == (0, 1, 2)
+        assert next(tris).vertices == (0, 1, 3)
+
     @settings(max_examples=60, deadline=None)
     @given(small_graphs(max_n=6), st.randoms(use_true_random=False))
     def test_relabelling_equivariance(self, g: ColouredGraph, rng):
@@ -141,6 +156,38 @@ class TestTriangles:
         swapped = g.recoloured([1, 0])
         assert ({t.vertices for t in g.mono_triangles()}
                 == {t.vertices for t in swapped.mono_triangles()})
+
+
+class TestFirstPair:
+    RED_A = MonoClique((0, 1, 2), 0)
+    RED_B = MonoClique((2, 3, 4), 0)
+    BLUE_C = MonoClique((0, 1, 5), 1)
+    BLUE_D = MonoClique((6, 7, 8), 1)
+
+    def test_first_pair_in_list_order(self):
+        tris = [self.RED_A, self.RED_B, self.BLUE_C, self.BLUE_D]
+        assert first_pair(tris, 0, 1) == (self.RED_A, self.RED_B)
+        assert first_pair(tris, 0, 0) == (self.RED_A, self.BLUE_D)
+        assert first_pair(tris, 2, 2) == (self.RED_A, self.BLUE_C)
+        assert first_pair(tris, 3, 3) is None
+
+    def test_colour_relation(self):
+        tris = [self.RED_A, self.RED_B, self.BLUE_C, self.BLUE_D]
+        assert first_pair(tris, 0, 0, same_colour=True) == (self.BLUE_C, self.BLUE_D)
+        assert first_pair(tris, 1, 1, same_colour=True) == (self.RED_A, self.RED_B)
+        assert first_pair(tris, 0, 1, same_colour=False) == (self.RED_A, self.BLUE_D)
+        assert first_pair(tris, 0, 0, same_colour=False) == (self.RED_A, self.BLUE_D)
+        assert first_pair([], 0, 3) is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_graphs(max_n=8), st.integers(0, 3), st.integers(0, 3),
+           st.sampled_from([None, True, False]))
+    def test_matches_all_pairs_oracle(self, g: ColouredGraph, lo: int, hi: int, same):
+        tris = g.mono_triangles()
+        want = next(((a, b) for i, a in enumerate(tris) for b in tris[i + 1:]
+                     if lo <= len(set(a.vertices) & set(b.vertices)) <= hi
+                     and (same is None or (a.colour == b.colour) == same)), None)
+        assert first_pair(tris, lo, hi, same) == want
 
 
 class TestBlowUp:
@@ -233,6 +280,13 @@ class TestSerialisation:
         assert from_json_dict(to_json_dict(g)) == g
         with pytest.raises(ValueError):
             from_json_dict({"n": 3, "r": 2})
+
+    def test_vertex_count_is_capped(self):
+        assert ColouredGraph(MAX_VERTICES, 2, []).n == MAX_VERTICES
+        with pytest.raises(ValueError, match="vertex count"):
+            ColouredGraph(MAX_VERTICES + 1, 2, [])
+        with pytest.raises(ValueError, match="graph json: vertex count"):
+            from_json_dict({"n": 1_000_000, "r": 2, "edges": []})
 
     @settings(max_examples=50, deadline=None)
     @given(small_graphs())

@@ -322,6 +322,15 @@ class TestMoonLarge:
         with pytest.raises(ValueError):
             moon_large(ex_triangle(24, 20))
 
+    def test_large_host_does_not_recurse(self):
+        n = 3100
+        full = (1 << n) - 1
+        g = ColouredGraph._from_masks(n, 2, [[full ^ (1 << v) for v in range(n)],
+                                             [0] * n])
+        tiling = moon_large(g)
+        assert len(tiling) == 1032 == (2 * (n - 1) - n) // 3
+        assert tiling.verify(g)
+
 
 class TestBesLarge:
     def test_random_complete_hosts(self):

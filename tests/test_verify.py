@@ -27,6 +27,7 @@ from tritile.verifiers import (
     k7x2_code,
     k7x2_graph,
     k7x2_packing_floor,
+    lemma_violated,
     max_disjoint_mono_capped,
     mono_triangle_count,
     probe_question,
@@ -150,6 +151,19 @@ def test_pair_checker_matches_slow_predicate(code):
     found = _run_scan(7, partial(_no_mono_pair, share=1), code, code + 1)[3]
     g = complete_colouring(7, 2, code)
     assert (found == [code]) == (not has_mono_pair_sharing_at_most(g, 1))
+
+
+def test_lemma_predicates_by_cli_name():
+    badly_k5 = complete_colouring(5, 2, 220)
+    assert lemma_violated("fact-k6", badly_k5, {"min_triangles": 1})
+    assert not lemma_violated("fact-k6", complete_colouring(6, 2, 0))
+    assert not lemma_violated("lemma-k8", complete_colouring(7, 2, 0))
+    assert not lemma_violated("claim-k7", complete_colouring(7, 2, 0))
+    assert not lemma_violated("k7x2", k7x2_graph(np.zeros(len(K7X2_EDGES), dtype=np.uint8)))
+    # Red 012 and blue 345 with red edges between: a qualifying K6 code.
+    assert not lemma_violated("bowtie", complete_colouring(6, 2, 28672))
+    with pytest.raises(ValueError):
+        lemma_violated("k10", complete_colouring(6, 2, 0))
 
 
 @settings(max_examples=80, deadline=None)
