@@ -400,12 +400,33 @@ def complete_colouring(n: int, r: int, code: int) -> ColouredGraph:
     if not 0 <= code < r ** m:
         raise ValueError(f"code {code} out of range for n={n}, r={r}")
     rows = [[0] * n for _ in range(r)]
-    rest = code
-    for u, v in lex_edges(n):
-        rest, c = divmod(rest, r)
+    for (u, v), c in zip(lex_edges(n), _digits(code, r, m)):
         rows[c][u] |= 1 << v
         rows[c][v] |= 1 << u
     return ColouredGraph._from_masks(n, r, rows)
+
+
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _digits(code: int, r: int, m: int) -> Sequence[int]:
+    """The ``m`` base-``r`` digits of ``code``, least significant first.
+
+    Binary codes are read off their string form; other bases split the code
+    in halves by powers of ``r`` down to short runs of ``divmod``, so the
+    cost stays near linear in ``m`` rather than quadratic.
+    """
+    if r == 2:
+        return format(code, "b").zfill(m)[::-1].encode().translate(_BINARY_DIGITS)
+    if m <= 64:
+        out = []
+        for _ in range(m):
+            code, d = divmod(code, r)
+            out.append(d)
+        return out
+    half = m // 2
+    high, low = divmod(code, r ** half)
+    return [*_digits(low, r, half), *_digits(high, r, m - half)]
 
 
 def colouring_code(g: ColouredGraph) -> int:

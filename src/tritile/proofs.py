@@ -266,11 +266,12 @@ def extract_three_disjoint_k7x2(g: ColouredGraph
     for v in range(14):
         if (seen >> v) & 1:
             continue
-        missing = [u for u in range(14) if u != v and not g.has_edge(v, u)]
-        if len(missing) != 1:
-            raise ValueError(f"vertex {v} has {len(missing)} non-neighbours, expected 1")
-        classes.append((v, missing[0]))
-        seen |= (1 << v) | (1 << missing[0])
+        missing = ~g.adj[v] & ((1 << 14) - 1) & ~(1 << v)
+        if missing.bit_count() != 1:
+            raise ValueError(
+                f"vertex {v} has {missing.bit_count()} non-neighbours, expected 1")
+        classes.append((v, missing.bit_length() - 1))
+        seen |= (1 << v) | missing
     lower = [c[0] for c in classes]
     upper = [c[1] for c in classes]
     pair = claim_pair_k7(g, lower)

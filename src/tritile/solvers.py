@@ -3,15 +3,28 @@
 The solver is a depth-first branch and bound over the (lexicographically
 sorted) list of monochromatic triangles: the branching vertex is the lowest
 vertex still appearing in an alive triangle, children either commit one of
-its alive triangles or discard the vertex for good.  Three admissible upper
-bounds are taken at every node and the minimum prunes:
+its alive triangles (in increasing list order) or discard the vertex for
+good.
+
+Sets of triangles are bitsets over the list, in the manner of the
+bit-parallel clique solvers (San Segundo et al., Comput. Oper. Res. 38(2),
+2011): the alive set is one int, and ``inc[v]`` holds the triangles through
+vertex ``v``.  Committing triangle ``abc`` keeps ``alive & ~(inc[a] | inc[b]
+| inc[c])``, discarding ``v`` keeps ``alive & ~inc[v]``, the support is the
+set of ``v`` with ``alive & inc[v]`` nonzero, and a vertex's alive degree is
+a ``bit_count``.  No per-triangle conflict table is built: it would take
+O(T^2) bits, about 29 MB for the 15,180 triangles of
+``ex_triangle_alt(48, 47)``.
+
+Three admissible upper bounds are checked at every node, cheapest first,
+and any one that cannot beat the incumbent prunes:
 
 * vertex count: ceil-free ``|alive support| // 3``;
+* cover: a greedy vertex cover of the triangle hypergraph (disjoint
+  triangles consume distinct cover vertices);
 * scatter: a greedy independent set U in the co-occurrence graph of the
   support (no triangle holds two U vertices, so every triangle needs two
-  vertices outside U, giving ``|support - U| // 2``);
-* cover: a greedy vertex cover of the triangle hypergraph (disjoint
-  triangles consume distinct cover vertices).
+  vertices outside U, giving ``|support - U| // 2``).
 
 A dynamic greedy packing (repeatedly take the alive triangle with the
 smallest total triangle-degree over its vertices) seeds the incumbent; on
@@ -35,7 +48,6 @@ from tritile.graphs import (
     SearchBudgetExceeded,
     Tiling,
     first_pair,
-    iter_bits,
     mask_of,
 )
 
@@ -59,31 +71,43 @@ class SolveResult:
 
 
 class _PackingSearch:
-    """Branch and bound over one fixed triangle list."""
+    """Branch and bound over one fixed triangle list.
+
+    A set of triangles is one int with bit ``i`` for triangle ``i``, and
+    ``inc[v]`` is the set of triangles through vertex ``v``.
+    """
 
     def __init__(self, triangles: Sequence[MonoClique], budget: int):
         self.tris = list(triangles)
-        self.masks = [t.mask for t in self.tris]
+        self.verts = [t.vertices for t in self.tris]
+        self.masks = [(1 << a) | (1 << b) | (1 << c) for a, b, c in self.verts]
+        inc = [0] * (1 + max((c for _, _, c in self.verts), default=-1))
+        for i, (a, b, c) in enumerate(self.verts):
+            bit = 1 << i
+            inc[a] |= bit
+            inc[b] |= bit
+            inc[c] |= bit
+        self.inc = inc
         self.budget = budget
         self.nodes = 0
         self.best_count = -1
         self.best_sel: list[int] = []
 
     def run(self) -> SolveResult:
-        alive = list(range(len(self.tris)))
-        seed = self._greedy(alive)
+        seed = self._greedy()
         self.best_count = len(seed)
         self.best_sel = seed
         proved = True
         try:
-            self._dfs(alive, 0, [])
+            self._dfs((1 << len(self.tris)) - 1, list(range(len(self.inc))), 0, [])
         except SearchBudgetExceeded:
             proved = False
         tiling = Tiling(tuple(self.tris[i] for i in self.best_sel))
         return SolveResult(optimum=self.best_count, tiling=tiling,
                            nodes_explored=self.nodes, proved_optimal=proved)
 
-    def _dfs(self, alive: list[int], count: int, chosen: list[int]) -> None:
+    def _dfs(self, alive: int, within: list[int], count: int, chosen: list[int]) -> None:
+        """Search below ``alive``, whose support lies among the vertices ``within``."""
         self.nodes += 1
         if self.nodes > self.budget:
             raise SearchBudgetExceeded(f"packing search exceeded {self.budget} nodes")
@@ -92,68 +116,79 @@ class _PackingSearch:
             self.best_sel = list(chosen)
         if not alive:
             return
-        if count + self._bound(alive) <= self.best_count:
+        inc = self.inc
+        # The support in increasing order and the alive triangles through each.
+        support = []
+        rows = []
+        for v in within:
+            row = alive & inc[v]
+            if row:
+                support.append(v)
+                rows.append(row)
+        # Pruned when any bound fails to beat the incumbent; cheapest first.
+        slack = self.best_count - count
+        if (len(rows) // 3 <= slack or self._cover(rows) <= slack
+                or self._scatter(support, rows) <= slack):
             return
-        support = 0
-        for i in alive:
-            support |= self.masks[i]
-        v = (support & -support).bit_length() - 1
-        vbit = 1 << v
-        for i in alive:
-            if self.masks[i] & vbit:
-                m = self.masks[i]
-                chosen.append(i)
-                self._dfs([j for j in alive if self.masks[j] & m == 0], count + 1, chosen)
-                chosen.pop()
-        self._dfs([j for j in alive if not self.masks[j] & vbit], count, chosen)
+        through = rows[0]
+        while through:
+            low = through & -through
+            through ^= low
+            i = low.bit_length() - 1
+            a, b, c = self.verts[i]
+            chosen.append(i)
+            self._dfs(alive & ~(inc[a] | inc[b] | inc[c]), support, count + 1, chosen)
+            chosen.pop()
+        self._dfs(alive & ~rows[0], support, count, chosen)
 
-    def _bound(self, alive: list[int]) -> int:
-        support = 0
-        for i in alive:
-            support |= self.masks[i]
-        count_bound = support.bit_count() // 3
-        return min(count_bound, self._scatter(alive, support), self._cover(alive))
+    @staticmethod
+    def _scatter(support: list[int], rows: list[int]) -> int:
+        """``|support - U| // 2`` for a greedy set U with no two vertices in one triangle.
 
-    def _scatter(self, alive: list[int], support: int) -> int:
-        partners: dict[int, int] = {}
-        for i in alive:
-            m = self.masks[i]
-            for v in iter_bits(m):
-                partners[v] = partners.get(v, 0) | (m ^ (1 << v))
-        order = sorted(partners, key=lambda v: (partners[v].bit_count(), v))
+        U takes the vertices in order of fewest co-occurring vertices, then
+        lowest index, each when none of its co-occurring vertices is in U
+        yet.  A vertex counts itself among them, which shifts every count by
+        one and so changes neither the order nor the test.
+        """
+        bits = [1 << v for v in support]
+        partners = bits[:]
+        for j, row in enumerate(rows):
+            for k in range(j + 1, len(rows)):
+                if row & rows[k]:
+                    partners[j] |= bits[k]
+                    partners[k] |= bits[j]
+        keyed = sorted(zip(map(int.bit_count, partners), bits, partners))
         independent = 0
-        for v in order:
-            if partners[v] & independent == 0:
-                independent |= 1 << v
-        return (support & ~independent).bit_count() // 2
+        for _, bit, mates in keyed:
+            if not mates & independent:
+                independent |= bit
+        return (len(rows) - independent.bit_count()) // 2
 
-    def _cover(self, alive: list[int]) -> int:
-        remaining = alive
+    @staticmethod
+    def _cover(rows: list[int]) -> int:
+        """Size of a greedy cover: take the first vertex on the most triangles, repeat."""
         picks = 0
-        while remaining:
-            counts: dict[int, int] = {}
-            for i in remaining:
-                for v in iter_bits(self.masks[i]):
-                    counts[v] = counts.get(v, 0) + 1
-            best = min(counts, key=lambda v: (-counts[v], v))
-            bit = 1 << best
-            remaining = [i for i in remaining if not self.masks[i] & bit]
+        while rows:
+            keep = ~max(rows, key=int.bit_count)
+            rows = [left for row in rows if (left := row & keep)]
             picks += 1
         return picks
 
-    def _greedy(self, alive: list[int]) -> list[int]:
+    def _greedy(self) -> list[int]:
+        """Repeatedly take the alive triangle of least total vertex degree."""
+        inc = self.inc
         chosen = []
-        alive = list(alive)
-        while alive:
-            deg: dict[int, int] = {}
-            for i in alive:
-                for v in iter_bits(self.masks[i]):
-                    deg[v] = deg.get(v, 0) + 1
-            pick = min(alive,
-                       key=lambda i: (sum(deg[v] for v in iter_bits(self.masks[i])), i))
+        alive = (1 << len(self.tris)) - 1
+        left = range(len(self.tris))
+        while left:
+            deg = [(alive & row).bit_count() for row in inc]
+            _, pick = min((deg[a] + deg[b] + deg[c], i)
+                          for i in left for a, b, c in (self.verts[i],))
             chosen.append(pick)
+            a, b, c = self.verts[pick]
+            alive &= ~(inc[a] | inc[b] | inc[c])
             m = self.masks[pick]
-            alive = [i for i in alive if self.masks[i] & m == 0]
+            left = [i for i in left if not self.masks[i] & m]
         return chosen
 
 

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import tempfile
+import time
 from itertools import combinations
 
 import pytest
@@ -242,8 +244,39 @@ class TestCodes:
     def test_code_requires_complete(self):
         with pytest.raises(ValueError):
             colouring_code(ColouredGraph(3, 2, [(0, 1, 0)]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^code 8 out of range for n=3, r=2$"):
             complete_colouring(3, 2, 8)
+        with pytest.raises(ValueError, match=r"^code -1 out of range for n=4, r=3$"):
+            complete_colouring(4, 3, -1)
+
+    @staticmethod
+    def reference_colouring(n: int, r: int, code: int) -> ColouredGraph:
+        """One ``divmod`` per edge on the remaining code: quadratic, but plain."""
+        edges = []
+        for u, v in lex_edges(n):
+            code, c = divmod(code, r)
+            edges.append((u, v, c))
+        return ColouredGraph(n, r, edges)
+
+    def test_matches_the_reference_loop(self):
+        for code in range(1 << 15):
+            assert complete_colouring(6, 2, code) == self.reference_colouring(6, 2, code)
+        rng = random.Random(11)
+        for n in list(range(9)) + [rng.randrange(9, 61) for _ in range(40)]:
+            for r in (2, 3):
+                code = rng.randrange(r ** (n * (n - 1) // 2))
+                assert complete_colouring(n, r, code) == self.reference_colouring(n, r, code)
+
+    def test_large_order_is_fast(self):
+        n = 600
+        code = random.Random(5).getrandbits(n * (n - 1) // 2)
+        start = time.perf_counter()
+        g = complete_colouring(n, 2, code)
+        assert time.perf_counter() - start < 1.0
+        assert g.edge_count == n * (n - 1) // 2
+        edges = lex_edges(n)
+        for k in range(0, len(edges), 997):
+            assert g.edge_colour(*edges[k]) == (code >> k) & 1
 
 
 class TestSerialisation:

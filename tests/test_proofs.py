@@ -261,10 +261,24 @@ class TestDoubledK7:
         assert shared > 0 and disjoint > 0
 
     def test_rejects_non_doubled_hosts(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^vertex 0 has 0 non-neighbours, expected 1$"):
             extract_three_disjoint_k7x2(all_red(14))
         with pytest.raises(ValueError):
             extract_three_disjoint_k7x2(blow_up(all_red(7), [2] * 6 + [1]))
+        doubled = blow_up(all_red(7), [2] * 7)
+        gapped = ColouredGraph(14, 2, [e for e in doubled.edges() if e[:2] != (0, 2)])
+        with pytest.raises(ValueError, match=r"^vertex 0 has 2 non-neighbours, expected 1$"):
+            extract_three_disjoint_k7x2(gapped)
+
+    def test_partners_found_after_relabelling(self):
+        rng = np.random.default_rng(7)
+        for code in rng.integers(0, 2 ** 21, size=20):
+            perm = [int(v) for v in rng.permutation(14)]
+            g = blow_up(complete_colouring(7, 2, int(code)), [2] * 7).relabelled(perm)
+            used = 0
+            for t in extract_three_disjoint_k7x2(g):
+                assert t.verify(g) and not used & t.mask
+                used |= t.mask
 
 
 class TestMoonSmall:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -22,8 +24,18 @@ from tritile.constructions import (
     random_min_degree_colouring,
     special_blowup,
 )
-from tritile.graphs import ColouredGraph, blow_up, complete_colouring
+from tritile.graphs import (
+    ColouredGraph,
+    MonoClique,
+    SearchBudgetExceeded,
+    Tiling,
+    blow_up,
+    complete_colouring,
+    iter_bits,
+)
 from tritile.solvers import (
+    SolveResult,
+    _PackingSearch,
     clique_tiling_interpolated,
     find_bowtie,
     find_perfect_clique_tiling,
@@ -77,6 +89,11 @@ class TestMixedSolver:
         assert res.optimum == 6 and res.proved_optimal
         assert res.nodes_explored == 1
 
+    def test_deep_search_on_large_triangle_list(self):
+        res = max_mixed_tiling(ex_bes_2(36, 33))
+        assert res.optimum == 12 and res.proved_optimal
+        assert res.nodes_explored == 1198
+
     def test_root_certificate_on_large_instance(self):
         res = max_mixed_tiling(ex_triangle(48, 42))
         assert res.optimum == 12 and res.proved_optimal
@@ -127,6 +144,145 @@ class TestMixedSolver:
     def test_determinism(self):
         g = ex_triangle(24, 21)
         assert max_mixed_tiling(g) == max_mixed_tiling(g)
+
+
+class ReferencePackingSearch:
+    """The packing search over lists of triangle indices and per-node dicts.
+
+    Kept as the reference for the incidence-bitset search: same bounds, tie
+    breaks, branching and node counting, written out plainly.
+    """
+
+    def __init__(self, triangles: Sequence[MonoClique], budget: int):
+        self.tris = list(triangles)
+        self.masks = [t.mask for t in self.tris]
+        self.budget = budget
+        self.nodes = 0
+        self.best_count = -1
+        self.best_sel: list[int] = []
+
+    def run(self) -> SolveResult:
+        alive = list(range(len(self.tris)))
+        seed = self._greedy(alive)
+        self.best_count = len(seed)
+        self.best_sel = seed
+        proved = True
+        try:
+            self._dfs(alive, 0, [])
+        except SearchBudgetExceeded:
+            proved = False
+        tiling = Tiling(tuple(self.tris[i] for i in self.best_sel))
+        return SolveResult(optimum=self.best_count, tiling=tiling,
+                           nodes_explored=self.nodes, proved_optimal=proved)
+
+    def _dfs(self, alive: list[int], count: int, chosen: list[int]) -> None:
+        self.nodes += 1
+        if self.nodes > self.budget:
+            raise SearchBudgetExceeded(f"packing search exceeded {self.budget} nodes")
+        if count > self.best_count:
+            self.best_count = count
+            self.best_sel = list(chosen)
+        if not alive:
+            return
+        if count + self._bound(alive) <= self.best_count:
+            return
+        support = 0
+        for i in alive:
+            support |= self.masks[i]
+        v = (support & -support).bit_length() - 1
+        vbit = 1 << v
+        for i in alive:
+            if self.masks[i] & vbit:
+                m = self.masks[i]
+                chosen.append(i)
+                self._dfs([j for j in alive if self.masks[j] & m == 0], count + 1, chosen)
+                chosen.pop()
+        self._dfs([j for j in alive if not self.masks[j] & vbit], count, chosen)
+
+    def _bound(self, alive: list[int]) -> int:
+        support = 0
+        for i in alive:
+            support |= self.masks[i]
+        count_bound = support.bit_count() // 3
+        return min(count_bound, self._scatter(alive, support), self._cover(alive))
+
+    def _scatter(self, alive: list[int], support: int) -> int:
+        partners: dict[int, int] = {}
+        for i in alive:
+            m = self.masks[i]
+            for v in iter_bits(m):
+                partners[v] = partners.get(v, 0) | (m ^ (1 << v))
+        order = sorted(partners, key=lambda v: (partners[v].bit_count(), v))
+        independent = 0
+        for v in order:
+            if partners[v] & independent == 0:
+                independent |= 1 << v
+        return (support & ~independent).bit_count() // 2
+
+    def _cover(self, alive: list[int]) -> int:
+        remaining = alive
+        picks = 0
+        while remaining:
+            counts: dict[int, int] = {}
+            for i in remaining:
+                for v in iter_bits(self.masks[i]):
+                    counts[v] = counts.get(v, 0) + 1
+            best = min(counts, key=lambda v: (-counts[v], v))
+            bit = 1 << best
+            remaining = [i for i in remaining if not self.masks[i] & bit]
+            picks += 1
+        return picks
+
+    def _greedy(self, alive: list[int]) -> list[int]:
+        chosen = []
+        alive = list(alive)
+        while alive:
+            deg: dict[int, int] = {}
+            for i in alive:
+                for v in iter_bits(self.masks[i]):
+                    deg[v] = deg.get(v, 0) + 1
+            pick = min(alive,
+                       key=lambda i: (sum(deg[v] for v in iter_bits(self.masks[i])), i))
+            chosen.append(pick)
+            m = self.masks[pick]
+            alive = [i for i in alive if self.masks[i] & m == 0]
+        return chosen
+
+
+class TestPackingSearchMatchesReference:
+    BUDGETS = (0, 1, 3, 17, 10 ** 9)
+
+    @staticmethod
+    def random_host(rng: random.Random) -> ColouredGraph:
+        n = rng.randint(0, 15)
+        r = rng.choice((2, 3))
+        density = rng.choice((0.5, 0.8, 1.0))
+        return ColouredGraph(n, r, [(u, v, rng.randrange(r)) for u, v in combinations(range(n), 2)
+                                    if rng.random() < density])
+
+    def assert_same(self, triangles: list[MonoClique]) -> None:
+        for budget in self.BUDGETS:
+            got = _PackingSearch(triangles, budget).run()
+            assert got == ReferencePackingSearch(triangles, budget).run()
+
+    def test_matches_the_reference_loop(self):
+        rng = random.Random(2024)
+        self.assert_same([])
+        for _ in range(240):
+            tris = self.random_host(rng).mono_triangles()
+            self.assert_same(tris)
+            for c in range(3):
+                self.assert_same([t for t in tris if t.colour == c])
+
+    def test_matches_the_reference_on_recoloured_extremal_hosts(self):
+        rng = random.Random(3)
+        for g in (ex_triangle(18, 15), ex_bes_1(22, 16), ex_bes_2(25, 22)):
+            edges = [(u, v, rng.randrange(2) if rng.random() < 0.05 else c)
+                     for u, v, c in g.edges()]
+            tris = ColouredGraph(g.n, g.r, edges).mono_triangles()
+            self.assert_same(tris)
+            for c in range(2):
+                self.assert_same([t for t in tris if t.colour == c])
 
 
 class TestSingleColourSolver:
