@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -34,6 +35,7 @@ from tritile.constructions import (
     special_blowup,
 )
 from tritile.graphs import (
+    MAX_VERTICES,
     AnomalyError,
     ColouredGraph,
     MonoClique,
@@ -443,16 +445,47 @@ def _algorithm_cell(fn, g, budget) -> tuple[str, bool]:
     return str(len(tiling)), False
 
 
-def _experiment_rows(config: dict) -> list[list]:
-    n_values = config.get("n_values")
-    if not n_values:
+# Experiment config keys other than the list keys must hold integers; a key
+# left out or set to null takes its default.
+_CONFIG_LISTS = {"n_values": int, "delta_values": int, "families": str}
+_CONFIG_INTS = ("samples_per_cell", "seed", "node_budget", "max_cells")
+
+
+def _is_a(value, kind: type) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _check_config(config) -> None:
+    """Reject a malformed experiment config before any host is built."""
+    if not isinstance(config, dict):
+        raise _UsageError("experiment config must be a JSON object")
+    for key, kind in _CONFIG_LISTS.items():
+        value = config.get(key)
+        if value is not None and not (isinstance(value, list)
+                                      and all(_is_a(v, kind) for v in value)):
+            raise _UsageError(
+                f"experiment config {key} must be a list of {kind.__name__}, got {value!r}")
+    for key in _CONFIG_INTS:
+        value = config.get(key)
+        if value is not None and not _is_a(value, int):
+            raise _UsageError(f"experiment config {key} must be an integer, got {value!r}")
+    if not config.get("n_values"):
         raise _UsageError("experiment config needs n_values")
-    families = config.get("families", list(CONSTRUCTIONS))
+    bad = [n for n in config["n_values"] if not 1 <= n <= MAX_VERTICES]
+    if bad:
+        raise _UsageError(f"experiment config n_values must lie in 1..{MAX_VERTICES}, got {bad}")
+
+
+def _experiment_rows(config: dict) -> list[list]:
+    n_values = config["n_values"]
+    families = config.get("families")
+    if families is None:
+        families = list(CONSTRUCTIONS)
     unknown = [f for f in families if f not in CONSTRUCTIONS]
     if unknown:
         raise _UsageError(f"unknown families in config: {unknown}")
-    samples = int(config.get("samples_per_cell", 0))
-    seed = int(config.get("seed", 0))
+    samples = config.get("samples_per_cell") or 0
+    seed = config.get("seed") or 0
     node_budget = config.get("node_budget")
     max_cells = config.get("max_cells")
     rows: list[list] = []
@@ -501,6 +534,7 @@ def _experiment_rows(config: dict) -> list[list]:
 def _cmd_experiment(args) -> int:
     with open(args.config, encoding="ascii") as fh:
         config = json.load(fh)
+    _check_config(config)
     rows = _experiment_rows(config)
     forced = argparse.Namespace(**{**vars(args), "csv": True, "json": False})
     _emit(forced, headers=EXPERIMENT_HEADERS, rows=rows)
@@ -511,7 +545,9 @@ def _cmd_experiment(args) -> int:
 # parser and entry points
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
                         help="campaign seed (default 0)")

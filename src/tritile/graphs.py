@@ -7,6 +7,13 @@ internally empty).  Adjacency is stored per colour as one Python integer
 bitmask per vertex, so the hot operations (common neighbourhoods, triangle
 tests, independence checks) reduce to a few ``&`` and ``bit_count`` calls.
 
+Inside the package a monochromatic triangle is a plain ``(u, v, w, c)``
+tuple with ``u < v < w`` and edge colour ``c`` (:data:`Triangle`):
+:meth:`ColouredGraph.iter_mono_triangles` yields them and
+:func:`first_pair` searches lists of them.  :class:`MonoClique` is built
+only for a clique that a function returns, alone or inside a
+:class:`Tiling` or :class:`Bowtie`.
+
 The module also fixes the two serialisation formats (a line-oriented text
 format and a JSON mirror) and the lexicographic edge-code convention used by
 the exhaustive verification scans: the edges of a complete graph are ordered
@@ -24,6 +31,9 @@ from typing import Iterable, Iterator, Optional, Sequence
 # Colour indices of two-coloured hosts; bit 0 of an edge code is red.
 RED = 0
 BLUE = 1
+
+# A monochromatic triangle ``(u, v, w, c)``: vertices ``u < v < w``, colour ``c``.
+Triangle = tuple[int, int, int, int]
 
 # Largest vertex count a graph may declare; rows cost about 50 bytes a vertex,
 # so an unchecked count read from a file could exhaust memory.
@@ -179,12 +189,12 @@ class ColouredGraph:
         out.sort()
         return out
 
-    def iter_mono_triangles(self, within: int = -1) -> Iterator["MonoClique"]:
+    def iter_mono_triangles(self, within: int = -1) -> Iterator[Triangle]:
         """Monochromatic triangles inside the vertex mask ``within``, lazily.
 
-        Yields in lexicographic vertex order without sorting: edge ``uv``
-        has one colour, so for fixed ``u < v`` the third vertices ``w`` come
-        out increasing.
+        Yields ``(u, v, w, c)`` tuples in lexicographic vertex order without
+        sorting: edge ``uv`` has one colour, so for fixed ``u < v`` the third
+        vertices ``w`` come out increasing.
         """
         rest = within & ((1 << self.n) - 1)
         cadj = self.colour_adj
@@ -204,10 +214,10 @@ class ColouredGraph:
                 while third:
                     low = third & -third
                     third ^= low
-                    yield MonoClique((u, v, low.bit_length() - 1), c)
+                    yield (u, v, low.bit_length() - 1, c)
 
-    def mono_triangles(self) -> list["MonoClique"]:
-        """Every monochromatic triangle, in lexicographic vertex order."""
+    def mono_triangles(self) -> list[Triangle]:
+        """Every monochromatic triangle as a ``(u, v, w, c)`` tuple, in lexicographic order."""
         return list(self.iter_mono_triangles())
 
     def relabelled(self, perm: Sequence[int]) -> "ColouredGraph":
@@ -257,6 +267,11 @@ class MonoClique:
         if len(set(verts)) != len(verts):
             raise ValueError(f"repeated vertex in clique {self.vertices}")
         object.__setattr__(self, "vertices", verts)
+
+    @classmethod
+    def of(cls, tri: Triangle) -> "MonoClique":
+        """The clique of a ``(u, v, w, c)`` triangle tuple."""
+        return cls(tri[:3], tri[3])
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -349,21 +364,22 @@ class Bowtie:
         return self.first.verify(g) and self.second.verify(g)
 
 
-def first_pair(tris: Sequence[MonoClique], lo: int, hi: int,
+def first_pair(tris: Sequence[Triangle], lo: int, hi: int,
                same_colour: Optional[bool] = None
-               ) -> Optional[tuple[MonoClique, MonoClique]]:
+               ) -> Optional[tuple[Triangle, Triangle]]:
     """First pair ``(tris[i], tris[j])``, ``i < j``, meeting in ``lo..hi`` vertices.
 
     ``same_colour`` True asks for equal colours, False for different ones.
-    The colour test runs before the overlap, and masks are read only for
-    pairs that pass it.
+    The colour test runs before the overlap, and the second triangle's mask
+    is built only for pairs that pass it.
     """
     for i, a in enumerate(tris):
-        a_mask = a.mask
+        u, v, w, colour = a
+        a_mask = (1 << u) | (1 << v) | (1 << w)
         for b in tris[i + 1:]:
-            if same_colour is not None and (a.colour == b.colour) != same_colour:
+            if same_colour is not None and (colour == b[3]) != same_colour:
                 continue
-            if lo <= (a_mask & b.mask).bit_count() <= hi:
+            if lo <= (a_mask & ((1 << b[0]) | (1 << b[1]) | (1 << b[2]))).bit_count() <= hi:
                 return a, b
     return None
 
@@ -433,10 +449,27 @@ def colouring_code(g: ColouredGraph) -> int:
     """Inverse of :func:`complete_colouring`; requires a complete graph."""
     if not g.is_complete():
         raise ValueError("edge codes are defined for complete graphs only")
-    code = 0
-    for u, v in reversed(lex_edges(g.n)):
-        code = code * g.r + g.edge_colour(u, v)
-    return code
+    return _undigits([g.edge_colour(u, v) for u, v in lex_edges(g.n)], g.r)
+
+
+_BINARY_CHARS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _undigits(digits: Sequence[int], r: int) -> int:
+    """Inverse of :func:`_digits`: the integer with base-``r`` ``digits``, least significant first.
+
+    Binary digits are read as a string; other bases join halves by powers
+    of ``r``, so the cost stays near linear rather than quadratic.
+    """
+    if r == 2:
+        return int(bytes(digits[::-1]).translate(_BINARY_CHARS) or b"0", 2)
+    if len(digits) <= 64:
+        code = 0
+        for d in reversed(digits):
+            code = code * r + d
+        return code
+    half = len(digits) // 2
+    return _undigits(digits[half:], r) * r ** half + _undigits(digits[:half], r)
 
 
 def write_graph(g: ColouredGraph, path) -> None:

@@ -27,6 +27,7 @@ from tritile.graphs import (
     ColouredGraph,
     MonoClique,
     Tiling,
+    Triangle,
     first_pair,
     iter_bits,
     mask_of,
@@ -64,15 +65,15 @@ def _exact_set(g: ColouredGraph, vertices: Optional[Sequence[int]], size: int,
     return verts
 
 
-def _mono_triangles_in(g: ColouredGraph, vertices: Sequence[int]) -> list[MonoClique]:
+def _mono_triangles_in(g: ColouredGraph, vertices: Sequence[int]) -> list[Triangle]:
     return list(g.iter_mono_triangles(mask_of(vertices)))
 
 
 def _first_mono_triangle(g: ColouredGraph, vertices: Sequence[int],
-                         colour: Optional[int] = None) -> Optional[MonoClique]:
+                         colour: Optional[int] = None) -> Optional[Triangle]:
     """Lex-first monochromatic triangle within ``vertices``, optionally of ``colour``."""
     return next((t for t in g.iter_mono_triangles(mask_of(vertices))
-                 if colour is None or t.colour == colour), None)
+                 if colour is None or t[3] == colour), None)
 
 
 def _find_clique(g: ColouredGraph, size: int, allowed: int) -> Optional[tuple[int, ...]]:
@@ -120,7 +121,7 @@ def extract_mono_triangle_k6(g: ColouredGraph,
     if tri is None:
         raise AnomalyError("complete 6-set without a monochromatic triangle",
                            graph=g, detail={"vertices": verts})
-    return tri
+    return MonoClique.of(tri)
 
 
 def extract_two_disjoint_k8(g: ColouredGraph,
@@ -136,7 +137,7 @@ def extract_two_disjoint_k8(g: ColouredGraph,
     if pair is None:
         raise AnomalyError("complete 8-set without two disjoint monochromatic triangles",
                            graph=g, detail={"vertices": verts})
-    return pair
+    return MonoClique.of(pair[0]), MonoClique.of(pair[1])
 
 
 def extract_two_disjoint_same_colour_k10(g: ColouredGraph,
@@ -153,7 +154,7 @@ def extract_two_disjoint_same_colour_k10(g: ColouredGraph,
         raise AnomalyError(
             "complete 10-set without a same-colour disjoint triangle pair",
             graph=g, detail={"vertices": verts})
-    return pair
+    return MonoClique.of(pair[0]), MonoClique.of(pair[1])
 
 
 # ---------------------------------------------------------------------------
@@ -178,22 +179,21 @@ def bowtie_through_vertex_k6(g: ColouredGraph, v: int,
     if split is None:
         raise ValueError("the 6-set does not split into two disjoint "
                          "different-coloured monochromatic triangles")
-    k_v = split[0] if v in split[0].vertices else split[1]
-    k_o = split[1] if k_v is split[0] else split[0]
-    other = k_o.colour
-    for w in (v, min(u for u in k_v.vertices if u != v)):
-        hits = [z for z in k_o.vertices if g.edge_colour(w, z) == other]
+    k_v, k_o = split if v in split[0][:3] else split[::-1]
+    other = k_o[3]
+    for w in (v, min(u for u in k_v[:3] if u != v)):
+        hits = [z for z in k_o[:3] if g.edge_colour(w, z) == other]
         if len(hits) >= 2:
             crossing = MonoClique((w, hits[0], hits[1]), other)
-            return Bowtie(k_v, crossing)
+            return Bowtie(MonoClique.of(k_v), crossing)
     # v and its lowest companion each send at most one edge of the other
     # colour across, so each sends at least two of k_v's colour; on three
     # targets those neighbourhoods intersect.
-    r2 = min(u for u in k_v.vertices if u != v)
-    own = k_v.colour
-    for z in k_o.vertices:
+    r2 = min(u for u in k_v[:3] if u != v)
+    own = k_v[3]
+    for z in k_o[:3]:
         if g.edge_colour(v, z) == own and g.edge_colour(r2, z) == own:
-            return Bowtie(MonoClique((v, r2, z), own), k_o)
+            return Bowtie(MonoClique((v, r2, z), own), MonoClique.of(k_o))
     raise AnomalyError("bowtie construction fell through on a valid split",
                        graph=g, detail={"vertices": verts, "v": v})
 
@@ -244,7 +244,8 @@ def claim_pair_k7(g: ColouredGraph, vertices: Optional[Sequence[int]] = None
                   ) -> Optional[tuple[MonoClique, MonoClique]]:
     """Lex-first pair of mono triangles sharing at most one vertex in a K7."""
     verts = _exact_set(g, vertices, 7, "claim_pair_k7")
-    return first_pair(_mono_triangles_in(g, verts), 0, 1)
+    pair = first_pair(_mono_triangles_in(g, verts), 0, 1)
+    return None if pair is None else (MonoClique.of(pair[0]), MonoClique.of(pair[1]))
 
 
 def extract_three_disjoint_k7x2(g: ColouredGraph
@@ -285,17 +286,18 @@ def extract_three_disjoint_k7x2(g: ColouredGraph
         if third is None:
             raise AnomalyError("complete 7-set without a monochromatic triangle",
                                graph=g, detail={"vertices": upper})
-        return (a, b, third)
+        return (a, b, MonoClique.of(third))
     (s,) = shared
     label = {v: i for i, v in enumerate(lower)}
     l3 = label[s]
     l12 = sorted(label[v] for v in a.vertices if v != s)
     l45 = sorted(label[v] for v in b.vertices if v != s)
     rest = sorted(set(range(7)) - {l3} - set(l12) - set(l45))
-    u_tri = _first_mono_triangle(g, [upper[i] for i in range(7) if i != l3])
-    if u_tri is None:
+    found = _first_mono_triangle(g, [upper[i] for i in range(7) if i != l3])
+    if found is None:
         raise AnomalyError("complete 6-set without a monochromatic triangle",
                            graph=g, detail={"vertices": upper})
+    u_tri = MonoClique.of(found)
     used_labels = {label_of for label_of, u in enumerate(upper) if u in u_tri.vertices}
     if len(set(l12) & used_labels) <= 1:
         keep, alt = a, l12
@@ -464,12 +466,13 @@ def bes_large(g: ColouredGraph, budget: Optional[int] = None) -> Tiling:
         if tri is None:
             raise AnomalyError("bowtie 5-set lost its triangle of the tiling colour",
                                graph=g, detail={"five": bs, "colour": colour})
-        out.append(tri)
+        out.append(MonoClique.of(tri))
     return Tiling(tuple(out))
 
 
-def _pair_into_bowtie(g: ColouredGraph, t0: MonoClique, other: MonoClique) -> Bowtie:
+def _pair_into_bowtie(g: ColouredGraph, t0: MonoClique, opposite: Triangle) -> Bowtie:
     """Combine two different-coloured mono triangles meeting in <= 1 vertex."""
+    other = MonoClique.of(opposite)
     overlap = (t0.mask & other.mask).bit_count()
     if overlap == 1:
         return Bowtie(t0, other)
@@ -576,7 +579,7 @@ def _bes_augment(g: ColouredGraph, pool_b: list[tuple[int, ...]],
         if tri is None:
             raise AnomalyError("bowtie 5-set lost its triangle of the tiling colour",
                                graph=g, detail={"five": bs, "colour": t1.colour})
-        out.append(tri)
+        out.append(MonoClique.of(tri))
     return Tiling(tuple(out))
 
 
@@ -655,8 +658,8 @@ def phased_tiler(g: ColouredGraph, seed_clique: MonoClique, r: int = 2,
         tri = _first_mono_triangle(g, outside)
         if tri is None:
             break
-        found.append(tri)
-        outside = [v for v in outside if v not in tri.vertices]
+        found.append(MonoClique.of(tri))
+        outside = [v for v in outside if v not in tri[:3]]
     if len(outside) > big_r - 1 and not strict:
         notes.append(f"phase I left {len(outside)} vertices, above the Ramsey bound")
     if len(outside) > big_r - 1 and strict:
@@ -699,9 +702,9 @@ def phased_tiler(g: ColouredGraph, seed_clique: MonoClique, r: int = 2,
                                    detail={"around": v, "outside": outside})
             notes.append("phase III stalled: no triangle in a special set")
             break
-        found.append(tri)
-        outside = [w for w in outside if w not in tri.vertices]
-        for w in tri.vertices:
+        found.append(MonoClique.of(tri))
+        outside = [w for w in outside if w not in tri[:3]]
+        for w in tri[:3]:
             if w in reservoir:
                 reservoir.remove(w)
             if w in quiet:

@@ -4,7 +4,9 @@ The solver is a depth-first branch and bound over the (lexicographically
 sorted) list of monochromatic triangles: the branching vertex is the lowest
 vertex still appearing in an alive triangle, children either commit one of
 its alive triangles (in increasing list order) or discard the vertex for
-good.
+good.  Triangles are the ``(u, v, w, c)`` tuples of
+:data:`tritile.graphs.Triangle`; a :class:`MonoClique` is built only for
+the triangles of a returned tiling or bowtie.
 
 Sets of triangles are bitsets over the list, in the manner of the
 bit-parallel clique solvers (San Segundo et al., Comput. Oper. Res. 38(2),
@@ -47,6 +49,7 @@ from tritile.graphs import (
     MonoClique,
     SearchBudgetExceeded,
     Tiling,
+    Triangle,
     first_pair,
     mask_of,
 )
@@ -77,12 +80,11 @@ class _PackingSearch:
     ``inc[v]`` is the set of triangles through vertex ``v``.
     """
 
-    def __init__(self, triangles: Sequence[MonoClique], budget: int):
+    def __init__(self, triangles: Sequence[Triangle], budget: int):
         self.tris = list(triangles)
-        self.verts = [t.vertices for t in self.tris]
-        self.masks = [(1 << a) | (1 << b) | (1 << c) for a, b, c in self.verts]
-        inc = [0] * (1 + max((c for _, _, c in self.verts), default=-1))
-        for i, (a, b, c) in enumerate(self.verts):
+        self.masks = [(1 << a) | (1 << b) | (1 << c) for a, b, c, _ in self.tris]
+        inc = [0] * (1 + max((c for _, _, c, _ in self.tris), default=-1))
+        for i, (a, b, c, _) in enumerate(self.tris):
             bit = 1 << i
             inc[a] |= bit
             inc[b] |= bit
@@ -102,7 +104,7 @@ class _PackingSearch:
             self._dfs((1 << len(self.tris)) - 1, list(range(len(self.inc))), 0, [])
         except SearchBudgetExceeded:
             proved = False
-        tiling = Tiling(tuple(self.tris[i] for i in self.best_sel))
+        tiling = Tiling(tuple(MonoClique.of(self.tris[i]) for i in self.best_sel))
         return SolveResult(optimum=self.best_count, tiling=tiling,
                            nodes_explored=self.nodes, proved_optimal=proved)
 
@@ -135,7 +137,7 @@ class _PackingSearch:
             low = through & -through
             through ^= low
             i = low.bit_length() - 1
-            a, b, c = self.verts[i]
+            a, b, c, _ = self.tris[i]
             chosen.append(i)
             self._dfs(alive & ~(inc[a] | inc[b] | inc[c]), support, count + 1, chosen)
             chosen.pop()
@@ -177,15 +179,21 @@ class _PackingSearch:
     def _greedy(self) -> list[int]:
         """Repeatedly take the alive triangle of least total vertex degree."""
         inc = self.inc
+        tris = self.tris
         chosen = []
-        alive = (1 << len(self.tris)) - 1
-        left = range(len(self.tris))
+        alive = (1 << len(tris)) - 1
+        left = range(len(tris))
         while left:
             deg = [(alive & row).bit_count() for row in inc]
-            _, pick = min((deg[a] + deg[b] + deg[c], i)
-                          for i in left for a, b, c in (self.verts[i],))
+            # The first strict minimum over increasing i: ties go to the lower index.
+            best = None
+            for i in left:
+                a, b, c, _ = tris[i]
+                score = deg[a] + deg[b] + deg[c]
+                if best is None or score < best:
+                    best, pick = score, i
             chosen.append(pick)
-            a, b, c = self.verts[pick]
+            a, b, c, _ = tris[pick]
             alive &= ~(inc[a] | inc[b] | inc[c])
             m = self.masks[pick]
             left = [i for i in left if not self.masks[i] & m]
@@ -212,7 +220,7 @@ def max_single_colour_tiling(g: ColouredGraph, budget: Optional[int] = None) -> 
     nodes = 0
     all_proved = True
     for c in range(g.r):
-        res = _PackingSearch([t for t in tris if t.colour == c], budget).run()
+        res = _PackingSearch([t for t in tris if t[3] == c], budget).run()
         nodes += res.nodes_explored
         all_proved = all_proved and res.proved_optimal
         if best is None or res.optimum > best.optimum:
@@ -353,4 +361,4 @@ def find_bowtie(g: ColouredGraph, forbidden: Sequence[int] = ()) -> Optional[Bow
     """
     pair = first_pair(list(g.iter_mono_triangles(~mask_of(forbidden))), 1, 1,
                       same_colour=False)
-    return None if pair is None else Bowtie(*pair)
+    return None if pair is None else Bowtie(MonoClique.of(pair[0]), MonoClique.of(pair[1]))

@@ -218,7 +218,8 @@ def has_mono_pair_sharing_at_most(g: ColouredGraph, shared: int) -> bool:
 
 def max_disjoint_mono_capped(g: ColouredGraph, cap: int = 3) -> int:
     """Size of a largest vertex-disjoint monochromatic-triangle family, capped."""
-    return _max_disjoint_capped([t.mask for t in g.mono_triangles()], cap)
+    return _max_disjoint_capped([(1 << u) | (1 << v) | (1 << w)
+                                 for u, v, w, _ in g.mono_triangles()], cap)
 
 
 def lemma_violated(lemma: str, g: ColouredGraph, extra: Optional[dict] = None) -> bool:

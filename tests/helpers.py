@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from tritile.graphs import ColouredGraph, MonoClique, complete_colouring
+from tritile.graphs import ColouredGraph, Triangle, complete_colouring, mask_of
 
 
 def small_graphs(max_n: int = 7, r: int = 2) -> st.SearchStrategy[ColouredGraph]:
@@ -23,8 +23,9 @@ def small_graphs(max_n: int = 7, r: int = 2) -> st.SearchStrategy[ColouredGraph]
     )
 
 
-def oracle_max_packing(triangles: list[MonoClique]) -> int:
+def oracle_max_packing(triangles: list[Triangle]) -> int:
     """Largest disjoint subfamily, by enumerating every disjoint subfamily."""
+    masks = [mask_of(t[:3]) for t in triangles]
     best = 0
 
     def rec(start: int, used: int, count: int) -> None:
@@ -32,8 +33,8 @@ def oracle_max_packing(triangles: list[MonoClique]) -> int:
         if count > best:
             best = count
         for j in range(start, len(triangles)):
-            if used & triangles[j].mask == 0:
-                rec(j + 1, used | triangles[j].mask, count + 1)
+            if used & masks[j] == 0:
+                rec(j + 1, used | masks[j], count + 1)
 
     rec(0, 0, 0)
     return best

@@ -272,6 +272,22 @@ class TestReportingCommands:
         assert rc == 0
         assert "= 4" in out
 
+    def test_reused_parser_matches_a_fresh_one(self, tmp_path, monkeypatch, capsys):
+        probe = ["probe", "--n", "25", "--deltas", "21", "--samples", "1", "--perturbed", "0"]
+        calls = [probe + ["--json"], ["audit", "--csv", "--budget", "100000"], probe]
+
+        def output(argv):
+            assert run_in(tmp_path, monkeypatch, argv) == 0
+            return capsys.readouterr().out
+
+        fresh = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            fresh.append(output(argv))
+        reused = [output(argv) for argv in calls]
+        assert reused == fresh
+        assert cli._build_parser() is cli._build_parser()
+
 
 class TestExperiment:
     def test_rows_and_round_trip(self, tmp_path, monkeypatch):
@@ -307,6 +323,23 @@ class TestExperiment:
         (tmp_path / "cfg.json").write_text(json.dumps({"families": ["x"]}))
         assert run_in(tmp_path, monkeypatch,
                       ["experiment", "--config", "cfg.json"]) == 1
+
+    @pytest.mark.parametrize("config", [
+        {"n_values": "x"},
+        [1, 2],
+        {"n_values": [12], "delta_values": "ab"},
+        {"n_values": [12], "families": "ex-triangle"},
+        {"n_values": [12], "seed": "1"},
+        {"n_values": [10000000]},
+    ])
+    def test_malformed_config_is_one_error_line(self, tmp_path, monkeypatch, capsys,
+                                                config):
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert run_in(tmp_path, monkeypatch,
+                      ["experiment", "--config", "cfg.json", "--out", "e.csv"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: experiment config")
+        assert not (tmp_path / "e.csv").exists()
 
 
 class TestDeterminism:

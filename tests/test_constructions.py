@@ -35,7 +35,7 @@ from tritile.graphs import ColouredGraph
 
 
 def triangle_inventory(g: ColouredGraph):
-    return [(set(t.vertices), t.colour) for t in g.mono_triangles()]
+    return [(set(t[:3]), t[3]) for t in g.mono_triangles()]
 
 
 class TestBadlyK5:
@@ -66,7 +66,7 @@ class TestExTriangle:
     def test_no_blue_triangles(self):
         g = ex_triangle(30, 25)
         assert g.min_degree() == 25
-        assert all(t.colour == RED for t in g.mono_triangles())
+        assert all(t[3] == RED for t in g.mono_triangles())
         assert len(ex_triangle_layout(30, 25)["V0"]) == 5
 
     def test_boundary_has_no_triangles(self):

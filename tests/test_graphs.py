@@ -41,7 +41,7 @@ def badly_k5() -> ColouredGraph:
     return ColouredGraph(5, 2, edges)
 
 
-def oracle_mono_triangles(g: ColouredGraph) -> set[tuple[tuple[int, int, int], int]]:
+def oracle_mono_triangles(g: ColouredGraph) -> set[tuple[int, int, int, int]]:
     """Independent route: dict-of-edges lookup over all vertex triples."""
     colour = {}
     for u, v, c in g.edges():
@@ -51,7 +51,7 @@ def oracle_mono_triangles(g: ColouredGraph) -> set[tuple[tuple[int, int, int], i
     for a, b, c in combinations(range(g.n), 3):
         cols = {colour.get((a, b)), colour.get((a, c)), colour.get((b, c))}
         if len(cols) == 1 and None not in cols:
-            found.add(((a, b, c), cols.pop()))
+            found.add((a, b, c, cols.pop()))
     return found
 
 
@@ -114,57 +114,52 @@ class TestTriangles:
 
     def test_all_red_k4(self):
         g = complete_colouring(4, 2, 0)
-        tris = g.mono_triangles()
-        assert [t.vertices for t in tris] == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-        assert all(t.colour == 0 for t in tris)
+        assert g.mono_triangles() == [(0, 1, 2, 0), (0, 1, 3, 0), (0, 2, 3, 0), (1, 2, 3, 0)]
 
     def test_blowup_of_red_triangle(self):
         g = blow_up(complete_colouring(3, 2, 0), [2, 1, 1])
-        tris = g.mono_triangles()
-        assert [(t.vertices, t.colour) for t in tris] == [((0, 2, 3), 0), ((1, 2, 3), 0)]
+        assert g.mono_triangles() == [(0, 2, 3, 0), (1, 2, 3, 0)]
 
     @settings(max_examples=200, deadline=None)
     @given(small_graphs())
     def test_matches_oracle(self, g: ColouredGraph):
-        got = {(t.vertices, t.colour) for t in g.mono_triangles()}
-        assert got == oracle_mono_triangles(g)
+        assert set(g.mono_triangles()) == oracle_mono_triangles(g)
 
     @settings(max_examples=100, deadline=None)
     @given(small_graphs(r=3), st.integers(0, (1 << 7) - 1))
     def test_iter_within_mask_is_lex_ordered_oracle(self, g: ColouredGraph, within: int):
-        got = [(t.vertices, t.colour) for t in g.iter_mono_triangles(within)]
+        got = list(g.iter_mono_triangles(within))
         assert got == sorted(got)
-        assert set(got) == {(vs, c) for vs, c in oracle_mono_triangles(g)
-                            if all(within >> v & 1 for v in vs)}
+        assert set(got) == {t for t in oracle_mono_triangles(g)
+                            if all(within >> v & 1 for v in t[:3])}
 
     def test_iter_is_lazy(self):
         tris = complete_colouring(2000, 2, 0).iter_mono_triangles()
-        assert next(tris).vertices == (0, 1, 2)
-        assert next(tris).vertices == (0, 1, 3)
+        assert next(tris) == (0, 1, 2, 0)
+        assert next(tris) == (0, 1, 3, 0)
 
     @settings(max_examples=60, deadline=None)
     @given(small_graphs(max_n=6), st.randoms(use_true_random=False))
     def test_relabelling_equivariance(self, g: ColouredGraph, rng):
         perm = list(range(g.n))
         rng.shuffle(perm)
-        relabelled = {(tuple(sorted(perm[v] for v in t.vertices)), t.colour)
-                      for t in g.mono_triangles()}
-        direct = {(t.vertices, t.colour) for t in g.relabelled(perm).mono_triangles()}
+        relabelled = {(*sorted(perm[v] for v in t[:3]), t[3]) for t in g.mono_triangles()}
+        direct = set(g.relabelled(perm).mono_triangles())
         assert relabelled == direct
 
     @settings(max_examples=60, deadline=None)
     @given(small_graphs(max_n=6))
     def test_colour_swap_keeps_vertex_sets(self, g: ColouredGraph):
         swapped = g.recoloured([1, 0])
-        assert ({t.vertices for t in g.mono_triangles()}
-                == {t.vertices for t in swapped.mono_triangles()})
+        assert ({t[:3] for t in g.mono_triangles()}
+                == {t[:3] for t in swapped.mono_triangles()})
 
 
 class TestFirstPair:
-    RED_A = MonoClique((0, 1, 2), 0)
-    RED_B = MonoClique((2, 3, 4), 0)
-    BLUE_C = MonoClique((0, 1, 5), 1)
-    BLUE_D = MonoClique((6, 7, 8), 1)
+    RED_A = (0, 1, 2, 0)
+    RED_B = (2, 3, 4, 0)
+    BLUE_C = (0, 1, 5, 1)
+    BLUE_D = (6, 7, 8, 1)
 
     def test_first_pair_in_list_order(self):
         tris = [self.RED_A, self.RED_B, self.BLUE_C, self.BLUE_D]
@@ -187,8 +182,8 @@ class TestFirstPair:
     def test_matches_all_pairs_oracle(self, g: ColouredGraph, lo: int, hi: int, same):
         tris = g.mono_triangles()
         want = next(((a, b) for i, a in enumerate(tris) for b in tris[i + 1:]
-                     if lo <= len(set(a.vertices) & set(b.vertices)) <= hi
-                     and (same is None or (a.colour == b.colour) == same)), None)
+                     if lo <= len(set(a[:3]) & set(b[:3])) <= hi
+                     and (same is None or (a[3] == b[3]) == same)), None)
         assert first_pair(tris, lo, hi, same) == want
 
 
@@ -260,12 +255,16 @@ class TestCodes:
 
     def test_matches_the_reference_loop(self):
         for code in range(1 << 15):
-            assert complete_colouring(6, 2, code) == self.reference_colouring(6, 2, code)
+            g = complete_colouring(6, 2, code)
+            assert g == self.reference_colouring(6, 2, code)
+            assert colouring_code(g) == code
         rng = random.Random(11)
         for n in list(range(9)) + [rng.randrange(9, 61) for _ in range(40)]:
             for r in (2, 3):
                 code = rng.randrange(r ** (n * (n - 1) // 2))
-                assert complete_colouring(n, r, code) == self.reference_colouring(n, r, code)
+                g = complete_colouring(n, r, code)
+                assert g == self.reference_colouring(n, r, code)
+                assert colouring_code(g) == code
 
     def test_large_order_is_fast(self):
         n = 600
@@ -277,6 +276,11 @@ class TestCodes:
         edges = lex_edges(n)
         for k in range(0, len(edges), 997):
             assert g.edge_colour(*edges[k]) == (code >> k) & 1
+        for r, code in ((2, code), (3, random.Random(6).randrange(3 ** len(edges)))):
+            g = complete_colouring(n, r, code)
+            start = time.perf_counter()
+            assert colouring_code(g) == code
+            assert time.perf_counter() - start < 1.0
 
 
 class TestSerialisation:

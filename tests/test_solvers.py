@@ -29,6 +29,7 @@ from tritile.graphs import (
     MonoClique,
     SearchBudgetExceeded,
     Tiling,
+    Triangle,
     blow_up,
     complete_colouring,
     iter_bits,
@@ -153,8 +154,8 @@ class ReferencePackingSearch:
     breaks, branching and node counting, written out plainly.
     """
 
-    def __init__(self, triangles: Sequence[MonoClique], budget: int):
-        self.tris = list(triangles)
+    def __init__(self, triangles: Sequence[Triangle], budget: int):
+        self.tris = [MonoClique.of(t) for t in triangles]
         self.masks = [t.mask for t in self.tris]
         self.budget = budget
         self.nodes = 0
@@ -260,7 +261,7 @@ class TestPackingSearchMatchesReference:
         return ColouredGraph(n, r, [(u, v, rng.randrange(r)) for u, v in combinations(range(n), 2)
                                     if rng.random() < density])
 
-    def assert_same(self, triangles: list[MonoClique]) -> None:
+    def assert_same(self, triangles: list[Triangle]) -> None:
         for budget in self.BUDGETS:
             got = _PackingSearch(triangles, budget).run()
             assert got == ReferencePackingSearch(triangles, budget).run()
@@ -272,7 +273,7 @@ class TestPackingSearchMatchesReference:
             tris = self.random_host(rng).mono_triangles()
             self.assert_same(tris)
             for c in range(3):
-                self.assert_same([t for t in tris if t.colour == c])
+                self.assert_same([t for t in tris if t[3] == c])
 
     def test_matches_the_reference_on_recoloured_extremal_hosts(self):
         rng = random.Random(3)
@@ -282,7 +283,7 @@ class TestPackingSearchMatchesReference:
             tris = ColouredGraph(g.n, g.r, edges).mono_triangles()
             self.assert_same(tris)
             for c in range(2):
-                self.assert_same([t for t in tris if t.colour == c])
+                self.assert_same([t for t in tris if t[3] == c])
 
 
 class TestSingleColourSolver:
@@ -309,7 +310,7 @@ class TestSingleColourSolver:
         single = max_single_colour_tiling(g)
         assert single.optimum <= max_mixed_tiling(g).optimum
         per_colour = max(
-            (oracle_max_packing([t for t in g.mono_triangles() if t.colour == c])
+            (oracle_max_packing([t for t in g.mono_triangles() if t[3] == c])
              for c in range(g.r)),
             default=0)
         assert single.optimum == per_colour
