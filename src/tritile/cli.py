@@ -474,6 +474,11 @@ def _check_config(config) -> None:
     bad = [n for n in config["n_values"] if not 1 <= n <= MAX_VERTICES]
     if bad:
         raise _UsageError(f"experiment config n_values must lie in 1..{MAX_VERTICES}, got {bad}")
+    if (config.get("seed") or 0) < 0:
+        raise _UsageError(f"experiment config seed must be non-negative, got {config['seed']}")
+    bad = [d for d in config.get("delta_values") or () if d < 0]
+    if bad:
+        raise _UsageError(f"experiment config delta_values must be non-negative, got {bad}")
 
 
 def _experiment_rows(config: dict) -> list[list]:
@@ -545,11 +550,22 @@ def _cmd_experiment(args) -> int:
 # parser and entry points
 
 
+def _seed(text: str) -> int:
+    """The ``--seed`` value; numpy seed sequences take non-negative integers only."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     """The argument parser, built once per process: parsing leaves it unchanged."""
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
+    common.add_argument("--seed", type=_seed, default=0,
                         help="campaign seed (default 0)")
     common.add_argument("--workers", type=int, default=1,
                         help="parallel worker count (default 1)")

@@ -10,9 +10,10 @@ tests, independence checks) reduce to a few ``&`` and ``bit_count`` calls.
 Inside the package a monochromatic triangle is a plain ``(u, v, w, c)``
 tuple with ``u < v < w`` and edge colour ``c`` (:data:`Triangle`):
 :meth:`ColouredGraph.iter_mono_triangles` yields them and
-:func:`first_pair` searches lists of them.  :class:`MonoClique` is built
-only for a clique that a function returns, alone or inside a
-:class:`Tiling` or :class:`Bowtie`.
+:func:`first_pair` searches lists of them.  :func:`iter_cliques` yields the
+cliques of any size inside a vertex mask, for one colour's rows or for the
+whole adjacency.  :class:`MonoClique` is built only for a clique that a
+function returns, alone or inside a :class:`Tiling` or :class:`Bowtie`.
 
 The module also fixes the two serialisation formats (a line-oriented text
 format and a JSON mirror) and the lexicographic edge-code convention used by
@@ -65,6 +66,23 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def iter_cliques(adj: Sequence[int], cand: int, size: int) -> Iterator[tuple[int, ...]]:
+    """The ``size``-cliques of the rows ``adj`` inside the mask ``cand``, lazily.
+
+    Yields increasing vertex tuples in lexicographic order; a branch stops
+    as soon as fewer than ``size`` candidates are left.
+    """
+    if size == 0:
+        yield ()
+        return
+    while cand.bit_count() >= size:
+        low = cand & -cand
+        cand ^= low
+        v = low.bit_length() - 1
+        for rest in iter_cliques(adj, cand & adj[v], size - 1):
+            yield (v, *rest)
 
 
 def mask_of(vertices: Iterable[int]) -> int:

@@ -30,6 +30,7 @@ from tritile.graphs import (
     Triangle,
     first_pair,
     iter_bits,
+    iter_cliques,
     mask_of,
 )
 from tritile.solvers import (
@@ -74,33 +75,6 @@ def _first_mono_triangle(g: ColouredGraph, vertices: Sequence[int],
     """Lex-first monochromatic triangle within ``vertices``, optionally of ``colour``."""
     return next((t for t in g.iter_mono_triangles(mask_of(vertices))
                  if colour is None or t[3] == colour), None)
-
-
-def _find_clique(g: ColouredGraph, size: int, allowed: int) -> Optional[tuple[int, ...]]:
-    """Lex-smallest clique of ``size`` vertices inside the ``allowed`` mask.
-
-    Exact depth-first search with a popcount prune; None means no such
-    clique exists, full stop.
-    """
-    chosen: list[int] = []
-
-    def dfs(cand: int) -> bool:
-        if len(chosen) == size:
-            return True
-        if cand.bit_count() < size - len(chosen):
-            return False
-        m = cand
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            chosen.append(v)
-            if dfs(cand & g.adj[v] & ~((low << 1) - 1)):
-                return True
-            chosen.pop()
-        return False
-
-    return tuple(chosen) if dfs(allowed) else None
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +347,7 @@ def moon_large(g: ColouredGraph, budget: Optional[int] = None) -> Tiling:
                 eight = tuple(back[v] for v in tile.vertices)
                 out.extend(extract_two_disjoint_k8(g, eight))
             break
-        six = _find_clique(g, 6, mask)
+        six = next(iter_cliques(g.adj, mask, 6), None)
         if six is None:
             raise AnomalyError("guaranteed K6 missing above the 7n/8 band",
                                graph=g, detail={"delta_lb": delta_lb, "n": n1})
@@ -414,72 +388,78 @@ def bes_large(g: ColouredGraph, budget: Optional[int] = None) -> Tiling:
             raise AnomalyError("augmentation failed to make lexicographic progress",
                                graph=g, detail={"b": len(pool_b), "t": len(pool_t)})
         before = (len(pool_b), len(pool_t))
-        b_mask = mask_of(v for bs in pool_b for v in bs)
-        t_mask = 0
-        for t in pool_t:
-            t_mask |= t.mask
-        if not pool_t:
-            six = _find_clique(g, 6, full & ~b_mask)
-            if six is not None:
-                pool_t.append(extract_mono_triangle_k6(g, six))
-            else:
-                if 33 * len(pool_b) < 5 * n:
-                    raise AnomalyError("guaranteed K6 vanished below the pool bound",
-                                       graph=g, detail={"b": len(pool_b)})
-                result = _bes_augment(g, pool_b, pool_t, m)
-                if result is not None:
-                    return result
+        # With T empty a K6 seeds it; otherwise a K5 in the common
+        # neighbourhood of T's first triangle extends that triangle to a K8.
+        cand = full & ~_pool_mask(pool_b, pool_t)
+        for v in pool_t[0].vertices if pool_t else ():
+            cand &= g.adj[v]
+        size = 5 if pool_t else 6
+        found = next(iter_cliques(g.adj, cand, size), None)
+        if found is None:
+            if 33 * len(pool_b) < 5 * n:
+                raise AnomalyError(f"guaranteed K{size} vanished below the pool bound",
+                                   graph=g, detail={"b": len(pool_b), "t": len(pool_t)})
+            result = _bes_augment(g, pool_b, pool_t, m)
+            if result is not None:
+                return result
+        elif pool_t:
+            _grow_pools(g, pool_b, pool_t, tuple(sorted(pool_t[0].vertices + found)))
         else:
-            t0 = pool_t[0]
-            common = full & ~(b_mask | t_mask)
-            for v in t0.vertices:
-                common &= g.adj[v]
-            five = _find_clique(g, 5, common)
-            if five is not None:
-                eight = tuple(sorted(t0.vertices + five))
-                opposite = _first_mono_triangle(g, eight, colour=1 - t0.colour)
-                if opposite is not None:
-                    bow = _pair_into_bowtie(g, t0, opposite)
-                    pool_b.append(tuple(sorted(bow.vertex_set)))
-                    pool_t = [t for t in pool_t if not t.mask & bow.vertex_mask]
-                else:
-                    t1, t2 = extract_two_disjoint_k8(g, eight)
-                    if t1.colour != t0.colour or t2.colour != t0.colour:
-                        raise AnomalyError(
-                            "triangle of a colour just proven absent", graph=g,
-                            detail={"eight": eight})
-                    pool_t = [t1, t2] + pool_t[1:]
-            else:
-                if 33 * len(pool_b) < 5 * n:
-                    raise AnomalyError("guaranteed K5 vanished below the pool bound",
-                                       graph=g, detail={"b": len(pool_b), "t": len(pool_t)})
-                result = _bes_augment(g, pool_b, pool_t, m)
-                if result is not None:
-                    return result
+            pool_t.append(extract_mono_triangle_k6(g, found))
         if (len(pool_b), len(pool_t)) <= before and len(pool_b) + len(pool_t) < m:
             raise AnomalyError("round ended without lexicographic progress",
                                graph=g, detail={"before": before})
-    colour = pool_t[0].colour if pool_t else RED
-    out = list(pool_t)
-    for bs in pool_b:
-        tri = _first_mono_triangle(g, bs, colour=colour)
-        if tri is None:
-            raise AnomalyError("bowtie 5-set lost its triangle of the tiling colour",
-                               graph=g, detail={"five": bs, "colour": colour})
-        out.append(MonoClique.of(tri))
-    return Tiling(tuple(out))
+    return _harvest(g, pool_t, pool_b, pool_t[0].colour if pool_t else RED)
 
 
-def _pair_into_bowtie(g: ColouredGraph, t0: MonoClique, opposite: Triangle) -> Bowtie:
-    """Combine two different-coloured mono triangles meeting in <= 1 vertex."""
+def _pool_mask(pool_b: list[tuple[int, ...]], pool_t: list[MonoClique]) -> int:
+    """Vertices held by the B and T pools."""
+    return (mask_of(v for five in pool_b for v in five)
+            | mask_of(v for t in pool_t for v in t.vertices))
+
+
+def _grow_pools(g: ColouredGraph, pool_b: list[tuple[int, ...]],
+                pool_t: list[MonoClique], base: tuple[int, ...]) -> None:
+    """One pool step on ``pool_t[0]`` inside the sorted complete set ``base``.
+
+    A triangle of the other colour in ``base`` pairs with ``pool_t[0]`` into
+    a new bowtie 5-set of B, and the T members it touches leave T.  Without
+    one, the first eight vertices of ``base`` hold two disjoint triangles,
+    both of ``pool_t[0]``'s colour, and they replace it in T.
+    """
+    t0 = pool_t[0]
+    opposite = _first_mono_triangle(g, base, colour=1 - t0.colour)
+    if opposite is None:
+        t1, t2 = extract_two_disjoint_k8(g, base[:8])
+        if t1.colour != t0.colour or t2.colour != t0.colour:
+            raise AnomalyError("triangle of a colour just proven absent",
+                               graph=g, detail={"base": base})
+        pool_t[:] = [t1, t2] + pool_t[1:]
+        return
     other = MonoClique.of(opposite)
     overlap = (t0.mask & other.mask).bit_count()
-    if overlap == 1:
-        return Bowtie(t0, other)
-    if overlap != 0:
+    if overlap > 1:
         raise AnomalyError("different-coloured triangles sharing an edge", graph=g)
-    six = sorted(set(t0.vertices) | set(other.vertices))
-    return bowtie_through_vertex_k6(g, six[0], six)
+    if overlap:
+        bow = Bowtie(t0, other)
+    else:
+        six = sorted(set(t0.vertices) | set(other.vertices))
+        bow = bowtie_through_vertex_k6(g, six[0], six)
+    pool_b.append(tuple(sorted(bow.vertex_set)))
+    pool_t[:] = [t for t in pool_t if not t.mask & bow.vertex_mask]
+
+
+def _harvest(g: ColouredGraph, kept: Sequence[MonoClique],
+             fives: Sequence[tuple[int, ...]], colour: int) -> Tiling:
+    """``kept`` plus the first ``colour`` triangle of each bowtie 5-set."""
+    out = list(kept)
+    for five in fives:
+        tri = _first_mono_triangle(g, five, colour=colour)
+        if tri is None:
+            raise AnomalyError("bowtie 5-set lost its triangle of the tiling colour",
+                               graph=g, detail={"five": five, "colour": colour})
+        out.append(MonoClique.of(tri))
+    return Tiling(tuple(out))
 
 
 def _bes_augment(g: ColouredGraph, pool_b: list[tuple[int, ...]],
@@ -490,16 +470,11 @@ def _bes_augment(g: ColouredGraph, pool_b: list[tuple[int, ...]],
     (|B|, |T|)); returns a finished Tiling only on the terminal
     K10 endgame, None otherwise.
     """
-    n = g.n
-    full = (1 << n) - 1
+    full = (1 << g.n) - 1
     tset = pool_t[0].vertices if pool_t else ()
     banked: list[int] = []
     while len(banked) <= 5:
-        b_mask = mask_of(v for bs in pool_b for v in bs)
-        t_mask = 0
-        for t in pool_t:
-            t_mask |= t.mask
-        blocked = b_mask | t_mask | mask_of(banked)
+        blocked = _pool_mask(pool_b, pool_t) | mask_of(banked)
         edge = _first_free_edge(g, full & ~blocked)
         if edge is None:
             break
@@ -528,15 +503,10 @@ def _bes_augment(g: ColouredGraph, pool_b: list[tuple[int, ...]],
         banked.append(min(set(five) - set(new_five)))
     group = list(banked)
     if len(group) < 6:
-        b_mask = mask_of(v for bs in pool_b for v in bs)
-        t_mask = 0
-        for t in pool_t:
-            t_mask |= t.mask
-        blocked = b_mask | t_mask | mask_of(banked)
+        # The loop ended on a missing free edge, so ``blocked`` is current;
+        # it covers T's first triangle and the banked vertices.
         clique_mask = mask_of(set(tset) | set(banked))
-        for w in range(n):
-            if (blocked >> w) & 1 or (clique_mask >> w) & 1:
-                continue
+        for w in iter_bits(full & ~blocked):
             if g.adj[w] & clique_mask == clique_mask:
                 group.append(w)
                 break
@@ -544,19 +514,7 @@ def _bes_augment(g: ColouredGraph, pool_b: list[tuple[int, ...]],
         raise AnomalyError("augmentation banked too few vertices", graph=g,
                            detail={"banked": banked, "group": group})
     if pool_t:
-        t0 = pool_t[0]
-        base = tuple(sorted(set(tset) | set(group)))
-        opposite = _first_mono_triangle(g, base, colour=1 - t0.colour)
-        if opposite is not None:
-            bow = _pair_into_bowtie(g, t0, opposite)
-            pool_b.append(tuple(sorted(bow.vertex_set)))
-            pool_t[:] = [t for t in pool_t if not t.mask & bow.vertex_mask]
-        else:
-            t1, t2 = extract_two_disjoint_k8(g, base[:8])
-            if t1.colour != t0.colour or t2.colour != t0.colour:
-                raise AnomalyError("triangle of a colour just proven absent",
-                                   graph=g, detail={"base": base})
-            pool_t[:] = [t1, t2] + pool_t[1:]
+        _grow_pools(g, pool_b, pool_t, tuple(sorted(set(tset) | set(group))))
         return None
     if len(group) == 6:
         pool_t.append(extract_mono_triangle_k6(g, group))
@@ -571,16 +529,7 @@ def _bes_augment(g: ColouredGraph, pool_b: list[tuple[int, ...]],
                            graph=g, detail={"anchor": anchor})
     ten = tuple(sorted(pool_b[idx] + anchor))
     t1, t2 = extract_two_disjoint_same_colour_k10(g, ten)
-    out = [t1, t2]
-    for j, bs in enumerate(pool_b):
-        if j == idx:
-            continue
-        tri = _first_mono_triangle(g, bs, colour=t1.colour)
-        if tri is None:
-            raise AnomalyError("bowtie 5-set lost its triangle of the tiling colour",
-                               graph=g, detail={"five": bs, "colour": t1.colour})
-        out.append(MonoClique.of(tri))
-    return Tiling(tuple(out))
+    return _harvest(g, [t1, t2], pool_b[:idx] + pool_b[idx + 1:], t1.colour)
 
 
 def _first_free_edge(g: ColouredGraph, allowed: int) -> Optional[tuple[int, int]]:

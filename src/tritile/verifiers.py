@@ -37,8 +37,11 @@ from tritile.constructions import (
 from tritile.graphs import (
     AnomalyError,
     ColouredGraph,
+    _digits,
+    _undigits,
     complete_colouring,
     first_pair,
+    iter_cliques,
     lex_edges,
 )
 from tritile.proofs import (
@@ -643,19 +646,11 @@ def _k7x2_tables() -> tuple[np.ndarray, tuple[int, ...]]:
 
 
 def k7x2_code(bits: Sequence[int]) -> int:
-    code = 0
-    for i, b in enumerate(bits):
-        if b:
-            code |= 1 << i
-    return code
+    return _undigits(bits, 2)
 
 
 def k7x2_bits(code: int) -> np.ndarray:
-    out = np.zeros(len(K7X2_EDGES), dtype=np.uint8)
-    for i in range(len(K7X2_EDGES)):
-        if code >> i & 1:
-            out[i] = 1
-    return out
+    return np.frombuffer(_digits(code, 2, len(K7X2_EDGES)), dtype=np.uint8).copy()
 
 
 def k7x2_graph(bits: Sequence[int]) -> ColouredGraph:
@@ -673,10 +668,9 @@ def _k7x2_mono_vmasks(bits: np.ndarray) -> list[int]:
     return [vmasks[i] for i in np.flatnonzero((sums == 0) | (sums == 3))]
 
 
-def k7x2_packing_floor(bits: Sequence[int], cap: int = 3) -> int:
-    """Max vertex-disjoint mono-triangle count of a doubled-K7 colouring, capped."""
-    return _max_disjoint_capped(_k7x2_mono_vmasks(np.asarray(bits, dtype=np.uint8)),
-                                cap)
+def _k7x2_objective(bits: np.ndarray) -> tuple[int, int]:
+    monos = _k7x2_mono_vmasks(bits)
+    return _max_disjoint_capped(monos, 3), len(monos)
 
 
 def _k7x2_sample_task(args: tuple) -> tuple[int, list[int], list[int]]:
@@ -702,15 +696,10 @@ def _k7x2_sample_task(args: tuple) -> tuple[int, list[int], list[int]]:
                 extractor_fails.append(code)
                 # Classify independently: the lemma itself only fails when no
                 # three disjoint mono triangles exist at all.
-                if _max_disjoint_capped(_k7x2_mono_vmasks(row), 3) < 3:
+                if _k7x2_objective(row)[0] < 3:
                     violations.append(code)
         done += len(rows)
     return count, violations, extractor_fails
-
-
-def _k7x2_objective(bits: np.ndarray) -> tuple[int, int]:
-    monos = _k7x2_mono_vmasks(bits)
-    return _max_disjoint_capped(monos, 3), len(monos)
 
 
 def _k7x2_adversarial_task(args: tuple) -> tuple[int, int, list[int]]:
@@ -838,11 +827,9 @@ def _first_clique_free_code(n: int, r: int, ell: int,
 
 
 def _has_mono_clique(g: ColouredGraph, ell: int) -> bool:
-    for verts in combinations(range(g.n), ell):
-        colours = {g.edge_colour(u, v) for u, v in combinations(verts, 2)}
-        if len(colours) == 1:
-            return True
-    return False
+    full = (1 << g.n) - 1
+    return any(next(iter_cliques(rows, full, ell), None) is not None
+               for rows in g.colour_adj)
 
 
 def compute_ramsey(ell: int, r: int = 2, n_max: int = 8,

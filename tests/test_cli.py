@@ -1,9 +1,15 @@
 """CLI behaviour: exit codes, file outputs, determinism, witness plumbing."""
 
+import contextlib
 import csv
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tritile import cli
 from tritile.graphs import complete_colouring, read_graph, write_graph
@@ -56,6 +62,20 @@ class TestGen:
         assert run_in(tmp_path, monkeypatch,
                       ["gen", "--family", "ex-triangle", "--n", "12",
                        "--out", "g.txt"]) == 1
+
+
+class TestSeedFlag:
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--family", "random", "--n", "10", "--delta", "8", "--seed", "-1",
+         "--out", "x"],
+        ["verify", "--lemma", "k7x2", "--samples", "10", "--restarts", "1",
+         "--seed", "-1"],
+    ])
+    def test_negative_seed_is_one_error_line(self, tmp_path, monkeypatch, capsys, argv):
+        assert run_in(tmp_path, monkeypatch, argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: argument --seed: ")
+        assert not (tmp_path / "x").exists()
 
 
 class TestSolveAndTile:
@@ -331,6 +351,8 @@ class TestExperiment:
         {"n_values": [12], "families": "ex-triangle"},
         {"n_values": [12], "seed": "1"},
         {"n_values": [10000000]},
+        {"n_values": [12], "seed": -1, "samples_per_cell": 1},
+        {"n_values": [12], "delta_values": [-3], "samples_per_cell": 1},
     ])
     def test_malformed_config_is_one_error_line(self, tmp_path, monkeypatch, capsys,
                                                 config):
@@ -339,6 +361,8 @@ class TestExperiment:
                       ["experiment", "--config", "cfg.json", "--out", "e.csv"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: experiment config")
+        if isinstance(config, dict):
+            assert any(f"config {key} " in err[0] for key in config)
         assert not (tmp_path / "e.csv").exists()
 
 
@@ -364,3 +388,63 @@ class TestDeterminism:
             for rep in doc["reports"]:
                 rep.pop("elapsed")
         assert a == b
+
+
+def run_captured(argv) -> tuple[int, list[str]]:
+    """Exit code and stderr lines of one in-process CLI run."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.run(argv)
+    return rc, err.getvalue().splitlines()
+
+
+def assert_clean_exit(rc: int, err: list[str]) -> None:
+    """Exit 0, or exit 1 with exactly one ``error:`` line; never an anomaly."""
+    assert rc == 0 or (rc == 1 and len(err) == 1 and err[0].startswith("error:")), (rc, err)
+
+
+@st.composite
+def host_files(draw) -> str:
+    """Text or JSON host files with n <= 10: well formed when ``tidy``, else anything."""
+    n = draw(st.integers(-1, 10))
+    r = draw(st.integers(0, 3))
+    edges = draw(st.lists(st.tuples(st.integers(-1, 10), st.integers(-1, 10),
+                                    st.integers(-1, 3)), max_size=30))
+    if draw(st.booleans()) and n > 0 and r > 0:
+        edges = sorted({(min(u % n, v % n), max(u % n, v % n), c % r)
+                        for u, v, c in edges if u % n != v % n})
+    if draw(st.booleans()):
+        return json.dumps({"n": n, "r": r, "edges": [list(e) for e in edges]})
+    return "".join([f"{n} {r}\n"] + [f"{u} {v} {c}\n" for u, v, c in edges])
+
+
+class TestInputFuzz:
+    @settings(max_examples=50, deadline=None)
+    @given(st.fixed_dictionaries({
+        "n_values": st.lists(st.integers(-3, 16), min_size=1, max_size=2),
+    }, optional={
+        "delta_values": st.none() | st.lists(st.integers(-3, 16), max_size=2),
+        "samples_per_cell": st.none() | st.integers(0, 1),
+        "max_cells": st.none() | st.integers(1, 2),
+        "seed": st.none() | st.integers(-2, 3),
+    }))
+    def test_experiment_configs_end_cleanly(self, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cfg.json")
+            with open(path, "w") as fh:
+                json.dump(config, fh)
+            rc, err = run_captured(["experiment", "--config", path,
+                                    "--out", os.path.join(tmp, "e.csv"),
+                                    "--witness", os.path.join(tmp, "w.json")])
+        assert_clean_exit(rc, err)
+
+    @settings(max_examples=50, deadline=None)
+    @given(host_files())
+    def test_solve_host_files_end_cleanly(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "g.txt")
+            with open(path, "w") as fh:
+                fh.write(text)
+            rc, err = run_captured(["solve", path,
+                                    "--witness", os.path.join(tmp, "w.json")])
+        assert_clean_exit(rc, err)

@@ -24,6 +24,7 @@ from tritile.graphs import (
     complete_colouring,
     first_pair,
     from_json_dict,
+    iter_cliques,
     lex_edges,
     read_graph,
     read_graph_json,
@@ -153,6 +154,22 @@ class TestTriangles:
         swapped = g.recoloured([1, 0])
         assert ({t[:3] for t in g.mono_triangles()}
                 == {t[:3] for t in swapped.mono_triangles()})
+
+
+class TestIterCliques:
+    @settings(max_examples=100, deadline=None)
+    @given(small_graphs(), st.integers(0, (1 << 7) - 1), st.integers(0, 5))
+    def test_matches_combinations_oracle(self, g: ColouredGraph, cand: int, size: int):
+        inside = [v for v in range(g.n) if cand >> v & 1]
+        want = [vs for vs in combinations(inside, size)
+                if all(g.has_edge(u, v) for u, v in combinations(vs, 2))]
+        assert list(iter_cliques(g.adj, cand & ((1 << g.n) - 1), size)) == want
+
+    def test_is_lazy(self):
+        g = complete_colouring(2000, 2, 0)
+        cliques = iter_cliques(g.adj, (1 << 2000) - 1, 5)
+        assert next(cliques) == (0, 1, 2, 3, 4)
+        assert next(cliques) == (0, 1, 2, 3, 5)
 
 
 class TestFirstPair:

@@ -25,6 +25,7 @@ from tritile.graphs import (
     MonoClique,
     blow_up,
     complete_colouring,
+    iter_cliques,
     mask_of,
 )
 from tritile.proofs import (
@@ -44,7 +45,7 @@ from tritile.proofs import (
     phased_tiler,
     second_bowtie_k7,
 )
-from tritile.proofs import _bes_augment, _find_clique
+from tritile.proofs import _bes_augment
 from tritile.solvers import find_bowtie
 
 
@@ -484,11 +485,11 @@ class TestPhasedTiler:
 class TestFindClique:
     def test_lex_smallest(self):
         g = all_red(6)
-        assert _find_clique(g, 3, 0b111110) == (1, 2, 3)
+        assert next(iter_cliques(g.adj, 0b111110, 3), None) == (1, 2, 3)
 
     def test_absent(self):
         g = ColouredGraph(4, 2, [(0, 1, RED), (2, 3, RED)])
-        assert _find_clique(g, 3, 0b1111) is None
+        assert next(iter_cliques(g.adj, 0b1111, 3), None) is None
 
 
 @settings(max_examples=60, deadline=None)

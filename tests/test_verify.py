@@ -7,6 +7,7 @@ keep reproducing them exactly.
 """
 
 from functools import partial
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from tritile.verifiers import (
     k7x2_bits,
     k7x2_code,
     k7x2_graph,
-    k7x2_packing_floor,
     lemma_violated,
     max_disjoint_mono_capped,
     mono_triangle_count,
@@ -39,6 +39,8 @@ from tritile.verifiers import (
     bowtie_extraction_holds,
     _bowtie_sweep,
     _fewer_mono,
+    _has_mono_clique,
+    _k7x2_objective,
     _no_mono_pair,
     _run_scan,
     _special_codes_generic,
@@ -229,11 +231,12 @@ class TestDoubledK7Campaign:
         for _ in range(60):
             bits = rng.integers(0, 2, size=len(K7X2_EDGES), dtype=np.uint8)
             g = k7x2_graph(bits)
-            assert k7x2_packing_floor(bits) == max_disjoint_mono_capped(g, 3)
+            assert _k7x2_objective(bits) == (max_disjoint_mono_capped(g, 3),
+                                             len(g.mono_triangles()))
 
     def test_all_red_host_floor(self):
         bits = np.zeros(len(K7X2_EDGES), dtype=np.uint8)
-        assert k7x2_packing_floor(bits) == 3
+        assert _k7x2_objective(bits)[0] == 3
 
     def test_small_campaign_is_clean_and_reproducible(self):
         kwargs = dict(samples=1200, adversarial_restarts=3, plateau_steps=100,
@@ -254,6 +257,15 @@ class TestDoubledK7Campaign:
         rep = verify_k7_blowup(samples=50, adversarial_restarts=0, workers=1)
         assert rep.mode == "randomized"
         assert rep.checked == 50
+
+
+def reference_has_mono_clique(g, ell):
+    """The flat check: some ell-set whose edges all carry one colour."""
+    for verts in combinations(range(g.n), ell):
+        colours = {g.edge_colour(u, v) for u, v in combinations(verts, 2)}
+        if len(colours) == 1:
+            return True
+    return False
 
 
 class TestRamsey:
@@ -298,6 +310,18 @@ class TestRamsey:
         assert codes == sorted(codes)
         g = complete_colouring(4, 3, codes[0])
         assert all(g.edge_colour(0, v) != 0 for v in range(1, 4))
+
+    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("ell", [3, 4])
+    def test_mono_clique_check_matches_reference(self, n, ell):
+        rng = np.random.default_rng(100 * n + ell)
+        hits = 0
+        for code in rng.integers(0, 3 ** (n * (n - 1) // 2), size=2000):
+            g = complete_colouring(n, 3, int(code))
+            want = reference_has_mono_clique(g, ell)
+            assert _has_mono_clique(g, ell) == want
+            hits += want
+        assert 0 < hits < 2000
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="ell"):
