@@ -40,7 +40,6 @@ from tritile.graphs import (
     ColouredGraph,
     MonoClique,
     SearchBudgetExceeded,
-    complete_colouring,
     from_json_dict,
     parse_graph_text,
     to_json_dict,
@@ -53,7 +52,6 @@ from tritile.verifiers import (
     audit_tightness,
     compute_ramsey,
     compute_special_ramsey,
-    k7x2_bits,
     k7x2_graph,
     lemma_violated,
     probe_question,
@@ -265,17 +263,11 @@ def _cmd_tile(args) -> int:
 LEMMAS = ("fact-k6", "claim-k7", "lemma-k8", "bowtie", "k7x2")
 
 
-def _witness_graph(lemma: str, report, code: int) -> ColouredGraph:
-    if lemma == "k7x2":
-        return k7x2_graph(k7x2_bits(code))
-    return complete_colouring(report.n, 2, code)
-
-
 def _write_and_reconfirm_witnesses(lemma: str, reports, path: str) -> None:
     entries = []
     for rep in reports:
         for code in rep.violations:
-            g = _witness_graph(lemma, rep, code)
+            g = rep.graph(code)
             entries.append({"code": code, "n": rep.n,
                             "graph": to_json_dict(g),
                             "extra": {k: v for k, v in rep.extra.items()
@@ -445,10 +437,11 @@ def _algorithm_cell(fn, g, budget) -> tuple[str, bool]:
     return str(len(tiling)), False
 
 
-# Experiment config keys other than the list keys must hold integers; a key
-# left out or set to null takes its default.
+# Experiment config keys other than the list keys must hold integers, each
+# at least the value given here; a key left out or set to null takes its
+# default.
 _CONFIG_LISTS = {"n_values": int, "delta_values": int, "families": str}
-_CONFIG_INTS = ("samples_per_cell", "seed", "node_budget", "max_cells")
+_CONFIG_INTS = {"samples_per_cell": 0, "seed": 0, "node_budget": 0, "max_cells": 1}
 
 
 def _is_a(value, kind: type) -> bool:
@@ -465,17 +458,17 @@ def _check_config(config) -> None:
                                       and all(_is_a(v, kind) for v in value)):
             raise _UsageError(
                 f"experiment config {key} must be a list of {kind.__name__}, got {value!r}")
-    for key in _CONFIG_INTS:
+    for key, least in _CONFIG_INTS.items():
         value = config.get(key)
         if value is not None and not _is_a(value, int):
             raise _UsageError(f"experiment config {key} must be an integer, got {value!r}")
+        if value is not None and value < least:
+            raise _UsageError(f"experiment config {key} must be at least {least}, got {value}")
     if not config.get("n_values"):
         raise _UsageError("experiment config needs n_values")
     bad = [n for n in config["n_values"] if not 1 <= n <= MAX_VERTICES]
     if bad:
         raise _UsageError(f"experiment config n_values must lie in 1..{MAX_VERTICES}, got {bad}")
-    if (config.get("seed") or 0) < 0:
-        raise _UsageError(f"experiment config seed must be non-negative, got {config['seed']}")
     bad = [d for d in config.get("delta_values") or () if d < 0]
     if bad:
         raise _UsageError(f"experiment config delta_values must be non-negative, got {bad}")

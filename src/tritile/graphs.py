@@ -299,6 +299,8 @@ class MonoClique:
         return mask_of(self.vertices)
 
     def verify(self, g: ColouredGraph) -> bool:
+        if self.vertices and not (0 <= self.vertices[0] and self.vertices[-1] < g.n):
+            return False
         for u, v in combinations(self.vertices, 2):
             c = g.edge_colour(u, v)
             if c is None or (self.colour is not None and c != self.colour):

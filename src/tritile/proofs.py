@@ -550,7 +550,7 @@ def _serving_pool_index(g: ColouredGraph, pool_b: list[tuple[int, ...]],
 
 
 # ---------------------------------------------------------------------------
-# Generalisations beyond (2 colours, triangles).
+# Seeded phased tiling.
 
 @dataclass(frozen=True)
 class PhasedResult:
@@ -565,9 +565,8 @@ class PhasedResult:
     strict: bool
 
 
-def phased_tiler(g: ColouredGraph, seed_clique: MonoClique, r: int = 2,
-                 ell: int = 3, strict: Optional[bool] = None) -> PhasedResult:
-    """Three-phase tiling around a monochromatic seed clique.
+def phased_tiler(g: ColouredGraph, seed_clique: MonoClique) -> PhasedResult:
+    """Three-phase tiling of a 2-coloured host around a monochromatic seed clique.
 
     Phase I removes mono triangles that avoid the seed until none remain;
     phase II absorbs leftover vertices with two seed-coloured edges into the
@@ -576,28 +575,17 @@ def phased_tiler(g: ColouredGraph, seed_clique: MonoClique, r: int = 2,
     missing one colour forces a mono triangle in any complete 4-set around
     it.  The seed remainder is finally chopped into seed-coloured triangles.
 
-    Strict mode (default when the seed has exactly ``(ell-1) * R`` vertices)
-    requires a complete host and turns every phase guarantee into an
-    AnomalyError; relaxed mode records unavailable guarantees in the notes.
+    Strict mode (when the seed has exactly ``2 * R(K3) = 12`` vertices and
+    the host is complete) turns every phase guarantee into an AnomalyError;
+    relaxed mode records unavailable guarantees in the notes.
     """
-    key = (r, ell)
-    if key not in RAMSEY_NUMBERS or key not in SPECIAL_RAMSEY_NUMBERS:
-        raise ValueError(f"no pinned Ramsey numbers for (r={r}, ell={ell})")
-    if g.r != r:
-        raise ValueError(f"host has {g.r} colours, expected {r}")
-    big_r = RAMSEY_NUMBERS[key]
-    special = SPECIAL_RAMSEY_NUMBERS[key]
-    seed_size = (ell - 1) * big_r
+    if g.r != 2:
+        raise ValueError(f"host has {g.r} colours, expected 2")
+    big_r = RAMSEY_NUMBERS[(2, 3)]
+    special = SPECIAL_RAMSEY_NUMBERS[(2, 3)]
     if seed_clique.colour is None or not seed_clique.verify(g):
         raise ValueError("seed must be a monochromatic clique of the host")
-    if strict is None:
-        strict = len(seed_clique) == seed_size and g.is_complete()
-    if strict:
-        if len(seed_clique) != seed_size:
-            raise ValueError(
-                f"strict mode needs a seed of exactly {seed_size} vertices")
-        if not g.is_complete():
-            raise ValueError("strict mode needs a complete host")
+    strict = len(seed_clique) == 2 * big_r and g.is_complete()
     notes: list[str] = []
     colour = seed_clique.colour
     outside = sorted(set(range(g.n)) - set(seed_clique.vertices))
@@ -619,16 +607,16 @@ def phased_tiler(g: ColouredGraph, seed_clique: MonoClique, r: int = 2,
         changed = False
         for v in list(outside):
             hits = [c for c in reservoir if g.edge_colour(v, c) == colour]
-            if len(hits) >= ell - 1:
-                x = hits[:ell - 1]
+            if len(hits) >= 2:
+                x = hits[:2]
                 found.append(MonoClique(tuple([v] + x), colour))
                 outside.remove(v)
                 for w in x:
                     reservoir.remove(w)
                 changed = True
-    if len(reservoir) < (ell - 1) * len(outside):
+    if len(reservoir) < 2 * len(outside):
         if strict:
-            raise AnomalyError("seed reservoir dipped below (ell-1) per vertex",
+            raise AnomalyError("seed reservoir dipped below two per vertex",
                                graph=g, detail={"reservoir": len(reservoir),
                                                 "outside": len(outside)})
         notes.append("phase II guarantee unavailable: reservoir too small")
@@ -658,11 +646,11 @@ def phased_tiler(g: ColouredGraph, seed_clique: MonoClique, r: int = 2,
                 reservoir.remove(w)
             if w in quiet:
                 quiet.remove(w)
-    for i in range(0, len(reservoir) - len(reservoir) % ell, ell):
-        found.append(MonoClique(tuple(reservoir[i:i + ell]), colour))
+    for i in range(0, len(reservoir) - len(reservoir) % 3, 3):
+        found.append(MonoClique(tuple(reservoir[i:i + 3]), colour))
     tiling = Tiling(tuple(found))
-    if strict and len(tiling) < (g.n - (special - 2)) // ell:
+    if strict and len(tiling) < (g.n - (special - 2)) // 3:
         raise AnomalyError("strict phased tiling fell short of its target",
                            graph=g, detail={"got": len(tiling),
-                                            "target": (g.n - special + 2) // ell})
+                                            "target": (g.n - special + 2) // 3})
     return PhasedResult(tiling=tiling, notes=tuple(notes), strict=strict)

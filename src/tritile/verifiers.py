@@ -13,6 +13,8 @@ campaign seed, which keeps them worker-count independent as well.
 Every stored witness is re-confirmed by an independent slow-path predicate
 before it is reported; a disagreement between the vector kernel and the
 slow path raises :class:`AnomalyError` rather than producing a report.
+The bowtie sweeps' witnesses (qualifying codes whose extraction failed) are
+re-checked the same way, through :func:`lemma_violated`.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from tritile.constructions import (
 from tritile.graphs import (
     AnomalyError,
     ColouredGraph,
+    Tiling,
     _digits,
     _undigits,
     complete_colouring,
@@ -69,8 +72,31 @@ _CHECK_TASK_SIZE = 1 << 12
 # reports
 
 
+class _Record:
+    """``as_dict``/``comparable`` of a dataclass record.
+
+    ``_derived`` names the properties ``as_dict`` adds after the fields; tuple
+    fields come out as lists.
+    """
+
+    _derived: tuple[str, ...] = ()
+
+    def as_dict(self) -> dict:
+        out = {k: list(v) if isinstance(v, tuple) else v
+               for k, v in asdict(self).items()}
+        for name in self._derived:
+            out[name] = getattr(self, name)
+        return out
+
+    def comparable(self) -> dict:
+        """Everything except the wall-clock field, for determinism checks."""
+        out = self.as_dict()
+        del out["elapsed"]
+        return out
+
+
 @dataclass
-class LemmaReport:
+class LemmaReport(_Record):
     """Outcome of one verification campaign.
 
     ``universe_size`` counts the colourings the statement quantifies over,
@@ -92,25 +118,21 @@ class LemmaReport:
     elapsed: float
     extra: dict = field(default_factory=dict)
 
+    _derived = ("holds",)
+
     @property
     def holds(self) -> bool:
         return self.violation_count == 0
 
-    def as_dict(self) -> dict:
-        out = asdict(self)
-        out["violations"] = list(self.violations)
-        out["holds"] = self.holds
-        return out
-
-    def comparable(self) -> dict:
-        """Everything except the wall-clock field, for determinism checks."""
-        out = self.as_dict()
-        del out["elapsed"]
-        return out
+    def graph(self, code: int) -> ColouredGraph:
+        """The host that the witness ``code`` of this report encodes."""
+        if self.lemma_id == "k7x2":
+            return k7x2_graph(k7x2_bits(code))
+        return complete_colouring(self.n, 2, code)
 
 
 @dataclass
-class RamseyResult:
+class RamseyResult(_Record):
     """Result of an exhaustive Ramsey-style search.
 
     ``value`` is the least ``n`` whose whole universe satisfies the clique
@@ -129,6 +151,8 @@ class RamseyResult:
     checked: dict
     elapsed: float
 
+    _derived = ("resolved",)
+
     @property
     def resolved(self) -> bool:
         return self.value is not None
@@ -138,19 +162,9 @@ class RamseyResult:
             return None
         return complete_colouring(self.witness_n, self.r, self.witness_code)
 
-    def as_dict(self) -> dict:
-        out = asdict(self)
-        out["resolved"] = self.resolved
-        return out
-
-    def comparable(self) -> dict:
-        out = self.as_dict()
-        del out["elapsed"]
-        return out
-
 
 @dataclass
-class AuditRow:
+class AuditRow(_Record):
     """One tightness comparison: exact solver optimum vs. closed form."""
 
     construction: str
@@ -164,19 +178,11 @@ class AuditRow:
     theorem_equality: bool
     elapsed: float
 
+    _derived = ("matches",)
+
     @property
     def matches(self) -> bool:
         return self.optimum == self.bound
-
-    def as_dict(self) -> dict:
-        out = asdict(self)
-        out["matches"] = self.matches
-        return out
-
-    def comparable(self) -> dict:
-        out = self.as_dict()
-        del out["elapsed"]
-        return out
 
 
 @dataclass
@@ -468,24 +474,37 @@ def _edge_count_or_raise(n: int) -> int:
 
 def _scan_report(lemma_id: str, n: int, filt: Callable, lemma: str,
                  workers: Optional[int], shift: int = 0,
-                 extra: Optional[dict] = None) -> LemmaReport:
+                 extra: Optional[dict] = None,
+                 check: Optional[Callable[[ColouredGraph], bool]] = None
+                 ) -> LemmaReport:
     """Exhaustive report over the K_n codes whose low ``shift`` bits are zero.
 
-    ``filt`` flags the violations; every witness is re-confirmed by the slow
-    predicate ``lemma_violated(lemma, ...)``.
+    ``filt`` flags the violations, or with ``check`` the qualifying codes,
+    whose count goes into ``extra["qualifying"]`` (see :func:`_run_scan`).
+    Every witness is re-confirmed by the slow predicate
+    ``lemma_violated(lemma, ...)``.
     """
     start = time.perf_counter()
     universe = 1 << _edge_count_or_raise(n)
-    checked, _, count, found = _run_scan(n, filt, 0, universe >> shift, workers,
-                                         shift=shift)
-    for code in found:
-        g = complete_colouring(n, 2, code)
-        _confirm(lemma_violated(lemma, g, extra), f"a {lemma_id} witness", g)
-    return LemmaReport(lemma_id=lemma_id, n=n, r=2, mode=MODE_EXHAUSTIVE,
-                       universe_size=universe, checked=checked,
-                       reduction_factor=1 << shift,
-                       violation_count=count, violations=tuple(found),
-                       elapsed=time.perf_counter() - start, extra=extra or {})
+    checked, flagged, count, found = _run_scan(n, filt, 0, universe >> shift, workers,
+                                               shift=shift, check=check)
+    if check is not None:
+        extra = {**(extra or {}), "qualifying": flagged}
+    report = LemmaReport(lemma_id=lemma_id, n=n, r=2, mode=MODE_EXHAUSTIVE,
+                         universe_size=universe, checked=checked,
+                         reduction_factor=1 << shift,
+                         violation_count=count, violations=tuple(found),
+                         elapsed=time.perf_counter() - start, extra=extra or {})
+    _confirm_witnesses(report, lemma)
+    return report
+
+
+def _confirm_witnesses(report: LemmaReport, lemma: str) -> None:
+    """Re-check every stored witness of ``report`` with the slow predicate."""
+    for code in report.violations:
+        g = report.graph(code)
+        _confirm(lemma_violated(lemma, g, report.extra),
+                 f"a {report.lemma_id} witness", g)
 
 
 # --------------------------------------------------------------------------
@@ -513,18 +532,17 @@ def verify_claim_k7(workers: Optional[int] = 1) -> LemmaReport:
                         workers)
 
 
-def _extract_k8_task(codes: tuple[int, ...]) -> tuple[int, list[int]]:
-    fails: list[int] = []
-    for code in codes:
-        g = complete_colouring(8, 2, code)
-        try:
-            a, b = extract_two_disjoint_k8(g)
-            ok = a.verify(g) and b.verify(g) and not (a.mask & b.mask)
-        except (AnomalyError, ValueError):
-            ok = False
-        if not ok:
-            fails.append(code)
-    return len(codes), fails
+def _extracts(extractor: Callable, g: ColouredGraph) -> bool:
+    """True when ``extractor(g)`` returns verified, pairwise disjoint mono cliques."""
+    try:
+        return Tiling(tuple(extractor(g))).verify(g)
+    except (ValueError, AnomalyError):
+        return False
+
+
+def _extract_k8_task(codes: tuple[int, ...]) -> list[int]:
+    return [code for code in codes
+            if not _extracts(extract_two_disjoint_k8, complete_colouring(8, 2, code))]
 
 
 def verify_lemma_k8(n: int = 8, workers: Optional[int] = None,
@@ -555,10 +573,8 @@ def verify_lemma_k8(n: int = 8, workers: Optional[int] = None,
         step = 10_000
         tasks = [tuple(int(c) for c in sample[i:i + step])
                  for i in range(0, extractor_samples, step)]
-        results = _map_tasks(_extract_k8_task, tasks, workers)
-        failures: list[int] = []
-        for _, f in results:
-            failures.extend(f)
+        failures = [code for f in _map_tasks(_extract_k8_task, tasks, workers)
+                    for code in f]
         report = replace(report, elapsed=time.perf_counter() - start,
                          extra={"extractor_samples": extractor_samples,
                                 "extractor_failures": len(failures),
@@ -595,16 +611,8 @@ def bowtie_extraction_holds(g: ColouredGraph) -> bool:
 
 def _bowtie_sweep(n: int, share: int, workers: Optional[int]) -> LemmaReport:
     """Extract from every code whose red and blue triangles meet in ``share`` vertices."""
-    start = time.perf_counter()
-    total = 1 << (n * (n - 1) // 2)
-    checked, qualifying, count, fails = _run_scan(
-        n, partial(_split_pair, share=share), 0, total, workers,
-        check=bowtie_extraction_holds)
-    return LemmaReport(lemma_id=f"bowtie-k{n}", n=n, r=2, mode=MODE_EXHAUSTIVE,
-                       universe_size=total, checked=checked, reduction_factor=1,
-                       violation_count=count, violations=tuple(fails),
-                       elapsed=time.perf_counter() - start,
-                       extra={"qualifying": qualifying})
+    return _scan_report(f"bowtie-k{n}", n, partial(_split_pair, share=share), "bowtie",
+                        workers, check=bowtie_extraction_holds)
 
 
 def verify_bowtie_lemmas(workers: Optional[int] = 1) -> tuple[LemmaReport, LemmaReport]:
@@ -673,7 +681,7 @@ def _k7x2_objective(bits: np.ndarray) -> tuple[int, int]:
     return _max_disjoint_capped(monos, 3), len(monos)
 
 
-def _k7x2_sample_task(args: tuple) -> tuple[int, list[int], list[int]]:
+def _k7x2_sample_task(args: tuple) -> tuple[list[int], list[int]]:
     chunk_index, count, seed = args
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, chunk_index)))
     violations: list[int] = []
@@ -684,14 +692,7 @@ def _k7x2_sample_task(args: tuple) -> tuple[int, list[int], list[int]]:
         rows = rng.integers(0, 2, size=(min(step, count - done), len(K7X2_EDGES)),
                             dtype=np.uint8)
         for row in rows:
-            g = k7x2_graph(row)
-            try:
-                a, b, c = extract_three_disjoint_k7x2(g)
-                ok = (a.verify(g) and b.verify(g) and c.verify(g)
-                      and not (a.mask & b.mask or a.mask & c.mask or b.mask & c.mask))
-            except (ValueError, AnomalyError):
-                ok = False
-            if not ok:
+            if not _extracts(extract_three_disjoint_k7x2, k7x2_graph(row)):
                 code = k7x2_code(row)
                 extractor_fails.append(code)
                 # Classify independently: the lemma itself only fails when no
@@ -699,7 +700,7 @@ def _k7x2_sample_task(args: tuple) -> tuple[int, list[int], list[int]]:
                 if _k7x2_objective(row)[0] < 3:
                     violations.append(code)
         done += len(rows)
-    return count, violations, extractor_fails
+    return violations, extractor_fails
 
 
 def _k7x2_adversarial_task(args: tuple) -> tuple[int, int, list[int]]:
@@ -762,13 +763,12 @@ def verify_k7_blowup(samples: int = 1_000_000, adversarial_restarts: int = 1_000
     start = time.perf_counter()
     tasks = [(index, min(chunk_size, samples - lo), seed)
              for index, lo in enumerate(range(0, samples, chunk_size))]
-    sample_results = _map_tasks(_k7x2_sample_task, tasks, workers)
-    checked = sum(r[0] for r in sample_results)
+    checked = samples
     violations: list[int] = []
     extractor_fails: list[int] = []
-    for r in sample_results:
-        violations.extend(r[1])
-        extractor_fails.extend(r[2])
+    for viols, fails in _map_tasks(_k7x2_sample_task, tasks, workers):
+        violations.extend(viols)
+        extractor_fails.extend(fails)
     adv_tasks = [(i, seed, plateau_steps) for i in range(adversarial_restarts)]
     adv_results = _map_tasks(_k7x2_adversarial_task, adv_tasks, workers)
     min_floor = 3
@@ -776,39 +776,36 @@ def verify_k7_blowup(samples: int = 1_000_000, adversarial_restarts: int = 1_000
         checked += evaluated
         min_floor = min(min_floor, floor)
         violations.extend(viols)
-    for code in violations[:WITNESS_CAP]:
-        g = k7x2_graph(k7x2_bits(code))
-        _confirm(lemma_violated("k7x2", g), "a doubled-K7 witness", g)
     mode = MODE_ADVERSARIAL if adversarial_restarts else MODE_RANDOMIZED
-    return LemmaReport(lemma_id="k7x2", n=K7X2_N, r=2, mode=mode,
-                       universe_size=1 << len(K7X2_EDGES), checked=checked,
-                       reduction_factor=1,
-                       violation_count=len(violations),
-                       violations=tuple(violations[:WITNESS_CAP]),
-                       elapsed=time.perf_counter() - start,
-                       extra={"samples": samples,
-                              "adversarial_restarts": adversarial_restarts,
-                              "plateau_steps": plateau_steps,
-                              "seed": seed,
-                              "extractor_failures": len(extractor_fails),
-                              "extractor_failure_codes": extractor_fails[:WITNESS_CAP],
-                              "adversarial_min_packing": min_floor})
+    report = LemmaReport(lemma_id="k7x2", n=K7X2_N, r=2, mode=mode,
+                         universe_size=1 << len(K7X2_EDGES), checked=checked,
+                         reduction_factor=1,
+                         violation_count=len(violations),
+                         violations=tuple(violations[:WITNESS_CAP]),
+                         elapsed=time.perf_counter() - start,
+                         extra={"samples": samples,
+                                "adversarial_restarts": adversarial_restarts,
+                                "plateau_steps": plateau_steps,
+                                "seed": seed,
+                                "extractor_failures": len(extractor_fails),
+                                "extractor_failure_codes": extractor_fails[:WITNESS_CAP],
+                                "adversarial_min_packing": min_floor})
+    _confirm_witnesses(report, "k7x2")
+    return report
 
 
 # --------------------------------------------------------------------------
 # Ramsey-style searches
 
 
-def _first_clique_free_code(n: int, r: int, ell: int,
-                            codes_iter) -> Optional[int]:
-    """Lex-first code among ``codes_iter`` with no monochromatic K_ell, else None.
+def _first_clique_free_code(n: int, r: int, ell: int, codes) -> Optional[int]:
+    """First code of the stream ``codes`` with no monochromatic K_ell, else None.
 
-    For two colours ``codes_iter`` yields numpy chunks in increasing order;
-    the generic path takes iterables of plain ints instead.
+    For two colours ``codes`` yields numpy chunks, otherwise plain ints.
     """
-    masks = _clique_edge_masks(n, ell)
     if r == 2:
-        for chunk in codes_iter:
+        masks = _clique_edge_masks(n, ell)
+        for chunk in codes:
             ok = np.zeros(chunk.shape, dtype=bool)
             for m in masks:
                 mm = np.uint64(m)
@@ -818,11 +815,9 @@ def _first_clique_free_code(n: int, r: int, ell: int,
             if viol.size:
                 return int(chunk[viol[0]])
         return None
-    for chunk in codes_iter:
-        for code in chunk:
-            g = complete_colouring(n, r, int(code))
-            if not _has_mono_clique(g, ell):
-                return int(code)
+    for code in codes:
+        if not _has_mono_clique(complete_colouring(n, r, code), ell):
+            return code
     return None
 
 
@@ -830,6 +825,59 @@ def _has_mono_clique(g: ColouredGraph, ell: int) -> bool:
     full = (1 << g.n) - 1
     return any(next(iter_cliques(rows, full, ell), None) is not None
                for rows in g.colour_adj)
+
+
+def _ramsey_codes(n: int, r: int, special: bool):
+    """(increasing stream, count) of the r-colourings of K_n a search visits.
+
+    With ``special`` these are the colourings in which vertex 0 misses
+    colour 0.  The n-1 edges at vertex 0 are the lowest digits of the
+    lexicographic edge order, so such a code is a free code of the other
+    edges shifted up past an apex whose n-1 digits avoid 0; the classic
+    search has an apex of width 0.  For two colours the stream is numpy
+    chunks and the one apex is all ones; otherwise it is plain ints.
+    """
+    apex = n - 1 if special else 0
+    rest = r ** (n * (n - 1) // 2 - apex)
+    if r == 2:
+        return _code_chunks(0, rest, apex, (1 << apex) - 1), rest
+
+    def stream():
+        scale = r ** apex
+        bases = sorted(sum(d * r ** i for i, d in enumerate(digits))
+                       for digits in product(range(1, r), repeat=apex))
+        for high in range(rest):
+            for base in bases:
+                yield high * scale + base
+
+    return stream(), (r - 1) ** apex * rest
+
+
+def _ramsey_search(ell: int, r: int, n_max: int, budget: int,
+                   special: bool) -> RamseyResult:
+    """Scan n upward for the first order whose :func:`_ramsey_codes` all hold a mono K_ell."""
+    if ell < 2 or r < 2:
+        raise ValueError(f"need ell >= 2 and r >= 2, got ell={ell}, r={r}")
+    start = time.perf_counter()
+    checked: dict = {}
+    witness_n, witness_code = (None, None) if special else (ell - 1, 0)
+    value = None
+    for n in range(1 if special else ell, n_max + 1):
+        codes, universe = _ramsey_codes(n, r, special)
+        # r > 2 falls back to a plain python loop, so its practical budget
+        # is far smaller than the vectorised two-colour path's.
+        if universe > (budget if r == 2 else min(budget, 1 << 22)):
+            break
+        code = _first_clique_free_code(n, r, ell, codes)
+        checked[n] = universe
+        if code is None:
+            value = n
+            break
+        witness_n, witness_code = n, code
+    return RamseyResult(kind="special" if special else "classic", ell=ell, r=r,
+                        n_max=n_max, value=value, witness_n=witness_n,
+                        witness_code=witness_code, checked=checked,
+                        elapsed=time.perf_counter() - start)
 
 
 def compute_ramsey(ell: int, r: int = 2, n_max: int = 8,
@@ -841,47 +889,7 @@ def compute_ramsey(ell: int, r: int = 2, n_max: int = 8,
     witness is always the lexicographically first clique-free colouring of
     the last violating order, i.e. a sharpness example once resolved.
     """
-    if ell < 2 or r < 2:
-        raise ValueError(f"need ell >= 2 and r >= 2, got ell={ell}, r={r}")
-    start = time.perf_counter()
-    checked: dict = {}
-    witness_n, witness_code = ell - 1, 0
-    value = None
-    for n in range(ell, n_max + 1):
-        edges = n * (n - 1) // 2
-        universe = r ** edges
-        # r > 2 falls back to a plain python loop, so its practical budget
-        # is far smaller than the vectorised two-colour path's.
-        if universe > (budget if r == 2 else min(budget, 1 << 22)):
-            break
-        if r == 2:
-            code = _first_clique_free_code(n, r, ell, _code_chunks(0, universe))
-        else:
-            code = _first_clique_free_code(n, r, ell, [range(universe)])
-        checked[n] = universe
-        if code is None:
-            value = n
-            break
-        witness_n, witness_code = n, code
-    return RamseyResult(kind="classic", ell=ell, r=r, n_max=n_max, value=value,
-                        witness_n=witness_n, witness_code=witness_code,
-                        checked=checked, elapsed=time.perf_counter() - start)
-
-
-def _special_universe_size(n: int, r: int) -> int:
-    if n < 1:
-        raise ValueError(f"need at least one vertex, got n={n}")
-    return (r - 1) ** (n - 1) * r ** ((n - 1) * (n - 2) // 2)
-
-
-def _special_codes_generic(n: int, r: int):
-    """All special codes (vertex 0 missing colour 0) in increasing order."""
-    scale = r ** (n - 1)
-    bases = sorted(sum(d * r ** i for i, d in enumerate(apex))
-                   for apex in product(range(1, r), repeat=n - 1))
-    for rest in range(r ** ((n - 1) * (n - 2) // 2)):
-        for base in bases:
-            yield rest * scale + base
+    return _ramsey_search(ell, r, n_max, budget, special=False)
 
 
 def compute_special_ramsey(ell: int, r: int = 2, n_max: int = 6,
@@ -889,42 +897,10 @@ def compute_special_ramsey(ell: int, r: int = 2, n_max: int = 6,
     """Least ``n`` such that every special r-colouring of K_n has a mono K_ell.
 
     Special means some vertex sees no edge of some colour; by relabelling it
-    suffices to scan colourings where vertex 0 misses colour 0.  Witness
-    bookkeeping matches :func:`compute_ramsey`.
+    suffices to scan colourings where vertex 0 misses colour 0.  The scan
+    starts at n=1, and witness bookkeeping matches :func:`compute_ramsey`.
     """
-    if ell < 2 or r < 2:
-        raise ValueError(f"need ell >= 2 and r >= 2, got ell={ell}, r={r}")
-    start = time.perf_counter()
-    checked: dict = {}
-    witness_n, witness_code = None, None
-    value = None
-    for n in range(1, n_max + 1):
-        universe = _special_universe_size(n, r)
-        if universe > (budget if r == 2 else min(budget, 1 << 22)):
-            break
-        if n < ell:
-            # Too few vertices for any K_ell: every special colouring
-            # violates, and the lex-first one colours every apex edge 1.
-            checked[n] = universe
-            witness_n = n
-            witness_code = (r ** (n - 1) - 1) // (r - 1)
-            continue
-        if r == 2:
-            # The n-1 edges at vertex 0 occupy the low bits of the lexicographic
-            # edge order, so the two-colour special codes are the free codes of
-            # the other edges shifted up by n-1 bits with those bits forced to 1.
-            chunks = _code_chunks(0, universe, n - 1, (1 << (n - 1)) - 1)
-        else:
-            chunks = [_special_codes_generic(n, r)]
-        code = _first_clique_free_code(n, r, ell, chunks)
-        checked[n] = universe
-        if code is None:
-            value = n
-            break
-        witness_n, witness_code = n, code
-    return RamseyResult(kind="special", ell=ell, r=r, n_max=n_max, value=value,
-                        witness_n=witness_n, witness_code=witness_code,
-                        checked=checked, elapsed=time.perf_counter() - start)
+    return _ramsey_search(ell, r, n_max, budget, special=True)
 
 
 # --------------------------------------------------------------------------

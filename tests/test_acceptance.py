@@ -13,6 +13,7 @@ import json
 import time
 
 import numpy as np
+import pytest
 
 from tritile.constructions import (
     ex_triangle,
@@ -58,6 +59,7 @@ def test_criterion_02_every_k7_colouring_has_a_pair_sharing_at_most_one():
           f"{rep.elapsed:.1f}s single-threaded")
 
 
+@pytest.mark.slow
 def test_criterion_03_every_k8_colouring_has_two_disjoint_mono_triangles():
     rep = verify_lemma_k8(workers=4, extractor_samples=100_000, seed=0)
     assert rep.universe_size == 1 << 28
@@ -89,6 +91,7 @@ def test_criterion_04_k7_shows_the_two_triangle_threshold_is_sharp(tmp_path):
           f"stored and re-verified")
 
 
+@pytest.mark.slow
 def test_criterion_05_bowtie_extraction_succeeds_on_every_qualifying_colouring():
     k6, k7 = verify_bowtie_lemmas(workers=1)
     assert k6.universe_size == 32768
@@ -199,6 +202,7 @@ def test_criterion_09_fifty_k66_colourings_yield_thirteen_one_colour_triangles()
           "disjoint same-colour triangles")
 
 
+@pytest.mark.slow
 def test_criterion_10_doubled_k7_campaign_finds_no_packing_below_three():
     rep = verify_k7_blowup(samples=1_000_000, adversarial_restarts=1_000,
                            seed=0, workers=1)

@@ -137,6 +137,17 @@ class TestSolveAndTile:
                       ["tile", str(tmp_path / "k15.txt"),
                        "--algorithm", "phased"]) == 1
 
+    @pytest.mark.parametrize("seed", ["-1,0,1", "0,1,15"])
+    def test_phased_seed_outside_the_host_is_one_error_line(self, tmp_path, monkeypatch,
+                                                            capsys, seed):
+        write_graph(complete_colouring(15, 2, 0), tmp_path / "k15.txt")
+        rc = run_in(tmp_path, monkeypatch,
+                    ["tile", str(tmp_path / "k15.txt"), "--algorithm", "phased",
+                     f"--seed-clique={seed}"])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: seed must be a monochromatic clique of the host\n"
+
     def test_solve_reads_json_graphs(self, tmp_path, monkeypatch, capsys):
         from tritile.graphs import to_json_dict
         g = complete_colouring(6, 2, 0)
@@ -353,6 +364,9 @@ class TestExperiment:
         {"n_values": [10000000]},
         {"n_values": [12], "seed": -1, "samples_per_cell": 1},
         {"n_values": [12], "delta_values": [-3], "samples_per_cell": 1},
+        {"n_values": [12], "delta_values": [10], "samples_per_cell": -4},
+        {"n_values": [12], "delta_values": [10], "max_cells": 0},
+        {"n_values": [12], "delta_values": [10], "node_budget": -1},
     ])
     def test_malformed_config_is_one_error_line(self, tmp_path, monkeypatch, capsys,
                                                 config):

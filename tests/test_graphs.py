@@ -361,6 +361,12 @@ class TestRecords:
         with pytest.raises(ValueError):
             MonoClique((0, 0, 1), 0)
 
+    def test_monoclique_outside_the_host_does_not_verify(self):
+        g = complete_colouring(5, 2, 0)
+        for verts in ((-1, 0, 1), (2, 3, 5)):
+            assert not MonoClique(verts, 0).verify(g)
+            assert not Tiling((MonoClique(verts, 0),)).verify(g)
+
     def test_tiling_disjointness(self):
         g = complete_colouring(6, 2, 0)
         good = Tiling((MonoClique((0, 1, 2), 0), MonoClique((3, 4, 5), 0)))

@@ -470,12 +470,11 @@ class TestPhasedTiler:
         assert not result.strict
         assert result.tiling.verify(g)
 
-    def test_strict_validation(self):
-        g = all_red(20)
-        with pytest.raises(ValueError):
-            phased_tiler(g, MonoClique((0, 1, 2), RED), strict=True)
-        with pytest.raises(ValueError):
-            phased_tiler(g, MonoClique(tuple(range(12)), RED), r=3)
+    def test_three_coloured_host_is_rejected(self):
+        g = ColouredGraph(20, 3, [(u, v, RED) for u in range(20)
+                                  for v in range(u + 1, 20)])
+        with pytest.raises(ValueError, match="3 colours"):
+            phased_tiler(g, MonoClique(tuple(range(12)), RED))
 
     def test_tables_expose_the_pinned_values(self):
         assert RAMSEY_NUMBERS[(2, 3)] == 6

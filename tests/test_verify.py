@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tritile.graphs import complete_colouring
+from tritile.graphs import AnomalyError, colouring_code, complete_colouring
 from tritile.verifiers import (
     AUDIT_INSTANCES,
     K7X2_EDGES,
@@ -38,12 +38,13 @@ from tritile.verifiers import (
     verify_lemma_k8,
     bowtie_extraction_holds,
     _bowtie_sweep,
+    _confirm_witnesses,
     _fewer_mono,
     _has_mono_clique,
     _k7x2_objective,
     _no_mono_pair,
+    _ramsey_codes,
     _run_scan,
-    _special_codes_generic,
     _split_pair,
 )
 from tritile.solvers import find_bowtie
@@ -120,6 +121,7 @@ class TestExhaustiveScans:
             assert (has_mono_pair_sharing_at_most(a, 0)
                     == has_mono_pair_sharing_at_most(b, 0))
 
+    @pytest.mark.slow
     def test_extractor_subset_runs_clean(self):
         rep = verify_lemma_k8(workers=1, extractor_samples=300, seed=7)
         assert rep.extra["extractor_failures"] == 0
@@ -139,6 +141,32 @@ class TestExhaustiveScans:
     def test_enumeration_range_validation(self):
         with pytest.raises(ValueError, match="universe"):
             enumerate_colourings(4, 2, lambda c, g: None, lo=10, hi=100)
+
+    @staticmethod
+    def report(lemma_id, n, violations=()):
+        return LemmaReport(lemma_id=lemma_id, n=n, r=2, mode="exhaustive",
+                           universe_size=0, checked=0, reduction_factor=1,
+                           violation_count=len(violations), violations=violations,
+                           elapsed=0.0)
+
+    def test_graph_decodes_witness_codes(self):
+        rng = np.random.default_rng(12)
+        k7x2, k5 = self.report("k7x2", 14), self.report("mono-count-k5", 5)
+        for _ in range(20):
+            bits = rng.integers(0, 2, size=len(K7X2_EDGES), dtype=np.uint8)
+            g = k7x2.graph(k7x2_code(bits))
+            assert g.n == 14 and g.edges() == k7x2_graph(bits).edges()
+            code = int(rng.integers(0, 1 << 10))
+            assert colouring_code(k5.graph(code)) == code
+
+    def test_confirm_rejects_a_witness_that_holds(self):
+        with pytest.raises(AnomalyError, match="claim-k7 witness"):
+            _confirm_witnesses(self.report("claim-k7", 7, (0,)), "claim-k7")
+        qualifying = np.flatnonzero(_split_pair(np.arange(1 << 15, dtype=np.uint64), 6, 0))
+        good = int(qualifying[0])
+        assert bowtie_extraction_holds(complete_colouring(6, 2, good))
+        with pytest.raises(AnomalyError, match="bowtie-k6 witness"):
+            _confirm_witnesses(self.report("bowtie-k6", 6, (good,)), "bowtie")
 
     def test_report_comparable_drops_wall_clock(self):
         rep = verify_fact_k6(n=4)
@@ -305,11 +333,21 @@ class TestRamsey:
         assert mono_triangle_count(w) == 0
 
     def test_special_codes_are_sorted_and_special(self):
-        codes = list(_special_codes_generic(4, 3))
-        assert len(codes) == 2 ** 3 * 3 ** 3
+        stream, count = _ramsey_codes(4, 3, True)
+        codes = list(stream)
+        assert len(codes) == count == 2 ** 3 * 3 ** 3
         assert codes == sorted(codes)
         g = complete_colouring(4, 3, codes[0])
         assert all(g.edge_colour(0, v) != 0 for v in range(1, 4))
+
+    def test_classic_codes_are_the_whole_universe(self):
+        stream, count = _ramsey_codes(4, 3, False)
+        assert list(stream) == list(range(3 ** 6)) and count == 3 ** 6
+
+    def test_two_colour_special_codes_force_the_apex_bits(self):
+        stream, count = _ramsey_codes(4, 2, True)
+        codes = [int(c) for chunk in stream for c in chunk]
+        assert codes == [(i << 3) | 0b111 for i in range(8)] and count == 8
 
     @pytest.mark.parametrize("n", [5, 6])
     @pytest.mark.parametrize("ell", [3, 4])
