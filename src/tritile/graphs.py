@@ -337,9 +337,10 @@ class Tiling:
         for t in self.cliques:
             if not t.verify(g):
                 return False
-            if used & t.mask:
+            mask = t.mask
+            if used & mask:
                 return False
-            used |= t.mask
+            used |= mask
         return True
 
 

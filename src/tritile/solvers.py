@@ -4,9 +4,20 @@ The solver is a depth-first branch and bound over the (lexicographically
 sorted) list of monochromatic triangles: the branching vertex is the lowest
 vertex still appearing in an alive triangle, children either commit one of
 its alive triangles (in increasing list order) or discard the vertex for
-good.  Triangles are the ``(u, v, w, c)`` tuples of
-:data:`tritile.graphs.Triangle`; a :class:`MonoClique` is built only for
-the triangles of a returned tiling or bowtie.
+good.  A :class:`MonoClique` is built only for the triangles of a returned
+tiling or bowtie.
+
+Everything a search needs before its first node is built with numpy:
+
+* the triangle table: :func:`_triangle_table` returns the ``(u, v, w, c)``
+  rows of :meth:`ColouredGraph.mono_triangles` as one ``(T, 4)`` array, in
+  the same order, from an n x n colour matrix compared one block of first
+  vertices at a time; a single-colour search takes the rows of its colour;
+* the incidence rows ``inc[v]``: a boolean (vertex, triangle) scatter,
+  one block of triangles at a time, packed little-endian and read into
+  one int per vertex, linear in T;
+* the greedy seed (below): an argmin over an array of alive triangle
+  indices, with degrees from ``bincount``.
 
 Sets of triangles are bitsets over the list, in the manner of the
 bit-parallel clique solvers (San Segundo et al., Comput. Oper. Res. 38(2),
@@ -14,8 +25,9 @@ bit-parallel clique solvers (San Segundo et al., Comput. Oper. Res. 38(2),
 vertex ``v``.  Committing triangle ``abc`` keeps ``alive & ~(inc[a] | inc[b]
 | inc[c])``, discarding ``v`` keeps ``alive & ~inc[v]``, the support is the
 set of ``v`` with ``alive & inc[v]`` nonzero, and a vertex's alive degree is
-a ``bit_count``.  No per-triangle conflict table is built: it would take
-O(T^2) bits, about 29 MB for the 15,180 triangles of
+a ``bit_count``.  The search itself reads the triangles' vertices from a
+plain list of ``[a, b, c]`` rows.  No per-triangle conflict table is built:
+it would take O(T^2) bits, about 29 MB for the 15,180 triangles of
 ``ex_triangle_alt(48, 47)``.
 
 Three admissible upper bounds are checked at every node, cheapest first,
@@ -29,9 +41,10 @@ and any one that cannot beat the incumbent prunes:
   vertices outside U, giving ``|support - U| // 2``).
 
 A dynamic greedy packing (repeatedly take the alive triangle with the
-smallest total triangle-degree over its vertices) seeds the incumbent; on
-the extremal constructions in this package it already hits the optimum and
-the root bound certifies it, so those solves finish in one node.
+smallest total triangle-degree over its vertices, the lowest index on a
+tie) seeds the incumbent; on the extremal constructions in this package it
+already hits the optimum and the root bound certifies it, so those solves
+finish in one node.
 
 Everything here is deterministic and single-threaded; results never depend
 on a worker count.
@@ -41,6 +54,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from tritile.graphs import (
     AnomalyError,
@@ -80,16 +95,25 @@ class _PackingSearch:
     ``inc[v]`` is the set of triangles through vertex ``v``.
     """
 
-    def __init__(self, triangles: Sequence[Triangle], budget: int):
-        self.tris = list(triangles)
-        self.masks = [(1 << a) | (1 << b) | (1 << c) for a, b, c, _ in self.tris]
-        inc = [0] * (1 + max((c for _, _, c, _ in self.tris), default=-1))
-        for i, (a, b, c, _) in enumerate(self.tris):
-            bit = 1 << i
-            inc[a] |= bit
-            inc[b] |= bit
-            inc[c] |= bit
-        self.inc = inc
+    def __init__(self, triangles: Sequence[Triangle] | np.ndarray, budget: int):
+        # int32 holds any vertex below MAX_VERTICES at half the memory of int64.
+        self.table = np.asarray(triangles, dtype=np.int32).reshape(-1, 4)
+        verts = self.table[:, :3]
+        count = len(verts)
+        # A boolean scatter of the (vertex, triangle) incidences, packed
+        # little-endian so that bit i of row v is triangle i, one block of
+        # triangles at a time so that the boolean matrix stays small.
+        rows = int(verts.max()) + 1 if count else 0
+        packed = np.empty((rows, (count + 7) // 8), dtype=np.uint8)
+        step = max(8, _BLOCK_CELLS // max(1, rows) // 8 * 8)
+        for start in range(0, count, step):
+            block = verts[start:start + step]
+            hit = np.zeros((rows, len(block)), dtype=bool)
+            hit[block, np.arange(len(block))[:, None]] = True
+            packed[:, start // 8:(start + len(block) + 7) // 8] = np.packbits(
+                hit, axis=1, bitorder="little")
+        self.inc = [int.from_bytes(row.tobytes(), "little") for row in packed]
+        self.verts = verts.tolist()
         self.budget = budget
         self.nodes = 0
         self.best_count = -1
@@ -101,10 +125,10 @@ class _PackingSearch:
         self.best_sel = seed
         proved = True
         try:
-            self._dfs((1 << len(self.tris)) - 1, list(range(len(self.inc))), 0, [])
+            self._dfs((1 << len(self.verts)) - 1, list(range(len(self.inc))), 0, [])
         except SearchBudgetExceeded:
             proved = False
-        tiling = Tiling(tuple(MonoClique.of(self.tris[i]) for i in self.best_sel))
+        tiling = Tiling(tuple(MonoClique.of(self.table[i].tolist()) for i in self.best_sel))
         return SolveResult(optimum=self.best_count, tiling=tiling,
                            nodes_explored=self.nodes, proved_optimal=proved)
 
@@ -137,7 +161,7 @@ class _PackingSearch:
             low = through & -through
             through ^= low
             i = low.bit_length() - 1
-            a, b, c, _ = self.tris[i]
+            a, b, c = self.verts[i]
             chosen.append(i)
             self._dfs(alive & ~(inc[a] | inc[b] | inc[c]), support, count + 1, chosen)
             chosen.pop()
@@ -178,32 +202,66 @@ class _PackingSearch:
 
     def _greedy(self) -> list[int]:
         """Repeatedly take the alive triangle of least total vertex degree."""
-        inc = self.inc
-        tris = self.tris
+        verts = self.table[:, :3]
+        hit = np.zeros(len(self.inc), dtype=bool)
         chosen = []
-        alive = (1 << len(tris)) - 1
-        left = range(len(tris))
-        while left:
-            deg = [(alive & row).bit_count() for row in inc]
-            # The first strict minimum over increasing i: ties go to the lower index.
-            best = None
-            for i in left:
-                a, b, c, _ = tris[i]
-                score = deg[a] + deg[b] + deg[c]
-                if best is None or score < best:
-                    best, pick = score, i
-            chosen.append(pick)
-            a, b, c, _ = tris[pick]
-            alive &= ~(inc[a] | inc[b] | inc[c])
-            m = self.masks[pick]
-            left = [i for i in left if not self.masks[i] & m]
+        alive = np.arange(len(verts))
+        while alive.size:
+            sub = verts[alive]
+            deg = np.bincount(sub.ravel(), minlength=len(hit))
+            # argmin returns the first minimum: ties go to the lower index.
+            pick = int(np.argmin(deg[sub].sum(1)))
+            chosen.append(int(alive[pick]))
+            hit[:] = False
+            hit[sub[pick]] = True
+            alive = alive[~hit[sub].any(1)]
         return chosen
+
+
+# Most cells in one block of the numpy set-up: the boolean (vertex, triangle)
+# matrix of the incidence scatter, and the vertex-pair comparisons of
+# _triangle_table.
+_BLOCK_CELLS = 1 << 18
+
+
+def _triangle_table(g: ColouredGraph) -> np.ndarray:
+    """Every monochromatic triangle as a ``(T, 4)`` int32 array of ``(u, v, w, c)`` rows.
+
+    The rows come in the lexicographic order of :meth:`ColouredGraph.mono_triangles`.
+    The colour rows are decoded once into an n x n colour matrix (-1 for a
+    non-edge); then each block of first vertices ``u`` is compared against
+    the later vertices adjacent to the block, so the working memory stays
+    O(n^2) and a sparse host costs about the sum of its squared degrees.
+    """
+    n = g.n
+    width = (n + 7) // 8
+    colour = np.full((n, n), -1, dtype=np.int8)
+    for c, rows in enumerate(g.colour_adj):
+        packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in rows),
+                               dtype=np.uint8).reshape(n, width)
+        colour[np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)] = c
+    step = max(1, _BLOCK_CELLS // max(1, n * n))
+    index = np.arange(n)
+    parts = [np.empty((0, 4), dtype=np.int32)]
+    for u0 in range(0, n, step):
+        us = index[u0:u0 + step]
+        block = colour[us]
+        later = np.flatnonzero((block >= 0).any(0) & (index > u0))
+        # uv's colour, or -1 unless v is a later neighbour of u.
+        first = np.where(later > us[:, None], block[:, later], -1)
+        # vw's colour on edges with v < w, and -2 elsewhere, which nothing in first matches.
+        sub = colour[later[:, None], later]
+        pair = np.where((sub >= 0) & (later[:, None] < later), sub, -2)
+        b, i, j = np.nonzero((first[:, :, None] == pair) & (first[:, None, :] == pair))
+        parts.append(np.stack([us[b], later[i], later[j], pair[i, j]], axis=1,
+                              dtype=np.int32))
+    return np.concatenate(parts)
 
 
 def max_mixed_tiling(g: ColouredGraph, budget: Optional[int] = None) -> SolveResult:
     """Largest family of disjoint monochromatic triangles, colours mixed freely."""
     budget = DEFAULT_NODE_BUDGET if budget is None else budget
-    return _PackingSearch(g.mono_triangles(), budget).run()
+    return _PackingSearch(_triangle_table(g), budget).run()
 
 
 def max_single_colour_tiling(g: ColouredGraph, budget: Optional[int] = None) -> SolveResult:
@@ -215,12 +273,12 @@ def max_single_colour_tiling(g: ColouredGraph, budget: Optional[int] = None) -> 
     overtake the winner.
     """
     budget = DEFAULT_NODE_BUDGET if budget is None else budget
-    tris = g.mono_triangles()
+    table = _triangle_table(g)
     best: Optional[SolveResult] = None
     nodes = 0
     all_proved = True
     for c in range(g.r):
-        res = _PackingSearch([t for t in tris if t[3] == c], budget).run()
+        res = _PackingSearch(table[table[:, 3] == c], budget).run()
         nodes += res.nodes_explored
         all_proved = all_proved and res.proved_optimal
         if best is None or res.optimum > best.optimum:
@@ -284,13 +342,14 @@ def _quota_masks(n: int, adj: Sequence[int], t: int, whole: int, stripped: int,
                 for tail in cliques(rest, size - 1):
                     yield (v,) + tail
 
-    def dfs(used: int, wq: int, sq: int) -> bool:
+    def visit(used: int, wq: int, sq: int) -> Optional[Iterator[tuple[int, tuple[int, ...]]]]:
+        """Count one node; None when it covers everything, else its ``(size, tile)`` children."""
         nonlocal calls
         calls += 1
         if calls > budget:
             raise SearchBudgetExceeded(f"clique tiling search exceeded {budget} nodes")
         if used == (1 << n) - 1:
-            return True
+            return None
         floor_live = t - 1 if sq == 0 else t - 2
         pick = None
         for w in range(n):
@@ -298,27 +357,36 @@ def _quota_masks(n: int, adj: Sequence[int], t: int, whole: int, stripped: int,
                 continue
             live = (adj[w] & ~used).bit_count()
             if live < floor_live:
-                return False
+                return iter(())
             key = (live, rank[w])
             if pick is None or key < pick:
                 pick, v = key, w
         cand = adj[v] & ~used
-        for size, quota in ((t, wq), (t - 1, sq)):
-            if not quota:
-                continue
-            for tail in cliques(cand, size - 1):
-                tile = (v,) + tail
-                target = acc_whole if size == t else acc_stripped
-                target.append(tile)
-                if dfs(used | sum(1 << w for w in tile),
-                       wq - (size == t), sq - (size == t - 1)):
-                    return True
-                target.pop()
-        return False
+        return ((size, (v,) + tail) for size, quota in ((t, wq), (t - 1, sq)) if quota
+                for tail in cliques(cand, size - 1))
 
-    acc_whole: list[tuple[int, ...]] = []
-    acc_stripped: list[tuple[int, ...]] = []
-    return (acc_whole, acc_stripped) if dfs(0, whole, stripped) else None
+    # Depth first over an explicit stack, so deep tilings stay clear of the
+    # recursion limit.  A frame is (used, wq, sq, children, the (size, tile)
+    # step that led to it).
+    root = visit(0, whole, stripped)
+    if root is None:
+        return [], []
+    stack = [(0, whole, stripped, root, None)]
+    while stack:
+        used, wq, sq, children, _ = stack[-1]
+        step = next(children, None)
+        if step is None:
+            stack.pop()
+            continue
+        size, tile = step
+        child = (used | sum(1 << w for w in tile), wq - (size == t), sq - (size == t - 1))
+        below = visit(*child)
+        if below is None:
+            path = [frame[4] for frame in stack[1:]] + [step]
+            return ([tile for size, tile in path if size == t],
+                    [tile for size, tile in path if size == t - 1])
+        stack.append((*child, below, step))
+    return None
 
 
 def clique_tiling_interpolated(g: ColouredGraph, t: int,

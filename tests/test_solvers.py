@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tritile.constructions import (
+    CONSTRUCTIONS,
     badly_coloured_k5,
     ex_bes_1,
     ex_bes_2,
@@ -37,6 +38,7 @@ from tritile.graphs import (
 from tritile.solvers import (
     SolveResult,
     _PackingSearch,
+    _triangle_table,
     clique_tiling_interpolated,
     find_bowtie,
     find_perfect_clique_tiling,
@@ -99,6 +101,15 @@ class TestMixedSolver:
         res = max_mixed_tiling(ex_triangle(48, 42))
         assert res.optimum == 12 and res.proved_optimal
         assert res.nodes_explored == 1
+
+    def test_largest_triangle_list(self):
+        # 15,180 triangles; the greedy seed is optimal and the root bound proves it.
+        g = ex_triangle_alt(48, 47)
+        mixed = max_mixed_tiling(g)
+        assert (mixed.optimum, mixed.proved_optimal, mixed.nodes_explored) == (15, True, 1)
+        single = max_single_colour_tiling(g)
+        assert (single.optimum, single.proved_optimal, single.nodes_explored) == (15, True, 2)
+        assert mixed.tiling.verify(g) and single.tiling.verify(g)
 
     def test_pinned_apex_instance(self):
         g = pinned_apex_colouring(pinned_apex_sizes(18, 15))
@@ -286,6 +297,48 @@ class TestPackingSearchMatchesReference:
                 self.assert_same([t for t in tris if t[3] == c])
 
 
+class TestTriangleTable:
+    """``_triangle_table`` lists ``mono_triangles()`` row for row, in the same order."""
+
+    SWEEP_CELLS = ((24, 20), (24, 22), (24, 23), (36, 30), (36, 35), (48, 47))
+
+    @staticmethod
+    def assert_same(g: ColouredGraph) -> None:
+        assert _triangle_table(g).tolist() == [list(t) for t in g.mono_triangles()]
+
+    def test_random_hosts(self):
+        rng = random.Random(11)
+        for n in [0, 1, 2] + [rng.randint(0, 20) for _ in range(120)]:
+            r = rng.randint(1, 3)
+            density = rng.choice((0.5, 0.8, 1.0))
+            self.assert_same(ColouredGraph(
+                n, r, [(u, v, rng.randrange(r)) for u, v in combinations(range(n), 2)
+                       if rng.random() < density]))
+
+    def test_constructions_in_the_sweep_cells(self):
+        for n, delta in self.SWEEP_CELLS:
+            for build, _ in CONSTRUCTIONS.values():
+                try:
+                    g = build(n, delta)
+                except ValueError:
+                    continue
+                self.assert_same(g)
+            rng = np.random.default_rng(n + delta)
+            self.assert_same(random_min_degree_colouring(n, delta, rng))
+
+    def test_row_count_on_a_large_complete_host(self):
+        g = complete_colouring(200, 2, random.Random(0).getrandbits(200 * 199 // 2))
+        table = _triangle_table(g)
+        assert table.shape == (len(g.mono_triangles()), 4)
+
+    def test_incidence_rows_over_several_blocks(self):
+        # 15,180 triangles on 48 vertices: the incidence scatter takes three blocks.
+        tris = ex_triangle_alt(48, 47).mono_triangles()
+        inc = _PackingSearch(tris, 0).inc
+        assert inc == [sum(1 << i for i, t in enumerate(tris) if v in t[:3])
+                       for v in range(48)]
+
+
 class TestSingleColourSolver:
     SINGLE_EXPECTED = [
         (ex_bes_1, 9, 8, 1),
@@ -336,6 +389,13 @@ class TestPerfectTilings:
     def test_absence_is_proven(self):
         star = ColouredGraph(4, 2, [(0, 1, 0), (0, 2, 0), (0, 3, 0)])
         assert find_perfect_clique_tiling(star, 2) is None
+
+    def test_deep_tiling_stays_off_the_call_stack(self):
+        n = 3003
+        full = (1 << n) - 1
+        g = ColouredGraph._from_masks(n, 1, [[full ^ (1 << v) for v in range(n)]])
+        tiling = find_perfect_clique_tiling(g, 3)
+        assert len(tiling) == 1001 and tiling.verify(g)
 
     def test_validation(self):
         g = complete_colouring(5, 2, 0)
