@@ -543,8 +543,8 @@ def _cmd_experiment(args) -> int:
 # parser and entry points
 
 
-def _seed(text: str) -> int:
-    """The ``--seed`` value; numpy seed sequences take non-negative integers only."""
+def _nonnegative(text: str) -> int:
+    """A seed or a count; numpy seed sequences take non-negative integers only."""
     try:
         value = int(text)
     except ValueError:
@@ -558,7 +558,7 @@ def _seed(text: str) -> int:
 def _build_parser() -> _Parser:
     """The argument parser, built once per process: parsing leaves it unchanged."""
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=_seed, default=0,
+    common.add_argument("--seed", type=_nonnegative, default=0,
                         help="campaign seed (default 0)")
     common.add_argument("--workers", type=int, default=1,
                         help="parallel worker count (default 1)")
@@ -604,9 +604,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", parents=[common],
                        help="run an exhaustive or randomized lemma campaign")
     p.add_argument("--lemma", required=True, choices=LEMMAS)
-    p.add_argument("--samples", type=int, default=None,
+    p.add_argument("--samples", type=_nonnegative, default=None,
                    help="sample count (lemma-k8 extractor subset / k7x2)")
-    p.add_argument("--restarts", type=int, default=None,
+    p.add_argument("--restarts", type=_nonnegative, default=None,
                    help="adversarial restart count (k7x2)")
     p.set_defaults(func=_cmd_verify)
 
@@ -637,9 +637,9 @@ def _build_parser() -> _Parser:
                    help="comma-separated host orders (all >= 25)")
     p.add_argument("--deltas", default=None,
                    help="comma-separated min degrees (default: whole band)")
-    p.add_argument("--samples", type=int, default=2,
+    p.add_argument("--samples", type=_nonnegative, default=2,
                    help="random hosts per cell")
-    p.add_argument("--perturbed", type=int, default=1,
+    p.add_argument("--perturbed", type=_nonnegative, default=1,
                    help="perturbed constructions per cell")
     p.set_defaults(func=_cmd_probe)
 

@@ -11,8 +11,9 @@ Everything a search needs before its first node is built with numpy:
 
 * the triangle table: :func:`_triangle_table` returns the ``(u, v, w, c)``
   rows of :meth:`ColouredGraph.mono_triangles` as one ``(T, 4)`` array, in
-  the same order, from an n x n colour matrix compared one block of first
-  vertices at a time; a single-colour search takes the rows of its colour;
+  the same order, comparing one block of first vertices at a time against
+  the colours among their later neighbours, decoded for that block only; a
+  single-colour search takes the rows of its colour;
 * the incidence rows ``inc[v]``: a boolean (vertex, triangle) scatter,
   one block of triangles at a time, packed little-endian and read into
   one int per vertex, linear in T;
@@ -219,38 +220,60 @@ class _PackingSearch:
 
 
 # Most cells in one block of the numpy set-up: the boolean (vertex, triangle)
-# matrix of the incidence scatter, and the vertex-pair comparisons of
-# _triangle_table.
+# matrix of the incidence scatter, the vertex-pair comparisons of
+# _triangle_table, and the unpacked rows of _colour_rows.
 _BLOCK_CELLS = 1 << 18
+
+
+def _colour_rows(g: ColouredGraph, rows: np.ndarray,
+                 cols: Optional[np.ndarray] = None) -> np.ndarray:
+    """The int8 colours of the edges from ``rows`` to ``cols`` (default: every vertex).
+
+    A non-edge reads -1.  The rows are unpacked from the colour masks a few
+    at a time, so that the working memory beyond the output stays near
+    ``_BLOCK_CELLS`` cells.
+    """
+    n = g.n
+    width = (n + 7) // 8
+    out = np.full((len(rows), n if cols is None else len(cols)), -1, dtype=np.int8)
+    step = max(1, _BLOCK_CELLS // max(1, n))
+    rows = rows.tolist()
+    for lo in range(0, len(rows), step):
+        part = rows[lo:lo + step]
+        for c, masks in enumerate(g.colour_adj):
+            packed = np.frombuffer(b"".join(masks[v].to_bytes(width, "little") for v in part),
+                                   dtype=np.uint8).reshape(len(part), width)
+            bits = np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
+            out[lo:lo + len(part)][bits if cols is None else bits[:, cols]] = c
+    return out
 
 
 def _triangle_table(g: ColouredGraph) -> np.ndarray:
     """Every monochromatic triangle as a ``(T, 4)`` int32 array of ``(u, v, w, c)`` rows.
 
     The rows come in the lexicographic order of :meth:`ColouredGraph.mono_triangles`.
-    The colour rows are decoded once into an n x n colour matrix (-1 for a
-    non-edge); then each block of first vertices ``u`` is compared against
-    the later vertices adjacent to the block, so the working memory stays
-    O(n^2) and a sparse host costs about the sum of its squared degrees.
+    Each block of first vertices ``u`` decodes its own colour rows and the
+    colours among the later vertices adjacent to the block, and compares
+    them, so the working memory is O(block * n + later^2), however large n
+    is, and a sparse host costs about the sum of its squared degrees.  A
+    host of at most 64 vertices is one block.
     """
     n = g.n
-    width = (n + 7) // 8
-    colour = np.full((n, n), -1, dtype=np.int8)
-    for c, rows in enumerate(g.colour_adj):
-        packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in rows),
-                               dtype=np.uint8).reshape(n, width)
-        colour[np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)] = c
     step = max(1, _BLOCK_CELLS // max(1, n * n))
     index = np.arange(n)
     parts = [np.empty((0, 4), dtype=np.int32)]
     for u0 in range(0, n, step):
         us = index[u0:u0 + step]
-        block = colour[us]
+        block = _colour_rows(g, us)
         later = np.flatnonzero((block >= 0).any(0) & (index > u0))
         # uv's colour, or -1 unless v is a later neighbour of u.
         first = np.where(later > us[:, None], block[:, later], -1)
+        if len(later) and later[-1] < u0 + len(us):
+            # The later rows lie inside the block (always, for one block).
+            sub = block[later - u0][:, later]
+        else:
+            sub = _colour_rows(g, later, later)
         # vw's colour on edges with v < w, and -2 elsewhere, which nothing in first matches.
-        sub = colour[later[:, None], later]
         pair = np.where((sub >= 0) & (later[:, None] < later), sub, -2)
         b, i, j = np.nonzero((first[:, :, None] == pair) & (first[:, None, :] == pair))
         parts.append(np.stack([us[b], later[i], later[j], pair[i, j]], axis=1,

@@ -25,7 +25,7 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache, partial
 from itertools import combinations, product
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -227,8 +227,8 @@ def has_mono_pair_sharing_at_most(g: ColouredGraph, shared: int) -> bool:
 
 def max_disjoint_mono_capped(g: ColouredGraph, cap: int = 3) -> int:
     """Size of a largest vertex-disjoint monochromatic-triangle family, capped."""
-    return _max_disjoint_capped([(1 << u) | (1 << v) | (1 << w)
-                                 for u, v, w, _ in g.mono_triangles()], cap)
+    return len(_max_disjoint_capped([(1 << u) | (1 << v) | (1 << w)
+                                     for u, v, w, _ in g.mono_triangles()], cap))
 
 
 def lemma_violated(lemma: str, g: ColouredGraph, extra: Optional[dict] = None) -> bool:
@@ -251,23 +251,30 @@ def lemma_violated(lemma: str, g: ColouredGraph, extra: Optional[dict] = None) -
     raise ValueError(f"unknown lemma {lemma!r}")
 
 
-def _max_disjoint_capped(masks: Sequence[int], cap: int) -> int:
-    best = 0
+def _max_disjoint_capped(masks: Sequence[int], cap: int) -> list[int]:
+    """A largest family of pairwise disjoint ``masks``, cut off at ``cap`` members.
+
+    The family comes in list order, and its length is the capped maximum.
+    """
+    best: list[int] = []
+    chosen: list[int] = []
     k = len(masks)
 
-    def rec(i: int, used: int, depth: int) -> None:
+    def rec(i: int, used: int) -> None:
         nonlocal best
-        if depth > best:
-            best = depth
-        if best >= cap:
+        if len(chosen) > len(best):
+            best = chosen[:]
+        if len(best) >= cap:
             return
         for j in range(i, k):
             if not masks[j] & used:
-                rec(j + 1, used | masks[j], depth + 1)
-                if best >= cap:
+                chosen.append(masks[j])
+                rec(j + 1, used | masks[j])
+                chosen.pop()
+                if len(best) >= cap:
                     return
 
-    rec(0, 0, 0)
+    rec(0, 0)
     return best
 
 
@@ -559,6 +566,8 @@ def verify_lemma_k8(n: int = 8, workers: Optional[int] = None,
     ``extractor_samples`` additionally runs the constructive K8 extractor on
     that many uniformly sampled codes (n=8 only) and counts its failures.
     """
+    if extractor_samples < 0:
+        raise ValueError(f"extractor sample count must be nonnegative, got {extractor_samples}")
     if extractor_samples and n != 8:
         raise ValueError("the extractor subset is defined on the K8 universe")
     start = time.perf_counter()
@@ -640,9 +649,20 @@ K7X2_EDGES = tuple((u, v) for u in range(K7X2_N) for v in range(u + 1, K7X2_N)
                    if (u, v) not in _K7X2_NONEDGES)
 
 
+class _K7x2Tables(NamedTuple):
+    """Fixed incidence tables of the doubled K7 (84 edges, 280 triangles)."""
+
+    tri_edges: np.ndarray       # (280, 3): the edge indices of each triangle
+    vmasks: tuple[int, ...]     # the vertex mask of each triangle
+    tri_index: dict[int, int]   # vertex mask -> triangle index
+    through: np.ndarray         # (84, 10): the triangles through each edge
+    others: np.ndarray          # (84, 10, 2): the other two edges of those triangles
+    weights: np.ndarray         # (84, 14): W[e, u] = 1 << v for the edge e = uv
+    full: np.ndarray            # (14,): each vertex's neighbourhood mask
+
+
 @lru_cache(maxsize=None)
-def _k7x2_tables() -> tuple[np.ndarray, tuple[int, ...]]:
-    """(triangle -> three edge indices) array plus triangle vertex masks."""
+def _k7x2_tables() -> _K7x2Tables:
     index = {e: i for i, e in enumerate(K7X2_EDGES)}
     rows = []
     vmasks = []
@@ -650,7 +670,20 @@ def _k7x2_tables() -> tuple[np.ndarray, tuple[int, ...]]:
         if (a, b) in index and (a, c) in index and (b, c) in index:
             rows.append((index[(a, b)], index[(a, c)], index[(b, c)]))
             vmasks.append((1 << a) | (1 << b) | (1 << c))
-    return np.array(rows, dtype=np.int64), tuple(vmasks)
+    through = [[] for _ in K7X2_EDGES]
+    others = [[] for _ in K7X2_EDGES]
+    for t, tri in enumerate(rows):
+        for e in tri:
+            through[e].append(t)
+            others[e].append([x for x in tri if x != e])
+    weights = np.zeros((len(K7X2_EDGES), K7X2_N), dtype=np.int32)
+    for e, (u, v) in enumerate(K7X2_EDGES):
+        weights[e, u] = 1 << v
+        weights[e, v] = 1 << u
+    return _K7x2Tables(np.array(rows, dtype=np.int64), tuple(vmasks),
+                       {mask: t for t, mask in enumerate(vmasks)},
+                       np.array(through, dtype=np.int64), np.array(others, dtype=np.int64),
+                       weights, weights.sum(axis=0))
 
 
 def k7x2_code(bits: Sequence[int]) -> int:
@@ -661,24 +694,44 @@ def k7x2_bits(code: int) -> np.ndarray:
     return np.frombuffer(_digits(code, 2, len(K7X2_EDGES)), dtype=np.uint8).copy()
 
 
+def _k7x2_hosts(rows: np.ndarray) -> list[ColouredGraph]:
+    """The doubled-K7 host of each 0/1 row of ``rows``, in row order.
+
+    One integer matmul against the (edge, vertex) weights gives every
+    vertex's colour-1 neighbourhood mask; colour 0 holds the rest of the
+    vertex's neighbourhood.
+    """
+    tab = _k7x2_tables()
+    blue = rows @ tab.weights
+    return [ColouredGraph._from_masks(K7X2_N, 2, pair)
+            for pair in np.stack([tab.full ^ blue, blue], axis=1).tolist()]
+
+
 def k7x2_graph(bits: Sequence[int]) -> ColouredGraph:
-    rows = [[0] * K7X2_N for _ in range(2)]
-    for k, (u, v) in enumerate(K7X2_EDGES):
-        c = int(bits[k])
-        rows[c][u] |= 1 << v
-        rows[c][v] |= 1 << u
-    return ColouredGraph._from_masks(K7X2_N, 2, rows)
+    """The doubled K7 whose edge ``K7X2_EDGES[k]`` has colour ``bits[k]``."""
+    row = np.asarray(bits)
+    if row.shape != (len(K7X2_EDGES),) or not ((row == 0) | (row == 1)).all():
+        raise ValueError(f"a doubled-K7 colouring is {len(K7X2_EDGES)} bits of 0 or 1")
+    return _k7x2_hosts(row[None, :])[0]
 
 
-def _k7x2_mono_vmasks(bits: np.ndarray) -> list[int]:
-    tri_edges, vmasks = _k7x2_tables()
-    sums = bits[tri_edges].sum(axis=1)
-    return [vmasks[i] for i in np.flatnonzero((sums == 0) | (sums == 3))]
+def _k7x2_mono(bits: np.ndarray) -> np.ndarray:
+    """Indices of the monochromatic triangles, in triangle order."""
+    sums = bits[_k7x2_tables().tri_edges].sum(axis=1)
+    return np.flatnonzero((sums == 0) | (sums == 3))
 
 
 def _k7x2_objective(bits: np.ndarray) -> tuple[int, int]:
-    monos = _k7x2_mono_vmasks(bits)
-    return _max_disjoint_capped(monos, 3), len(monos)
+    vmasks = _k7x2_tables().vmasks
+    monos = [vmasks[t] for t in _k7x2_mono(bits)]
+    return len(_max_disjoint_capped(monos, 3)), len(monos)
+
+
+# Random colourings are drawn _K7X2_DRAW rows per rng call and turned into
+# hosts _K7X2_HOSTS rows at a time, so that a batch's matmul temporaries and
+# host objects stay well under 1 MB.
+_K7X2_DRAW = 10_000
+_K7X2_HOSTS = 256
 
 
 def _k7x2_sample_task(args: tuple) -> tuple[list[int], list[int]]:
@@ -686,57 +739,73 @@ def _k7x2_sample_task(args: tuple) -> tuple[list[int], list[int]]:
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, chunk_index)))
     violations: list[int] = []
     extractor_fails: list[int] = []
-    step = 10_000
-    done = 0
-    while done < count:
-        rows = rng.integers(0, 2, size=(min(step, count - done), len(K7X2_EDGES)),
+    for done in range(0, count, _K7X2_DRAW):
+        rows = rng.integers(0, 2, size=(min(_K7X2_DRAW, count - done), len(K7X2_EDGES)),
                             dtype=np.uint8)
-        for row in rows:
-            if not _extracts(extract_three_disjoint_k7x2, k7x2_graph(row)):
-                code = k7x2_code(row)
-                extractor_fails.append(code)
-                # Classify independently: the lemma itself only fails when no
-                # three disjoint mono triangles exist at all.
-                if _k7x2_objective(row)[0] < 3:
-                    violations.append(code)
-        done += len(rows)
+        for lo in range(0, len(rows), _K7X2_HOSTS):
+            batch = rows[lo:lo + _K7X2_HOSTS]
+            for row, g in zip(batch, _k7x2_hosts(batch)):
+                if not _extracts(extract_three_disjoint_k7x2, g):
+                    code = k7x2_code(row)
+                    extractor_fails.append(code)
+                    # Classify independently: the lemma itself only fails when no
+                    # three disjoint mono triangles exist at all.
+                    if _k7x2_objective(row)[0] < 3:
+                        violations.append(code)
     return violations, extractor_fails
 
 
-def _k7x2_adversarial_task(args: tuple) -> tuple[int, int, list[int]]:
+def _k7x2_adversarial_task(args: tuple, cap: int = 3) -> tuple[int, int, list[int]]:
+    """One steepest-descent restart; see :func:`verify_k7_blowup` for the argument.
+
+    The floor is the packing size capped at ``cap``; the lemma's cap is 3.
+    """
     restart_index, seed, max_steps = args
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, restart_index)))
-    tri_edges, vmasks = _k7x2_tables()
+    tab = _k7x2_tables()
     m = len(K7X2_EDGES)
     bits = rng.integers(0, 2, size=m, dtype=np.uint8)
-    current = _k7x2_objective(bits)
+    mono = set(_k7x2_mono(bits).tolist())
+    packing = _max_disjoint_capped([tab.vmasks[t] for t in sorted(mono)], cap)
+    current = (len(packing), len(mono))
     evaluated = 1
     min_floor = current[0]
     violations: list[int] = []
-    if current[0] < 3:
+    if current[0] < cap:
         violations.append(k7x2_code(bits))
     for _ in range(max_steps):
-        flips = np.tile(bits, (m, 1))
-        flips[np.arange(m), np.arange(m)] ^= 1
-        sums = flips[:, tri_edges].sum(axis=2)
-        mono = (sums == 0) | (sums == 3)
-        mono_counts = mono.sum(axis=1)
-        best: Optional[tuple[int, int]] = None
-        best_flip = -1
-        for f in range(m):
-            floor = _max_disjoint_capped(
-                [vmasks[i] for i in np.flatnonzero(mono[f])], 3)
-            cand = (floor, int(mono_counts[f]))
-            if best is None or cand < best:
-                best = cand
-                best_flip = f
-        if best is None or best >= current:
+        # Flipping edge f toggles exactly the triangles through f whose other
+        # two edges agree; those are mono afterwards when they differ from f.
+        a, b = bits[tab.others[..., 0]], bits[tab.others[..., 1]]
+        agree = a == b
+        counts = len(mono) + 2 * (agree & (a != bits[:, None])).sum(axis=1) - agree.sum(axis=1)
+        floors = np.full(m, cap)
+        packings: dict[int, list[int]] = {}
+        if len(packing) == cap:
+            search = tab.tri_edges[[tab.tri_index[t] for t in packing]].ravel().tolist()
+        else:
+            search = range(m)
+        for f in search:
+            toggled = tab.through[f][agree[f]].tolist()
+            kept = [t for t in packing if tab.tri_index[t] not in toggled]
+            found = _max_disjoint_capped(
+                kept + [tab.vmasks[t] for t in mono.symmetric_difference(toggled)], cap)
+            floors[f] = len(found)
+            packings[f] = found
+        # First strict minimum of (floor, count) in edge order; counts < 1024.
+        f = int(np.argmin(floors * 1024 + counts))
+        best = (int(floors[f]), int(counts[f]))
+        if best >= current:
             break
-        bits[best_flip] ^= 1
+        mono.symmetric_difference_update(tab.through[f][agree[f]].tolist())
+        bits[f] ^= 1
+        packing = packings.get(f, packing)
+        # The skipped flips above rely on every triangle of P being mono.
+        _confirm(all(tab.tri_index[t] in mono for t in packing), "a descent's kept packing")
         current = best
         evaluated += 1
         min_floor = min(min_floor, current[0])
-        if current[0] < 3:
+        if current[0] < cap:
             violations.append(k7x2_code(bits))
     return evaluated, min_floor, violations
 
@@ -755,9 +824,25 @@ def verify_k7_blowup(samples: int = 1_000_000, adversarial_restarts: int = 1_000
     state whose packing dips below three.  Violations are genuine lemma
     counterexamples, re-confirmed by the slow packing check; extractor
     failures on non-violating states are reported separately in ``extra``.
+    Each restart takes at most ``plateau_steps`` steps.
+
+    A descent step does not search every flip.  It keeps a largest capped
+    packing P of the current state.  Flipping edge e changes the mono status
+    of the ten triangles through e and of no other triangle.  The triangles
+    of P are vertex-disjoint, so no two of them share an edge.  Hence when
+    |P| = 3 and e is none of P's nine edges, all of P stays mono after the
+    flip, and that flip's floor is 3, the cap, with no search.  Only the
+    flips of P's edges (every flip, when |P| < 3) are searched, and each
+    search returns the packing that becomes P if its flip is taken.  Each
+    flip's mono count is the current count plus the changes among the ten
+    triangles through its edge.  So every flip gets the (floor, count) that
+    a full search would give, and the step taken, the first strict minimum
+    in edge order, is the same.
     """
     if samples < 0 or adversarial_restarts < 0:
         raise ValueError("sample and restart counts must be nonnegative")
+    if plateau_steps < 0:
+        raise ValueError(f"plateau step count must be nonnegative, got {plateau_steps}")
     if chunk_size < 1:
         raise ValueError(f"chunk size must be positive, got {chunk_size}")
     start = time.perf_counter()

@@ -77,6 +77,18 @@ class TestSeedFlag:
         assert len(err) == 1 and err[0].startswith("error: argument --seed: ")
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["verify", "--lemma", "lemma-k8", "--samples", "-5"], "--samples"),
+        (["verify", "--lemma", "k7x2", "--samples", "-1", "--restarts", "1"], "--samples"),
+        (["verify", "--lemma", "k7x2", "--samples", "10", "--restarts", "-1"], "--restarts"),
+        (["probe", "--n", "25", "--deltas", "21", "--perturbed", "-1"], "--perturbed"),
+    ])
+    def test_negative_count_is_one_error_line(self, tmp_path, monkeypatch, capsys, argv, flag):
+        # Rejected by the parser, before lemma-k8 would scan its 2^27 codes.
+        assert run_in(tmp_path, monkeypatch, argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: argument {flag}: ")
+
 
 class TestSolveAndTile:
     @pytest.fixture()

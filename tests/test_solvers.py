@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from itertools import combinations
 from typing import Sequence
 
@@ -330,6 +331,29 @@ class TestTriangleTable:
         g = complete_colouring(200, 2, random.Random(0).getrandbits(200 * 199 // 2))
         table = _triangle_table(g)
         assert table.shape == (len(g.mono_triangles()), 4)
+
+    def test_hosts_over_several_blocks(self):
+        # Above 64 vertices the first vertices come in blocks, and a block's
+        # later vertices reach past it; 600 vertices are one vertex per block.
+        rng = random.Random(5)
+        for n, r, density in ((65, 2, 1.0), (90, 3, 0.6), (600, 2, 0.02)):
+            self.assert_same(ColouredGraph(
+                n, r, [(u, v, rng.randrange(r)) for u, v in combinations(range(n), 2)
+                       if rng.random() < density]))
+
+    def test_sparse_host_stays_small(self):
+        # 1,000 disjoint red triangles: an n x n matrix of 3,000 vertices
+        # would take 9 MB.
+        g = ColouredGraph(3000, 2, [(3 * k + a, 3 * k + b, 0) for k in range(1000)
+                                    for a, b in ((0, 1), (0, 2), (1, 2))])
+        tracemalloc.start()
+        try:
+            res = max_mixed_tiling(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (res.optimum, res.proved_optimal) == (1000, True)
+        assert peak <= 4_000_000
 
     def test_incidence_rows_over_several_blocks(self):
         # 15,180 triangles on 48 vertices: the incidence scatter takes three blocks.

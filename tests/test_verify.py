@@ -11,10 +11,13 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from helpers import oracle_max_packing, small_graphs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tritile.graphs import AnomalyError, colouring_code, complete_colouring
+from tritile import verifiers
+from tritile.graphs import AnomalyError, ColouredGraph, colouring_code, complete_colouring
+from tritile.proofs import extract_three_disjoint_k7x2
 from tritile.verifiers import (
     AUDIT_INSTANCES,
     K7X2_EDGES,
@@ -39,9 +42,14 @@ from tritile.verifiers import (
     bowtie_extraction_holds,
     _bowtie_sweep,
     _confirm_witnesses,
+    _extracts,
     _fewer_mono,
     _has_mono_clique,
+    _k7x2_adversarial_task,
+    _k7x2_hosts,
     _k7x2_objective,
+    _k7x2_tables,
+    _max_disjoint_capped,
     _no_mono_pair,
     _ramsey_codes,
     _run_scan,
@@ -285,6 +293,146 @@ class TestDoubledK7Campaign:
         rep = verify_k7_blowup(samples=50, adversarial_restarts=0, workers=1)
         assert rep.mode == "randomized"
         assert rep.checked == 50
+
+    def test_negative_counts_are_rejected_up_front(self):
+        with pytest.raises(ValueError, match="plateau step count"):
+            verify_k7_blowup(samples=1, adversarial_restarts=1, plateau_steps=-1)
+        with pytest.raises(ValueError, match="extractor sample count"):
+            verify_lemma_k8(extractor_samples=-5)
+
+
+# The doubled-K7 tasks as they were before witness reuse and batched hosts:
+# every descent step searches all 84 flips, and every sampled host is built
+# one edge at a time.
+
+
+def reference_capped_count(masks, cap):
+    best = 0
+
+    def rec(i, used, depth):
+        nonlocal best
+        best = max(best, depth)
+        if best >= cap:
+            return
+        for j in range(i, len(masks)):
+            if not masks[j] & used:
+                rec(j + 1, used | masks[j], depth + 1)
+                if best >= cap:
+                    return
+
+    rec(0, 0, 0)
+    return best
+
+
+def reference_k7x2_graph(bits):
+    return ColouredGraph(14, 2, [(u, v, int(c)) for (u, v), c in zip(K7X2_EDGES, bits)])
+
+
+def reference_objective(bits, cap=3):
+    tab = _k7x2_tables()
+    sums = bits[tab.tri_edges].sum(axis=1)
+    monos = [tab.vmasks[i] for i in np.flatnonzero((sums == 0) | (sums == 3))]
+    return reference_capped_count(monos, cap), len(monos)
+
+
+def reference_sample_task(args):
+    chunk_index, count, seed = args
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, chunk_index)))
+    violations, fails = [], []
+    done = 0
+    while done < count:
+        rows = rng.integers(0, 2, size=(min(10_000, count - done), len(K7X2_EDGES)),
+                            dtype=np.uint8)
+        for row in rows:
+            if not _extracts(extract_three_disjoint_k7x2, reference_k7x2_graph(row)):
+                fails.append(k7x2_code(row))
+                if reference_objective(row)[0] < 3:
+                    violations.append(k7x2_code(row))
+        done += len(rows)
+    return violations, fails
+
+
+def reference_adversarial_task(args, cap=3):
+    restart_index, seed, max_steps = args
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, restart_index)))
+    tab = _k7x2_tables()
+    m = len(K7X2_EDGES)
+    bits = rng.integers(0, 2, size=m, dtype=np.uint8)
+    current = reference_objective(bits, cap)
+    evaluated, min_floor = 1, current[0]
+    violations = [k7x2_code(bits)] if current[0] < cap else []
+    for _ in range(max_steps):
+        flips = np.tile(bits, (m, 1))
+        flips[np.arange(m), np.arange(m)] ^= 1
+        sums = flips[:, tab.tri_edges].sum(axis=2)
+        mono = (sums == 0) | (sums == 3)
+        best, best_flip = None, -1
+        for f in range(m):
+            cand = (reference_capped_count([tab.vmasks[i] for i in np.flatnonzero(mono[f])], cap),
+                    int(mono[f].sum()))
+            if best is None or cand < best:
+                best, best_flip = cand, f
+        if best >= current:
+            break
+        bits[best_flip] ^= 1
+        current = best
+        evaluated += 1
+        min_floor = min(min_floor, current[0])
+        if current[0] < cap:
+            violations.append(k7x2_code(bits))
+    return evaluated, min_floor, violations
+
+
+class TestDoubledK7MatchesReference:
+    def test_batched_hosts_match_the_per_edge_builder(self):
+        rows = np.random.default_rng(21).integers(0, 2, size=(300, len(K7X2_EDGES)),
+                                                  dtype=np.uint8)
+        rows[0], rows[1] = 0, 1
+        for row, g in zip(rows, _k7x2_hosts(rows)):
+            ref = reference_k7x2_graph(row)
+            for h in (g, k7x2_graph(row)):
+                assert h == ref
+                assert (h.adj, h.edge_count, hash(h)) == (ref.adj, ref.edge_count, hash(ref))
+
+    @pytest.mark.parametrize("bits", [[0] * 83, [0] * 83 + [2], [1] * 85])
+    def test_host_builder_rejects_malformed_bits(self, bits):
+        with pytest.raises(ValueError, match="84 bits"):
+            k7x2_graph(bits)
+
+    @pytest.mark.parametrize("seed", [0, 1, 11])
+    @pytest.mark.parametrize("plateau_steps", [0, 1, 10_000])
+    def test_reports_match_the_reference_tasks(self, monkeypatch, seed, plateau_steps):
+        kwargs = dict(samples=300, adversarial_restarts=3, plateau_steps=plateau_steps,
+                      seed=seed, workers=1, chunk_size=120)
+        report = verify_k7_blowup(**kwargs).comparable()
+        monkeypatch.setattr(verifiers, "_k7x2_sample_task", reference_sample_task)
+        monkeypatch.setattr(verifiers, "_k7x2_adversarial_task", reference_adversarial_task)
+        assert report == verify_k7_blowup(**kwargs).comparable()
+
+    def test_descents_at_other_caps_match_the_reference(self):
+        # No packing reaches 5 on 14 vertices, so at cap 5 every flip is
+        # searched and every state is a violation; at cap 4 the descents
+        # stay at the cap and search only the packing's edges.
+        low = _k7x2_adversarial_task((0, 0, 2), cap=5)
+        assert low[0] == len(low[2]) == 3
+        assert low == reference_adversarial_task((0, 0, 2), cap=5)
+        for args in ((0, 1, 10_000), (1, 1, 10_000)):
+            assert _k7x2_adversarial_task(args, cap=4) == reference_adversarial_task(args, cap=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(max_n=10), st.integers(min_value=0, max_value=4))
+def test_capped_search_returns_a_largest_disjoint_family(g, cap):
+    tris = g.mono_triangles()
+    masks = [(1 << u) | (1 << v) | (1 << w) for u, v, w, _ in tris]
+    packing = _max_disjoint_capped(masks, cap)
+    assert len(packing) == min(cap, oracle_max_packing(tris)) == reference_capped_count(masks, cap)
+    rest = iter(masks)
+    assert all(t in rest for t in packing)
+    used = 0
+    for t in packing:
+        assert not t & used
+        used |= t
 
 
 def reference_has_mono_clique(g, ell):
