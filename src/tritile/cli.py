@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from tritile import __version__
 from tritile.constructions import (
     CONSTRUCTIONS,
     badly_coloured_k5,
@@ -673,7 +674,11 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except AnomalyError as exc:
         path = getattr(args, "witness", None) or "anomaly-witness.json"
-        dump = {"schema": SCHEMA, "anomaly": str(exc), "detail": exc.detail}
+        # Where the anomaly came from: the release, the command line, the seed.
+        dump = {"schema": SCHEMA, "anomaly": str(exc), "detail": exc.detail,
+                "version": __version__,
+                "argv": list(sys.argv[1:] if argv is None else argv),
+                "seed": getattr(args, "seed", None)}
         if exc.graph is not None:
             dump["graph"] = to_json_dict(exc.graph)
         with open(path, "w", encoding="ascii") as fh:

@@ -248,22 +248,42 @@ def _colour_rows(g: ColouredGraph, rows: np.ndarray,
     return out
 
 
+def _table_blocks(g: ColouredGraph) -> Iterator[tuple[int, int]]:
+    """The blocks ``[u0, u1)`` of first vertices that :func:`_triangle_table` takes.
+
+    A block grows while its size times its squared count of later
+    neighbours (the vertices above u0 adjacent to the block), and its size
+    times n, stay within ``_BLOCK_CELLS``; it always takes one vertex.
+    """
+    n, adj = g.n, g.adj
+    most = max(1, _BLOCK_CELLS // max(1, n))
+    u0 = 0
+    while u0 < n:
+        near, u1 = adj[u0], u0 + 1
+        while u1 < n and u1 - u0 < most:
+            wider = near | adj[u1]
+            if (u1 - u0 + 1) * (wider >> (u0 + 1)).bit_count() ** 2 > _BLOCK_CELLS:
+                break
+            near, u1 = wider, u1 + 1
+        yield u0, u1
+        u0 = u1
+
+
 def _triangle_table(g: ColouredGraph) -> np.ndarray:
     """Every monochromatic triangle as a ``(T, 4)`` int32 array of ``(u, v, w, c)`` rows.
 
     The rows come in the lexicographic order of :meth:`ColouredGraph.mono_triangles`.
     Each block of first vertices ``u`` decodes its own colour rows and the
     colours among the later vertices adjacent to the block, and compares
-    them, so the working memory is O(block * n + later^2), however large n
-    is, and a sparse host costs about the sum of its squared degrees.  A
-    host of at most 64 vertices is one block.
+    them, so the working memory is O(block * n + block * later^2), however
+    large n is, and a sparse host costs about the sum of its squared
+    degrees.  A host of at most 64 vertices is one block.
     """
     n = g.n
-    step = max(1, _BLOCK_CELLS // max(1, n * n))
     index = np.arange(n)
     parts = [np.empty((0, 4), dtype=np.int32)]
-    for u0 in range(0, n, step):
-        us = index[u0:u0 + step]
+    for u0, u1 in _table_blocks(g):
+        us = index[u0:u1]
         block = _colour_rows(g, us)
         later = np.flatnonzero((block >= 0).any(0) & (index > u0))
         # uv's colour, or -1 unless v is a later neighbour of u.

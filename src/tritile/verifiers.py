@@ -63,7 +63,7 @@ MODE_EXHAUSTIVE = "exhaustive"
 MODE_RANDOMIZED = "randomized"
 MODE_ADVERSARIAL = "adversarial"
 
-_CHUNK = 1 << 20
+_CHUNK = 1 << 14
 _TASK_SIZE = 1 << 22
 _CHECK_TASK_SIZE = 1 << 12
 
@@ -278,25 +278,6 @@ def _max_disjoint_capped(masks: Sequence[int], cap: int) -> list[int]:
     return best
 
 
-def enumerate_colourings(n: int, r: int,
-                         visitor: Callable[[int, ColouredGraph], None],
-                         lo: int = 0, hi: Optional[int] = None) -> int:
-    """Call ``visitor(code, graph)`` for every complete colouring in ``[lo, hi)``.
-
-    Plain-python reference enumeration; the vectorised scans below are the
-    hot path and are cross-checked against this one in the tests.  Returns
-    the number of colourings visited.
-    """
-    total = r ** _edge_count_or_raise(n)
-    if hi is None:
-        hi = total
-    if not 0 <= lo <= hi <= total:
-        raise ValueError(f"code range [{lo}, {hi}) outside universe 0..{total}")
-    for code in range(lo, hi):
-        visitor(code, complete_colouring(n, r, code))
-    return hi - lo
-
-
 def _confirm(cond: bool, what: str, g: Optional[ColouredGraph] = None) -> None:
     if not cond:
         raise AnomalyError(f"vector scan and slow recheck disagree on {what}",
@@ -305,57 +286,130 @@ def _confirm(cond: bool, what: str, g: Optional[ColouredGraph] = None) -> None:
 
 # --------------------------------------------------------------------------
 # scan engine over edge codes (r = 2)
+#
+# The kernels work on slice tables.  A code's E edge bits are cut into
+# near-equal slices of at most _SLICE_BITS bits.  For slice k and each value
+# x of its bits, zero_k[x] marks the cliques whose edges inside the slice
+# are all 0 in x, and one_k[x] those whose edges there are all 1; a clique
+# with no edge in the slice is marked in both.  A clique is red exactly
+# when it is marked in zero_k[slice k of the code] for every k, so the red
+# bitmap is the AND of one gather per slice, and likewise blue.  The pair
+# test works the same way on triangle bitmaps: the partner set of a bitmap
+# is the union of its triangles' partner masks, hence the OR of one gather
+# per slice of the bitmap from tables of partial unions.  K7 takes two
+# gathers per colour and three for the pair test.  Codes go through the
+# kernels _CHUNK at a time, so that a chunk's half-dozen arrays (128 KB
+# each) and the tables (at most 32 KB each) stay in a core's cache between
+# steps.  The chunk size moves no task boundary, so reports do not depend
+# on it.
+
+_SLICE_BITS = 12
 
 
-@lru_cache(maxsize=None)
-def _clique_edge_masks(n: int, ell: int) -> tuple[int, ...]:
-    """Edge bitmask of every K_ell, in ``combinations(range(n), ell)`` order."""
-    index = {e: i for i, e in enumerate(lex_edges(n))}
-    out = []
-    for verts in combinations(range(n), ell):
-        m = 0
-        for u, v in combinations(verts, 2):
-            m |= 1 << index[(u, v)]
-        out.append(m)
-    return tuple(out)
+def _slices(bits: int) -> tuple[tuple[int, int], ...]:
+    """(shift, width) of each slice when ``bits`` bits are cut into near-equal slices.
 
-
-@lru_cache(maxsize=None)
-def _overlap_masks(n: int, lo: int, hi: int) -> tuple[int, ...]:
-    """For triangle ``t``, the bitmask of the other triangles meeting it in lo..hi vertices.
-
-    Triangles are numbered in ``combinations(range(n), 3)`` order, the bit
-    order of :func:`_colour_bits`.
+    There is always at least one slice, of width 0 when ``bits`` is 0.
     """
-    sets = [frozenset(t) for t in combinations(range(n), 3)]
     out = []
-    for a in sets:
-        m = 0
-        for j, b in enumerate(sets):
-            if b != a and lo <= len(a & b) <= hi:
-                m |= 1 << j
-        out.append(m)
+    shift = 0
+    for left in range(max(1, -(-bits // _SLICE_BITS)), 0, -1):
+        width = -(-(bits - shift) // left)
+        out.append((shift, width))
+        shift += width
     return tuple(out)
+
+
+def _pack_words(flags: np.ndarray) -> np.ndarray:
+    """Read-only (words, rows) uint64 array whose row bits are the columns of ``flags``.
+
+    The tables are cached and shared by every caller, hence read-only.
+    """
+    rows, cols = flags.shape
+    padded = np.zeros((rows, 64 * max(1, -(-cols // 64))), dtype=bool)
+    padded[:, :cols] = flags
+    packed = np.packbits(padded, axis=1, bitorder="little").view("<u8")
+    out = np.ascontiguousarray(packed.T, dtype=np.uint64)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def _clique_tables(n: int, ell: int) -> tuple[tuple[tuple[int, int], ...],
+                                               tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """The code slices of K_n, and per slice the tables zero_k and one_k of its K_ell.
+
+    Clique j is bit j in ``combinations(range(n), ell)`` order: a table is a
+    (words, 2^width) array whose row w holds bits 64w..64w+63, with at
+    least one word.
+    """
+    index = {e: i for i, e in enumerate(lex_edges(n))}
+    masks = np.array([sum(1 << index[e] for e in combinations(verts, 2))
+                      for verts in combinations(range(n), ell)], dtype=np.uint64)
+    slices = _slices(len(index))
+    zero, one = [], []
+    for shift, width in slices:
+        part = (masks >> np.uint64(shift)) & np.uint64((1 << width) - 1)
+        sub = np.arange(1 << width, dtype=np.uint64)[:, None] & part
+        zero.append(_pack_words(sub == 0))
+        one.append(_pack_words(sub == part))
+    return slices, tuple(zero), tuple(one)
+
+
+@lru_cache(maxsize=None)
+def _partner_tables(n: int, lo: int, hi: int
+                    ) -> tuple[tuple[tuple[int, int], ...], tuple[np.ndarray, ...]]:
+    """The slices of a K_n triangle bitmap, and per slice its partner unions.
+
+    Triangle t's partners are the other triangles meeting it in lo..hi
+    vertices; ``table[x]`` is the union of the partners of the triangles
+    ``shift + b`` over the set bits b of x.
+    """
+    tris = np.array(list(combinations(range(n), 3)), dtype=np.int64).reshape(-1, 3)
+    incidence = (tris[:, :, None] == np.arange(n)).sum(axis=1)
+    meet = incidence @ incidence.T
+    partners = _pack_words((lo <= meet) & (meet <= hi) & ~np.eye(len(tris), dtype=bool))[0]
+    slices = _slices(len(tris))
+    tables = []
+    for shift, width in slices:
+        table = np.zeros(1, dtype=np.uint64)
+        for p in partners[shift:shift + width]:
+            table = np.concatenate([table, table | p])
+        table.flags.writeable = False
+        tables.append(table)
+    return slices, tuple(tables)
+
+
+def _gather(bits: np.ndarray, slices: Sequence[tuple[int, int]], op: np.ufunc,
+            pairs: Sequence[tuple[Sequence[np.ndarray], np.ndarray]]) -> None:
+    """For each ``(tables, out)``: out = ``op`` over k of ``tables[k][slice k of bits]``."""
+    idx = np.empty_like(bits)
+    part = np.empty_like(bits)
+    for k, (shift, width) in enumerate(slices):
+        np.right_shift(bits, np.uint64(shift), out=idx)
+        np.bitwise_and(idx, np.uint64((1 << width) - 1), out=idx)
+        for tables, out in pairs:
+            # mode="clip" lets take write straight into ``out``; the
+            # indices are in range, so it never clips.
+            np.take(tables[k], idx.view(np.int64), out=part if k else out, mode="clip")
+            if k:
+                op(out, part, out=out)
+
+
+def _clique_bits(codes: np.ndarray, n: int, ell: int, word: int = 0
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Red and blue bitmaps of the K_ell numbered 64 * word to 64 * word + 63."""
+    slices, zero, one = _clique_tables(n, ell)
+    red = np.empty_like(codes)
+    blue = np.empty_like(codes)
+    _gather(codes, slices, np.bitwise_and,
+            (([z[word] for z in zero], red), ([o[word] for o in one], blue)))
+    return red, blue
 
 
 def _colour_bits(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Red and blue triangle bitmaps: bit ``t`` marks triangle ``t`` red (blue).
-
-    Every step writes into a preallocated buffer, so a chunk costs the two
-    bitmaps, one scratch word and one flag per code.
-    """
-    red = np.zeros_like(codes)
-    blue = np.zeros_like(codes)
-    sub = np.empty_like(codes)
-    hit = np.empty(codes.shape, dtype=bool)
-    for t, m in enumerate(_clique_edge_masks(n, 3)):
-        mm, bit = np.uint64(m), np.uint64(1 << t)
-        np.bitwise_and(codes, mm, out=sub)
-        np.equal(sub, 0, out=hit)
-        np.bitwise_or(red, bit, out=red, where=hit)
-        np.equal(sub, mm, out=hit)
-        np.bitwise_or(blue, bit, out=blue, where=hit)
-    return red, blue
+    """Red and blue triangle bitmaps: bit ``t`` marks triangle ``t`` red (blue)."""
+    return _clique_bits(codes, n, 3)
 
 
 def _mono_bits(codes: np.ndarray, n: int) -> np.ndarray:
@@ -363,23 +417,14 @@ def _mono_bits(codes: np.ndarray, n: int) -> np.ndarray:
     return np.bitwise_or(red, blue, out=red)
 
 
-def _pair_hits(first: np.ndarray, second: np.ndarray,
-               partners: Sequence[int]) -> np.ndarray:
-    """True where some triangle ``t`` of ``first`` has a ``partners[t]`` triangle in ``second``."""
-    out = np.zeros(first.shape, dtype=bool)
-    scratch = np.empty_like(first)
-    has = np.empty(first.shape, dtype=bool)
-    meets = np.empty(first.shape, dtype=bool)
-    for t, pm in enumerate(partners):
-        if not pm:
-            continue
-        np.bitwise_and(first, np.uint64(1 << t), out=scratch)
-        np.not_equal(scratch, 0, out=has)
-        np.bitwise_and(second, np.uint64(pm), out=scratch)
-        np.not_equal(scratch, 0, out=meets)
-        np.logical_and(has, meets, out=has)
-        np.logical_or(out, has, out=out)
-    return out
+def _pair_hits(first: np.ndarray, second: np.ndarray, n: int, lo: int, hi: int
+               ) -> np.ndarray:
+    """True where a triangle of ``first`` meets another of ``second`` in lo..hi vertices."""
+    slices, tables = _partner_tables(n, lo, hi)
+    partners = np.empty_like(first)
+    _gather(first, slices, np.bitwise_or, ((tables, partners),))
+    np.bitwise_and(partners, second, out=partners)
+    return partners != 0
 
 
 # Vector filters: ``filt(codes, n)`` flags codes; extra parameters are bound
@@ -401,13 +446,13 @@ def _fewer_mono(codes: np.ndarray, n: int, k: int) -> np.ndarray:
 def _no_mono_pair(codes: np.ndarray, n: int, share: int) -> np.ndarray:
     """Codes without two mono triangles meeting in at most ``share`` vertices."""
     mono = _mono_bits(codes, n)
-    return ~_pair_hits(mono, mono, _overlap_masks(n, 0, share))
+    return ~_pair_hits(mono, mono, n, 0, share)
 
 
 def _split_pair(codes: np.ndarray, n: int, share: int) -> np.ndarray:
     """Codes with a red and a blue triangle meeting in exactly ``share`` vertices."""
     red, blue = _colour_bits(codes, n)
-    return _pair_hits(red, blue, _overlap_masks(n, share, share))
+    return _pair_hits(red, blue, n, share, share)
 
 
 def _code_chunks(lo: int, hi: int, shift: int = 0, low: int = 0):
@@ -889,14 +934,15 @@ def _first_clique_free_code(n: int, r: int, ell: int, codes) -> Optional[int]:
     For two colours ``codes`` yields numpy chunks, otherwise plain ints.
     """
     if r == 2:
-        masks = _clique_edge_masks(n, ell)
+        _, zero, _ = _clique_tables(n, ell)
+        words = len(zero[0])
         for chunk in codes:
-            ok = np.zeros(chunk.shape, dtype=bool)
-            for m in masks:
-                mm = np.uint64(m)
-                sub = chunk & mm
-                ok |= (sub == 0) | (sub == mm)
-            viol = np.flatnonzero(~ok)
+            mono = np.zeros(chunk.shape, dtype=bool)
+            for word in range(words):
+                red, blue = _clique_bits(chunk, n, ell, word)
+                np.bitwise_or(red, blue, out=red)
+                np.logical_or(mono, red != 0, out=mono)
+            viol = np.flatnonzero(~mono)
             if viol.size:
                 return int(chunk[viol[0]])
         return None

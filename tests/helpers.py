@@ -1,6 +1,9 @@
-"""Shared test utilities: small random graphs and a brute-force packing oracle."""
+"""Shared test utilities: small random graphs, a plain enumeration of complete
+colourings, and a brute-force packing oracle."""
 
 from __future__ import annotations
+
+from typing import Callable, Optional
 
 from hypothesis import strategies as st
 
@@ -38,3 +41,21 @@ def oracle_max_packing(triangles: list[Triangle]) -> int:
 
     rec(0, 0, 0)
     return best
+
+
+def enumerate_colourings(n: int, r: int,
+                         visitor: Callable[[int, ColouredGraph], None],
+                         lo: int = 0, hi: Optional[int] = None) -> int:
+    """Call ``visitor(code, graph)`` for every complete colouring in ``[lo, hi)``.
+
+    The plain-python reference enumeration that the vector scans are
+    cross-checked against.  Returns the number of colourings visited.
+    """
+    total = r ** (n * (n - 1) // 2)
+    if hi is None:
+        hi = total
+    if not 0 <= lo <= hi <= total:
+        raise ValueError(f"code range [{lo}, {hi}) outside universe 0..{total}")
+    for code in range(lo, hi):
+        visitor(code, complete_colouring(n, r, code))
+    return hi - lo

@@ -59,7 +59,6 @@ def test_criterion_02_every_k7_colouring_has_a_pair_sharing_at_most_one():
           f"{rep.elapsed:.1f}s single-threaded")
 
 
-@pytest.mark.slow
 def test_criterion_03_every_k8_colouring_has_two_disjoint_mono_triangles():
     rep = verify_lemma_k8(workers=4, extractor_samples=100_000, seed=0)
     assert rep.universe_size == 1 << 28

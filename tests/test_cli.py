@@ -273,6 +273,21 @@ class TestAnomalyExit:
         assert doc["graph"]["n"] == 6
         capsys.readouterr()
 
+    def test_anomaly_dump_names_version_argv_and_seed(self, tmp_path, monkeypatch, capsys):
+        from tritile import __version__
+        from tritile.graphs import AnomalyError
+
+        def boom(*args, **kwargs):
+            raise AnomalyError("manufactured failure")
+
+        monkeypatch.setattr(cli, "verify_k7_blowup", boom)
+        argv = ["verify", "--lemma", "k7x2", "--samples", "5", "--seed", "17",
+                "--witness", "dump.json"]
+        assert run_in(tmp_path, monkeypatch, argv) == 3
+        doc = json.loads((tmp_path / "dump.json").read_text())
+        assert (doc["version"], doc["argv"], doc["seed"]) == (__version__, argv, 17)
+        capsys.readouterr()
+
 
 class TestReportingCommands:
     def test_audit_csv_round_trip(self, tmp_path, monkeypatch):

@@ -38,7 +38,9 @@ from tritile.graphs import (
 )
 from tritile.solvers import (
     SolveResult,
+    _BLOCK_CELLS,
     _PackingSearch,
+    _table_blocks,
     _triangle_table,
     clique_tiling_interpolated,
     find_bowtie,
@@ -334,12 +336,35 @@ class TestTriangleTable:
 
     def test_hosts_over_several_blocks(self):
         # Above 64 vertices the first vertices come in blocks, and a block's
-        # later vertices reach past it; 600 vertices are one vertex per block.
+        # later vertices reach past it.
         rng = random.Random(5)
-        for n, r, density in ((65, 2, 1.0), (90, 3, 0.6), (600, 2, 0.02)):
-            self.assert_same(ColouredGraph(
-                n, r, [(u, v, rng.randrange(r)) for u, v in combinations(range(n), 2)
-                       if rng.random() < density]))
+        for n, r, density in ((65, 2, 1.0), (90, 3, 0.6), (600, 2, 0.02), (1500, 2, 0.004)):
+            g = ColouredGraph(n, r, [(u, v, rng.randrange(r))
+                                     for u, v in combinations(range(n), 2)
+                                     if rng.random() < density])
+            assert len(list(_table_blocks(g))) > 1
+            self.assert_same(g)
+
+    def test_blocks_are_sized_from_the_later_neighbours(self):
+        # 1,000 disjoint red triangles, then a dense 80-vertex corner: the
+        # sparse part takes many vertices per block, the dense part few.
+        edges = [(3 * k + a, 3 * k + b, 0) for k in range(1000)
+                 for a, b in ((0, 1), (0, 2), (1, 2))]
+        rng = random.Random(3)
+        edges += [(u, v, rng.randrange(2)) for u, v in combinations(range(3000, 3080), 2)]
+        g = ColouredGraph(3080, 2, edges)
+        blocks = list(_table_blocks(g))
+        assert [u0 for u0, _ in blocks] == [0] + [u1 for _, u1 in blocks[:-1]]
+        assert blocks[-1][1] == g.n
+        for u0, u1 in blocks:
+            later = 0
+            for u in range(u0, u1):
+                later |= g.adj[u]
+            cells = (u1 - u0) * (later >> (u0 + 1)).bit_count() ** 2
+            assert u1 - u0 == 1 or (cells <= _BLOCK_CELLS and (u1 - u0) * g.n <= _BLOCK_CELLS)
+        assert len(blocks) < 100
+        assert max(u1 - u0 for u0, u1 in blocks if u1 <= 3000) > 32
+        self.assert_same(g)
 
     def test_sparse_host_stays_small(self):
         # 1,000 disjoint red triangles: an n x n matrix of 3,000 vertices

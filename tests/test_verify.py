@@ -11,7 +11,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from helpers import oracle_max_packing, small_graphs
+from helpers import enumerate_colourings, oracle_max_packing, small_graphs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +25,6 @@ from tritile.verifiers import (
     audit_tightness,
     compute_ramsey,
     compute_special_ramsey,
-    enumerate_colourings,
     has_mono_pair_sharing_at_most,
     k7x2_bits,
     k7x2_code,
@@ -129,7 +128,6 @@ class TestExhaustiveScans:
             assert (has_mono_pair_sharing_at_most(a, 0)
                     == has_mono_pair_sharing_at_most(b, 0))
 
-    @pytest.mark.slow
     def test_extractor_subset_runs_clean(self):
         rep = verify_lemma_k8(workers=1, extractor_samples=300, seed=7)
         assert rep.extra["extractor_failures"] == 0
@@ -181,6 +179,76 @@ class TestExhaustiveScans:
         d = rep.as_dict()
         assert d["holds"] is (rep.violation_count == 0)
         assert "elapsed" in d and "elapsed" not in rep.comparable()
+
+
+def reference_colour_bits(n, code):
+    """Red and blue triangle bitmaps from the plain mono-triangle list."""
+    index = {t: i for i, t in enumerate(combinations(range(n), 3))}
+    bits = [0, 0]
+    for u, v, w, c in complete_colouring(n, 2, code).mono_triangles():
+        bits[c] |= 1 << index[(u, v, w)]
+    return bits
+
+
+def reference_pair_hit(n, first, second, lo, hi):
+    """Some triangle of ``first`` meets another one of ``second`` in lo..hi vertices."""
+    tris = [frozenset(t) for t in combinations(range(n), 3)]
+    return any(s != t and lo <= len(tris[t] & tris[s]) <= hi
+               for t in range(len(tris)) if first >> t & 1
+               for s in range(len(tris)) if second >> s & 1)
+
+
+def _k8_codes():
+    rng = np.random.default_rng(8)
+    random = rng.integers(0, 1 << 28, size=300, dtype=np.uint64)
+    return np.concatenate([random, random & ~np.uint64(1), np.arange(4000, 6000, dtype=np.uint64),
+                           *verifiers._code_chunks(4000, 6000, shift=1)])
+
+
+class TestSliceKernels:
+    """The slice-table kernels against plain-python references."""
+
+    @pytest.mark.parametrize("n, codes", [
+        (6, np.arange(1 << 15, dtype=np.uint64)),
+        (7, np.arange(3 << 12, 4 << 12, dtype=np.uint64)),
+        (8, _k8_codes()),
+    ], ids=["k6-all", "k7-slice", "k8-random"])
+    def test_colour_bitmaps_and_pair_hits(self, n, codes):
+        red, blue = verifiers._colour_bits(codes, n)
+        ref = [reference_colour_bits(n, int(code)) for code in codes]
+        assert [[int(r), int(b)] for r, b in zip(red, blue)] == ref
+        mono = red | blue
+        for first, second, lo, hi in ((mono, mono, 0, 0), (mono, mono, 0, 1),
+                                      (red, blue, 0, 0), (red, blue, 1, 1), (red, red, 2, 3)):
+            hits = verifiers._pair_hits(first, second, n, lo, hi)
+            # Distinct bitmaps are few; check each once.
+            seen = {}
+            for f, s, h in zip(first.tolist(), second.tolist(), hits.tolist()):
+                if (f, s) not in seen:
+                    seen[f, s] = reference_pair_hit(n, f, s, lo, hi)
+                assert h == seen[f, s]
+
+    @pytest.mark.parametrize("n, ell", [(5, 2), (6, 3), (8, 4)])
+    def test_clique_bitmaps_span_several_words(self, n, ell):
+        # K8 has 70 K4, so its tables hold two 64-bit words per entry.
+        cliques = list(combinations(range(n), ell))
+        codes = np.random.default_rng(n).integers(0, 1 << (n * (n - 1) // 2), size=200,
+                                                   dtype=np.uint64)
+        words = [verifiers._clique_bits(codes, n, ell, w) for w in range(-(-len(cliques) // 64))]
+        for i, code in enumerate(codes.tolist()):
+            g = complete_colouring(n, 2, code)
+            for j, verts in enumerate(cliques):
+                colours = {g.edge_colour(u, v) for u, v in combinations(verts, 2)}
+                red, blue = words[j // 64]
+                assert (int(red[i]) >> (j % 64) & 1, int(blue[i]) >> (j % 64) & 1) == \
+                    (colours == {0}, colours == {1})
+
+    def test_reports_do_not_depend_on_the_chunk_size(self, monkeypatch):
+        reports = [verify_lemma_k8(n=7, workers=1).comparable(),
+                   verify_claim_k7().comparable()]
+        monkeypatch.setattr(verifiers, "_CHUNK", 1 << 10)
+        assert [verify_lemma_k8(n=7, workers=1).comparable(),
+                verify_claim_k7().comparable()] == reports
 
 
 @settings(max_examples=80, deadline=None)
