@@ -395,15 +395,3 @@ def bound_report(n: int, delta: int) -> BoundReport:
                        bes_bound=bes_formulas(n, delta)[bes_piece],
                        bes_piece=bes_piece, bes_conjectural=not proved,
                        extremal_min=min(moon.values()))
-
-
-def trivial_degree_threshold(ramsey_number: int, n: int) -> int:
-    """Largest min degree with a trivially triangle-tiling-free colouring.
-
-    Below ``floor(n * (R-2) / (R-1))`` a balanced blow-up of a mono-clique-free
-    colouring of K_{R-1} fits the degree budget, so no tiling guarantee can
-    start there; ``R`` is the relevant Ramsey number.
-    """
-    _check(ramsey_number >= 2, f"Ramsey number must be at least 2, got {ramsey_number}")
-    _check(n >= 1, f"n must be positive, got {n}")
-    return n * (ramsey_number - 2) // (ramsey_number - 1)

@@ -47,12 +47,35 @@ tie) seeds the incumbent; on the extremal constructions in this package it
 already hits the optimum and the root bound certifies it, so those solves
 finish in one node.
 
+Most nodes of a deep search meet an alive set that an earlier node of the
+same search already met: one pass of perfbench's ``solve`` workload makes
+10,451 nodes over 1,895 distinct alive sets.  Everything a node computes
+before it branches is a function of its alive set alone: the support (read
+off the parent's support, which contains it, so its order is fixed too),
+the rows ``alive & inc[v]`` and the three bounds.  So each search keeps a
+memo from the alive set to its support and its cover and scatter bounds,
+each bound computed at most once per alive set and only when the cheaper
+ones fail to prune.  A cached value is the value the node would compute,
+so the search visits the same nodes in the same order, at any budget and
+whatever the memo holds.  An entry keeps no rows: ``rows[0]`` is one AND,
+a miss builds the rows with the support, and a hit rebuilds them from the
+support only when a bound is still missing.
+
+The memo's entry count is capped at ``_MEMO_BYTES`` over an upper bound on
+one entry's bytes (the key's digits, one pointer per vertex and a fixed
+overhead), and a full memo drops its oldest entry.  At 16 MB it keeps the
+whole working set of 2x10^5-node searches on recoloured 36-vertex
+extremal hosts (up to about 18,000 alive sets, about 10 MB).  The search
+runs over an explicit stack, so deep searches stay clear of Python's
+recursion limit.
+
 Everything here is deterministic and single-threaded; results never depend
 on a worker count.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -119,6 +142,11 @@ class _PackingSearch:
         self.nodes = 0
         self.best_count = -1
         self.best_sel: list[int] = []
+        # The alive-set memo: [support, cover, scatter] of each alive set
+        # met, oldest first, with a bound None until it is computed.
+        entry_bytes = 4 * (count // 30 + 1) + 8 * rows + _MEMO_ENTRY_OVERHEAD
+        self.memo_limit = max(1, _MEMO_BYTES // entry_bytes)
+        self.memo: OrderedDict[int, list] = OrderedDict()
 
     def run(self) -> SolveResult:
         seed = self._greedy()
@@ -126,50 +154,82 @@ class _PackingSearch:
         self.best_sel = seed
         proved = True
         try:
-            self._dfs((1 << len(self.verts)) - 1, list(range(len(self.inc))), 0, [])
+            self._search()
         except SearchBudgetExceeded:
             proved = False
         tiling = Tiling(tuple(MonoClique.of(self.table[i].tolist()) for i in self.best_sel))
         return SolveResult(optimum=self.best_count, tiling=tiling,
                            nodes_explored=self.nodes, proved_optimal=proved)
 
-    def _dfs(self, alive: int, within: list[int], count: int, chosen: list[int]) -> None:
-        """Search below ``alive``, whose support lies among the vertices ``within``."""
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise SearchBudgetExceeded(f"packing search exceeded {self.budget} nodes")
-        if count > self.best_count:
-            self.best_count = count
-            self.best_sel = list(chosen)
-        if not alive:
-            return
-        inc = self.inc
-        # The support in increasing order and the alive triangles through each.
-        support = []
-        rows = []
-        for v in within:
-            row = alive & inc[v]
-            if row:
-                support.append(v)
-                rows.append(row)
-        # Pruned when any bound fails to beat the incumbent; cheapest first.
-        slack = self.best_count - count
-        if (len(rows) // 3 <= slack or self._cover(rows) <= slack
-                or self._scatter(support, rows) <= slack):
-            return
-        through = rows[0]
-        while through:
-            low = through & -through
-            through ^= low
-            i = low.bit_length() - 1
-            a, b, c = self.verts[i]
-            chosen.append(i)
-            self._dfs(alive & ~(inc[a] | inc[b] | inc[c]), support, count + 1, chosen)
-            chosen.pop()
-        self._dfs(alive & ~rows[0], support, count, chosen)
+    def _search(self) -> None:
+        """Depth first from the root, every triangle alive, over an explicit stack.
+
+        A node is ``(alive, count)``, with ``chosen`` holding its ``count``
+        committed triangles; ``within`` is a vertex list that contains its
+        support (its parent's support).  A frame ``[alive, support, count,
+        through]`` is a node that branches, ``through`` the alive triangles
+        through ``support[0]`` not yet committed; its last child, the
+        discard of ``support[0]``, replaces it on the stack.
+        """
+        inc, verts, memo, limit = self.inc, self.verts, self.memo, self.memo_limit
+        chosen: list[int] = []
+        stack: list[list] = []
+        alive, within, count = (1 << len(verts)) - 1, range(len(inc)), 0
+        while True:
+            self.nodes += 1
+            if self.nodes > self.budget:
+                raise SearchBudgetExceeded(f"packing search exceeded {self.budget} nodes")
+            if count > self.best_count:
+                self.best_count = count
+                self.best_sel = chosen[:]
+            if alive:
+                entry = memo.get(alive)
+                # The alive triangles through each support vertex: built with
+                # the support on a miss, and on a hit only for a missing bound.
+                rows = None
+                if entry is None:
+                    if len(memo) >= limit:
+                        memo.popitem(last=False)
+                    support, rows = [], []
+                    for v in within:
+                        row = alive & inc[v]
+                        if row:
+                            support.append(v)
+                            rows.append(row)
+                    entry = memo[alive] = [tuple(support), None, None]
+                support, cover, scatter = entry
+                # Pruned when any bound fails to beat the incumbent; cheapest first.
+                slack = self.best_count - count
+                if len(support) // 3 > slack:
+                    if cover is None:
+                        rows = rows or [alive & inc[v] for v in support]
+                        cover = entry[1] = self._cover(rows)
+                    if cover > slack:
+                        if scatter is None:
+                            rows = rows or [alive & inc[v] for v in support]
+                            scatter = entry[2] = self._scatter(support, rows)
+                        if scatter > slack:
+                            stack.append([alive, support, count, alive & inc[support[0]]])
+            # On to the next child of the deepest frame: a commit, or the discard.
+            if not stack:
+                return
+            frame = stack[-1]
+            parent, within, count, through = frame
+            del chosen[count:]
+            if through:
+                low = through & -through
+                frame[3] = through ^ low
+                i = low.bit_length() - 1
+                a, b, c = verts[i]
+                chosen.append(i)
+                alive = parent & ~(inc[a] | inc[b] | inc[c])
+                count += 1
+            else:
+                stack.pop()
+                alive = parent & ~inc[within[0]]
 
     @staticmethod
-    def _scatter(support: list[int], rows: list[int]) -> int:
+    def _scatter(support: Sequence[int], rows: list[int]) -> int:
         """``|support - U| // 2`` for a greedy set U with no two vertices in one triangle.
 
         U takes the vertices in order of fewest co-occurring vertices, then
@@ -223,6 +283,12 @@ class _PackingSearch:
 # matrix of the incidence scatter, the vertex-pair comparisons of
 # _triangle_table, and the unpacked rows of _colour_rows.
 _BLOCK_CELLS = 1 << 18
+
+# Most bytes the alive-set memo of one packing search holds, and an upper
+# bound on one entry's bytes beyond its key's digits and its support's
+# pointers (150-300 bytes measured under tracemalloc).
+_MEMO_BYTES = 1 << 24
+_MEMO_ENTRY_OVERHEAD = 384
 
 
 def _colour_rows(g: ColouredGraph, rows: np.ndarray,

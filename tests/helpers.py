@@ -1,10 +1,12 @@
-"""Shared test utilities: small random graphs, a plain enumeration of complete
-colourings, and a brute-force packing oracle."""
+"""Shared test utilities: small random graphs, seeded recolourings, a plain
+enumeration of complete colourings, a brute-force packing oracle and the
+trivial degree threshold."""
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
+import numpy as np
 from hypothesis import strategies as st
 
 from tritile.graphs import ColouredGraph, Triangle, complete_colouring, mask_of
@@ -24,6 +26,18 @@ def small_graphs(max_n: int = 7, r: int = 2) -> st.SearchStrategy[ColouredGraph]
         st.integers(min_value=0),
         st.integers(min_value=0),
     )
+
+
+def recolour(g: ColouredGraph, fraction: float, seed: int) -> ColouredGraph:
+    """Flip the colour of ``round(fraction * |E|)`` seeded edges; degrees stay.
+
+    The same recolouring as the benchmark's, so that its hosts can be pinned here.
+    """
+    edges = g.edges()
+    k = max(1, round(len(edges) * fraction))
+    flip = set(int(i) for i in np.random.default_rng(seed).choice(len(edges), k, replace=False))
+    return ColouredGraph(g.n, g.r, [(u, v, 1 - c if i in flip else c)
+                                    for i, (u, v, c) in enumerate(edges)])
 
 
 def oracle_max_packing(triangles: list[Triangle]) -> int:
@@ -59,3 +73,17 @@ def enumerate_colourings(n: int, r: int,
     for code in range(lo, hi):
         visitor(code, complete_colouring(n, r, code))
     return hi - lo
+
+
+def trivial_degree_threshold(ramsey_number: int, n: int) -> int:
+    """Largest min degree with a trivially triangle-tiling-free colouring.
+
+    Below ``floor(n * (R-2) / (R-1))`` a balanced blow-up of a mono-clique-free
+    colouring of K_{R-1} fits the degree budget, so no tiling guarantee can
+    start there; ``R`` is the relevant Ramsey number.
+    """
+    if ramsey_number < 2:
+        raise ValueError(f"Ramsey number must be at least 2, got {ramsey_number}")
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    return n * (ramsey_number - 2) // (ramsey_number - 1)

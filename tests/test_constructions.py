@@ -6,6 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from helpers import trivial_degree_threshold
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +30,6 @@ from tritile.constructions import (
     pinned_apex_sizes,
     random_min_degree_colouring,
     special_blowup,
-    trivial_degree_threshold,
 )
 from tritile.graphs import ColouredGraph
 

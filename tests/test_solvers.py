@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import inspect
 import random
+import sys
 import tracemalloc
 from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 import pytest
-from helpers import oracle_max_packing, small_graphs
+from helpers import oracle_max_packing, recolour, small_graphs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tritile import solvers
 from tritile.constructions import (
     CONSTRUCTIONS,
     badly_coloured_k5,
@@ -277,8 +280,10 @@ class TestPackingSearchMatchesReference:
 
     def assert_same(self, triangles: list[Triangle]) -> None:
         for budget in self.BUDGETS:
-            got = _PackingSearch(triangles, budget).run()
-            assert got == ReferencePackingSearch(triangles, budget).run()
+            search = _PackingSearch(triangles, budget)
+            assert search.run() == ReferencePackingSearch(triangles, budget).run()
+            # The memo never shrinks, so its final size is its largest.
+            assert len(search.memo) <= search.memo_limit
 
     def test_matches_the_reference_loop(self):
         rng = random.Random(2024)
@@ -298,6 +303,33 @@ class TestPackingSearchMatchesReference:
             self.assert_same(tris)
             for c in range(2):
                 self.assert_same([t for t in tris if t[3] == c])
+
+    @pytest.mark.parametrize("memo_bytes", [1, 4096])
+    def test_matches_the_reference_with_a_small_memo(self, memo_bytes, monkeypatch):
+        # A ceiling of one entry, or of a few, so that the memo evicts.
+        monkeypatch.setattr(solvers, "_MEMO_BYTES", memo_bytes)
+        limit = _PackingSearch([(0, 1, 2, 0)], 0).memo_limit
+        assert limit == 1 if memo_bytes == 1 else 1 < limit < 16
+        self.test_matches_the_reference_loop()
+        self.test_matches_the_reference_on_recoloured_extremal_hosts()
+
+    def test_deep_search_stays_off_the_call_stack(self):
+        # 80 disjoint copies of four pairwise-meeting triangles on six
+        # vertices: each copy packs one, yet every bound reads two, so the
+        # first descent commits one triangle per copy, 80 levels deep.
+        faces = ((0, 1, 2, 0), (0, 3, 4, 0), (1, 3, 5, 1), (2, 4, 5, 1))
+        copies = 80
+        tris = [(6 * j + u, 6 * j + v, 6 * j + w, c) for j in range(copies)
+                for u, v, w, c in faces]
+        expected = ReferencePackingSearch(tris, 100).run()
+        assert (expected.optimum, expected.nodes_explored) == (copies, 101)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + copies // 2)
+        try:
+            got = _PackingSearch(tris, 100).run()
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == expected
 
 
 class TestTriangleTable:
@@ -422,6 +454,65 @@ class TestSingleColourSolver:
         res = max_single_colour_tiling(ColouredGraph(6, 2, edges))
         assert res.optimum == 1
         assert [t.colour for t in res.tiling] == [0]
+
+
+class TestDeepSearch:
+    """The colour-0 search of ``ex_bes_1(36, 30)`` recoloured 5% (seed 1).
+
+    It meets about 8,400 distinct alive sets in 200,000 nodes.  Without its
+    memo the search itself peaks near 0.2 MB traced.
+    """
+
+    @staticmethod
+    def triangles() -> np.ndarray:
+        table = _triangle_table(recolour(ex_bes_1(36, 30), 0.05, 1))
+        return table[table[:, 3] == 0]
+
+    @staticmethod
+    def traced(triangles: np.ndarray, budget: int) -> tuple[_PackingSearch, SolveResult, int]:
+        tracemalloc.start()
+        try:
+            search = _PackingSearch(triangles, budget)
+            res = search.run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return search, res, peak
+
+    def test_budget_runs_out_at_the_pinned_optimum(self):
+        res = _PackingSearch(self.triangles(), 200_000).run()
+        assert (res.optimum, res.nodes_explored, res.proved_optimal) == (9, 200_001, False)
+
+    def test_memo_holds_alive_sets_without_their_rows(self, monkeypatch):
+        calls = {"_cover": 0, "_scatter": 0}
+
+        def counted(name: str) -> staticmethod:
+            bound = getattr(_PackingSearch, name)
+
+            def call(*args):
+                calls[name] += 1
+                return bound(*args)
+            return staticmethod(call)
+
+        for name in calls:
+            monkeypatch.setattr(_PackingSearch, name, counted(name))
+        # Each of the 3,052 alive sets met in 20,000 nodes, rows included,
+        # would take about 10 MB.
+        search, res, peak = self.traced(self.triangles(), 20_000)
+        assert (res.optimum, res.nodes_explored) == (9, 20_001)
+        assert len(search.memo) == 3052
+        assert peak <= 3_000_000
+        # Nothing was evicted, so each bound ran at most once per alive set.
+        assert calls["_scatter"] <= calls["_cover"] <= 3052
+
+    def test_memo_stays_within_its_ceiling(self, monkeypatch):
+        tris = self.triangles()
+        full = _PackingSearch(tris, 20_000).run()
+        monkeypatch.setattr(solvers, "_MEMO_BYTES", 1 << 20)
+        search, res, peak = self.traced(tris, 20_000)
+        assert res == full
+        assert len(search.memo) == search.memo_limit < 3052
+        assert peak <= (1 << 20) + 250_000
 
 
 class TestPerfectTilings:
