@@ -30,6 +30,7 @@ from tritile.constructions import (
     CONSTRUCTIONS,
     badly_coloured_k5,
     bound_report,
+    cell_hosts,
     pinned_apex_colouring,
     pinned_apex_sizes,
     random_min_degree_colouring,
@@ -38,11 +39,10 @@ from tritile.constructions import (
 from tritile.graphs import (
     MAX_VERTICES,
     AnomalyError,
-    ColouredGraph,
     MonoClique,
     SearchBudgetExceeded,
     from_json_dict,
-    parse_graph_text,
+    read_graph,
     to_json_dict,
     write_graph,
 )
@@ -108,15 +108,6 @@ def _emit(args, *, text: Optional[str] = None, payload: Optional[dict] = None,
             fh.write(out)
     else:
         sys.stdout.write(out)
-
-
-def _load_graph(path: str) -> ColouredGraph:
-    """Read a host file in the JSON or the text format, whichever it holds."""
-    with open(path, encoding="ascii") as fh:
-        text = fh.read()
-    if text.lstrip().startswith("{"):
-        return from_json_dict(json.loads(text))
-    return parse_graph_text(text)
 
 
 def _clique_rows(tiling) -> list:
@@ -200,7 +191,7 @@ def _require(args, *names) -> None:
 
 
 def _cmd_solve(args) -> int:
-    g = _load_graph(args.path)
+    g = read_graph(args.path)
     start = time.perf_counter()
     if args.mode == "single":
         result = max_single_colour_tiling(g, budget=args.budget)
@@ -228,7 +219,7 @@ _ALGORITHMS = {
 
 
 def _cmd_tile(args) -> int:
-    g = _load_graph(args.path)
+    g = read_graph(args.path)
     start = time.perf_counter()
     notes: tuple[str, ...] = ()
     if args.algorithm == "phased":
@@ -496,19 +487,8 @@ def _experiment_rows(config: dict) -> list[list]:
                 rows.append(["TRUNCATED"] + [""] * (len(EXPERIMENT_HEADERS) - 1))
                 return rows
             cells += 1
-            hosts = []
-            for fam in families:
-                try:
-                    hosts.append((fam, CONSTRUCTIONS[fam][0](n, delta)))
-                except ValueError:
-                    continue
-            for k in range(samples):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(seed, spawn_key=(n, delta, k)))
-                hosts.append((f"random-{k}",
-                              random_min_degree_colouring(n, delta, rng)))
             report = bound_report(n, delta)
-            for source, g in hosts:
+            for source, g in cell_hosts(n, delta, families, samples, seed, ()):
                 mixed = max_mixed_tiling(g, budget=node_budget)
                 single = max_single_colour_tiling(g, budget=node_budget)
                 cells_out = []
@@ -545,7 +525,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _nonnegative(text: str) -> int:
-    """A seed or a count; numpy seed sequences take non-negative integers only."""
+    """A seed, a count or a node budget; numpy seed sequences take non-negative integers only."""
     try:
         value = int(text)
     except ValueError:
@@ -568,7 +548,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--csv", action="store_true",
                         help="emit CSV (where the command has rows)")
     common.add_argument("--out", help="write output to this path")
-    common.add_argument("--budget", type=int, default=None,
+    common.add_argument("--budget", type=_nonnegative, default=None,
                         help="search node budget override")
     common.add_argument("--witness",
                         help="violation/anomaly witness file path")

@@ -19,6 +19,8 @@ from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from tritile.graphs import BLUE, RED, ColouredGraph, blow_up
 
 BADLY_RED_PAIRS = ((1, 2), (2, 3), (3, 4), (4, 5), (1, 5))
@@ -317,6 +319,26 @@ def random_min_degree_colouring(n: int, delta: int, rng, r: int = 2) -> Coloured
     ordered = [e for e in combinations(range(n), 2) if e not in deleted]
     colours = rng.integers(0, r, size=len(ordered))
     return ColouredGraph(n, r, [(u, v, int(c)) for (u, v), c in zip(ordered, colours)])
+
+
+def cell_hosts(n: int, delta: int, families: Iterable[str], samples: int, seed: int,
+               spawn: tuple[int, ...]) -> list[tuple[str, ColouredGraph]]:
+    """The hosts of one ``(n, delta)`` cell, each with its source name.
+
+    First each named construction that exists at ``(n, delta)``, in the
+    given order, then ``samples`` random hosts ``random-k``, the k-th seeded
+    by ``seed`` with spawn key ``(n, delta, *spawn, k)``.
+    """
+    hosts = []
+    for name in families:
+        try:
+            hosts.append((name, CONSTRUCTIONS[name][0](n, delta)))
+        except ValueError:
+            continue
+    for k in range(samples):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(n, delta, *spawn, k)))
+        hosts.append((f"random-{k}", random_min_degree_colouring(n, delta, rng)))
+    return hosts
 
 
 # ---------------------------------------------------------------------------

@@ -16,17 +16,19 @@ whole adjacency.  :class:`MonoClique` is built only for a clique that a
 function returns, alone or inside a :class:`Tiling` or :class:`Bowtie`.
 
 The module also fixes the two serialisation formats (a line-oriented text
-format and a JSON mirror) and the lexicographic edge-code convention used by
-the exhaustive verification scans: the edges of a complete graph are ordered
-``(0,1), (0,2), ..., (n-2,n-1)`` and a base-``r`` integer assigns digit ``i``
-to edge ``i``.
+format and a JSON mirror, both read by :func:`read_graph`) and the
+lexicographic edge-code convention used by the exhaustive verification
+scans: the edges of a complete graph are ordered ``(0,1), (0,2), ...,
+(n-2,n-1)`` and a base-``r`` integer assigns digit ``i`` to edge ``i``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import or_
 from typing import Iterable, Iterator, Optional, Sequence
 
 # Colour indices of two-coloured hosts; bit 0 of an edge code is red.
@@ -117,7 +119,6 @@ class ColouredGraph:
             raise ValueError(f"colour count must be in 1..8, got {r}")
         rows = [[0] * n for _ in range(r)]
         seen: dict[tuple[int, int], int] = {}
-        count = 0
         for u, v, c in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"vertex out of range in edge ({u}, {v})")
@@ -134,33 +135,24 @@ class ColouredGraph:
             seen[key] = c
             rows[c][u] |= 1 << v
             rows[c][v] |= 1 << u
-            count += 1
+        self._set_rows(n, r, rows)
+
+    def _set_rows(self, n: int, r: int, colour_adj: Sequence[Sequence[int]]) -> None:
+        """Every field, from the per-colour rows; both constructors end here."""
         self.n = n
         self.r = r
-        self.colour_adj = tuple(tuple(row) for row in rows)
-        self.adj = tuple(
-            self._union_row(v) for v in range(n)
-        )
-        self.edge_count = count
+        self.colour_adj = tuple(tuple(row) for row in colour_adj)
+        # Row v of adj is the union of row v over the colours.
+        self.adj = reduce(lambda a, b: tuple(map(or_, a, b)), self.colour_adj)
+        self.edge_count = sum(map(int.bit_count, self.adj)) // 2
         self._hash = hash((n, r, self.colour_adj))
-
-    def _union_row(self, v: int) -> int:
-        m = 0
-        for c in range(self.r):
-            m |= self.colour_adj[c][v]
-        return m
 
     @classmethod
     def _from_masks(cls, n: int, r: int,
                     colour_adj: Sequence[Sequence[int]]) -> "ColouredGraph":
         """Trusted constructor for hot paths; skips per-edge validation."""
         g = object.__new__(cls)
-        g.n = n
-        g.r = r
-        g.colour_adj = tuple(tuple(row) for row in colour_adj)
-        g.adj = tuple(g._union_row(v) for v in range(n))
-        g.edge_count = sum(m.bit_count() for m in g.adj) // 2
-        g._hash = hash((n, r, g.colour_adj))
+        g._set_rows(n, r, colour_adj)
         return g
 
     def __eq__(self, other: object) -> bool:
@@ -237,20 +229,6 @@ class ColouredGraph:
     def mono_triangles(self) -> list[Triangle]:
         """Every monochromatic triangle as a ``(u, v, w, c)`` tuple, in lexicographic order."""
         return list(self.iter_mono_triangles())
-
-    def relabelled(self, perm: Sequence[int]) -> "ColouredGraph":
-        """Image under the vertex permutation ``i -> perm[i]``."""
-        if sorted(perm) != list(range(self.n)):
-            raise ValueError("perm is not a permutation of the vertex set")
-        return ColouredGraph(self.n, self.r,
-                             [(perm[u], perm[v], c) for u, v, c in self.edges()])
-
-    def recoloured(self, cperm: Sequence[int]) -> "ColouredGraph":
-        """Image under the colour permutation ``c -> cperm[c]``."""
-        if sorted(cperm) != list(range(self.r)):
-            raise ValueError("cperm is not a permutation of the colour set")
-        return ColouredGraph(self.n, self.r,
-                             [(u, v, cperm[c]) for u, v, c in self.edges()])
 
     def induced(self, vertices: Iterable[int]) -> tuple["ColouredGraph", tuple[int, ...]]:
         """Induced subgraph on ``vertices`` plus the new-to-old vertex map.
@@ -357,12 +335,6 @@ class Bowtie:
             a, b = b, a
         object.__setattr__(self, "first", a)
         object.__setattr__(self, "second", b)
-
-    @property
-    def centre(self) -> int:
-        common = set(self.first.vertices) & set(self.second.vertices)
-        (v,) = common
-        return v
 
     @property
     def vertex_set(self) -> frozenset[int]:
@@ -501,12 +473,6 @@ def write_graph(g: ColouredGraph, path) -> None:
             fh.write(f"{u} {v} {c}\n")
 
 
-def read_graph(path) -> ColouredGraph:
-    """Read a file in the text format."""
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_graph_text(fh.read())
-
-
 def parse_graph_text(text: str) -> ColouredGraph:
     """Parse the text format; ``#`` starts a comment, blank lines are skipped."""
     rows = []
@@ -555,12 +521,10 @@ def from_json_dict(data: dict) -> ColouredGraph:
         raise ValueError(f"graph json: {exc}") from None
 
 
-def write_graph_json(g: ColouredGraph, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(to_json_dict(g), fh, sort_keys=True)
-        fh.write("\n")
-
-
-def read_graph_json(path) -> ColouredGraph:
-    with open(path, "r", encoding="ascii") as fh:
-        return from_json_dict(json.load(fh))
+def read_graph(path) -> ColouredGraph:
+    """Read a file in the JSON or the text format, whichever it holds."""
+    with open(path, encoding="ascii") as fh:
+        text = fh.read()
+    if text.lstrip().startswith("{"):
+        return from_json_dict(json.loads(text))
+    return parse_graph_text(text)

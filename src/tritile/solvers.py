@@ -77,6 +77,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -90,6 +91,7 @@ from tritile.graphs import (
     Tiling,
     Triangle,
     first_pair,
+    iter_cliques,
     mask_of,
 )
 
@@ -426,30 +428,21 @@ def _quota_masks(n: int, adj: Sequence[int], t: int, whole: int, stripped: int,
     scan that finds it doubles as a dead-end prune: a vertex left with too
     few live neighbours for the smallest tile still allowed kills the node),
     extending it by every clique of an allowed size in its neighbourhood in
-    rank-lexicographic order, whole tiles first.  Searching
+    rank-lexicographic order, whole tiles first.  The rank orders vertices
+    by degree, then index; the search runs on the rows relabelled so that
+    vertex i is the one of rank i, where :func:`iter_cliques` lists cliques
+    in rank order and a tie in the pick goes to the lower rank.  Searching
     the two sizes directly avoids the padded-graph encoding, whose
     interchangeable pad vertices blow the branching up by a factorial
     factor.  Returns None only after an exhaustive search.
     """
     order = sorted(range(n), key=lambda v: (adj[v].bit_count(), v))
-    rank = {v: i for i, v in enumerate(order)}
-    prefix = []
-    seen = 0
-    for v in order:
-        seen |= 1 << v
-        prefix.append(seen)
+    if n:
+        # Row i is the row of order[i] with its bits permuted into rank
+        # order, as a string: vertex v is character n - 1 - v.
+        ranked, width = itemgetter(*[n - 1 - v for v in reversed(order)]), f"0{n}b"
+        adj = [int("".join(ranked(format(adj[v], width))), 2) for v in order]
     calls = 0
-
-    def cliques(cand: int, size: int) -> Iterator[tuple[int, ...]]:
-        if size == 0:
-            yield ()
-            return
-        for i in range(n):
-            v = order[i]
-            if (cand >> v) & 1:
-                rest = cand & adj[v] & ~prefix[i]
-                for tail in cliques(rest, size - 1):
-                    yield (v,) + tail
 
     def visit(used: int, wq: int, sq: int) -> Optional[Iterator[tuple[int, tuple[int, ...]]]]:
         """Count one node; None when it covers everything, else its ``(size, tile)`` children."""
@@ -460,19 +453,18 @@ def _quota_masks(n: int, adj: Sequence[int], t: int, whole: int, stripped: int,
         if used == (1 << n) - 1:
             return None
         floor_live = t - 1 if sq == 0 else t - 2
-        pick = None
+        fewest = n
         for w in range(n):
             if (used >> w) & 1:
                 continue
             live = (adj[w] & ~used).bit_count()
             if live < floor_live:
                 return iter(())
-            key = (live, rank[w])
-            if pick is None or key < pick:
-                pick, v = key, w
+            if live < fewest:
+                fewest, v = live, w
         cand = adj[v] & ~used
         return ((size, (v,) + tail) for size, quota in ((t, wq), (t - 1, sq)) if quota
-                for tail in cliques(cand, size - 1))
+                for tail in iter_cliques(adj, cand, size - 1))
 
     # Depth first over an explicit stack, so deep tilings stay clear of the
     # recursion limit.  A frame is (used, wq, sq, children, the (size, tile)
@@ -492,8 +484,8 @@ def _quota_masks(n: int, adj: Sequence[int], t: int, whole: int, stripped: int,
         below = visit(*child)
         if below is None:
             path = [frame[4] for frame in stack[1:]] + [step]
-            return ([tile for size, tile in path if size == t],
-                    [tile for size, tile in path if size == t - 1])
+            return ([tuple(order[i] for i in tile) for size, tile in path if size == t],
+                    [tuple(order[i] for i in tile) for size, tile in path if size == t - 1])
         stack.append((*child, below, step))
     return None
 

@@ -33,8 +33,8 @@ from tritile.constructions import (
     CONSTRUCTIONS,
     bes_band,
     bes_formulas,
+    cell_hosts,
     extremal_min_formula,
-    random_min_degree_colouring,
 )
 from tritile.graphs import (
     AnomalyError,
@@ -772,9 +772,12 @@ def _k7x2_objective(bits: np.ndarray) -> tuple[int, int]:
     return len(_max_disjoint_capped(monos, 3)), len(monos)
 
 
-# Random colourings are drawn _K7X2_DRAW rows per rng call and turned into
-# hosts _K7X2_HOSTS rows at a time, so that a batch's matmul temporaries and
-# host objects stay well under 1 MB.
+# The sampling phase runs in tasks of _K7X2_CHUNK colourings, each seeded by
+# its index, so the samples depend on it.  A task's colourings are drawn
+# _K7X2_DRAW rows per rng call and turned into hosts _K7X2_HOSTS rows at a
+# time, so that a batch's matmul temporaries and host objects stay well
+# under 1 MB.
+_K7X2_CHUNK = 100_000
 _K7X2_DRAW = 10_000
 _K7X2_HOSTS = 256
 
@@ -857,8 +860,7 @@ def _k7x2_adversarial_task(args: tuple, cap: int = 3) -> tuple[int, int, list[in
 
 def verify_k7_blowup(samples: int = 1_000_000, adversarial_restarts: int = 1_000,
                      plateau_steps: int = 10_000, seed: int = 0,
-                     workers: Optional[int] = 1,
-                     chunk_size: int = 100_000) -> LemmaReport:
+                     workers: Optional[int] = 1) -> LemmaReport:
     """Randomized and adversarial campaign on the doubled K7.
 
     Every sampled 2-colouring of the 14-vertex host (complete minus the
@@ -888,11 +890,9 @@ def verify_k7_blowup(samples: int = 1_000_000, adversarial_restarts: int = 1_000
         raise ValueError("sample and restart counts must be nonnegative")
     if plateau_steps < 0:
         raise ValueError(f"plateau step count must be nonnegative, got {plateau_steps}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk size must be positive, got {chunk_size}")
     start = time.perf_counter()
-    tasks = [(index, min(chunk_size, samples - lo), seed)
-             for index, lo in enumerate(range(0, samples, chunk_size))]
+    tasks = [(index, min(_K7X2_CHUNK, samples - lo), seed)
+             for index, lo in enumerate(range(0, samples, _K7X2_CHUNK))]
     checked = samples
     violations: list[int] = []
     extractor_fails: list[int] = []
@@ -1113,18 +1113,8 @@ def probe_question(n_values: Sequence[int] = (25,),
         for delta in deltas:
             if 5 * delta < 4 * n or delta > n - 1:
                 raise ValueError(f"delta={delta} outside 4n/5..n-1 for n={n}")
-            hosts: list[tuple[str, ColouredGraph]] = []
-            for name, (builder, _) in CONSTRUCTIONS.items():
-                if name in ("ex-triangle", "ex-triangle-alt"):
-                    continue
-                try:
-                    hosts.append((name, builder(n, delta)))
-                except ValueError:
-                    continue
-            for k in range(samples_per_cell):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(seed, spawn_key=(n, delta, 0, k)))
-                hosts.append((f"random-{k}", random_min_degree_colouring(n, delta, rng)))
+            # The single-colour constructions, then the random hosts.
+            hosts = cell_hosts(n, delta, _BES_PIECES, samples_per_cell, seed, (0,))
             base = hosts[0] if hosts and hosts[0][0].startswith("ex-") else None
             for k in range(perturbed_per_cell if base else 0):
                 rng = np.random.default_rng(

@@ -1,15 +1,17 @@
-"""Shared test utilities: small random graphs, seeded recolourings, a plain
+"""Shared test utilities: small random graphs, seeded recolourings, vertex
+and colour permutations, a bowtie's centre, an edge-list digest, a plain
 enumeration of complete colourings, a brute-force packing oracle and the
 trivial degree threshold."""
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+import hashlib
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from hypothesis import strategies as st
 
-from tritile.graphs import ColouredGraph, Triangle, complete_colouring, mask_of
+from tritile.graphs import Bowtie, ColouredGraph, Triangle, complete_colouring, mask_of
 
 
 def small_graphs(max_n: int = 7, r: int = 2) -> st.SearchStrategy[ColouredGraph]:
@@ -38,6 +40,31 @@ def recolour(g: ColouredGraph, fraction: float, seed: int) -> ColouredGraph:
     flip = set(int(i) for i in np.random.default_rng(seed).choice(len(edges), k, replace=False))
     return ColouredGraph(g.n, g.r, [(u, v, 1 - c if i in flip else c)
                                     for i, (u, v, c) in enumerate(edges)])
+
+
+def relabelled(g: ColouredGraph, perm: Sequence[int]) -> ColouredGraph:
+    """Image of ``g`` under the vertex permutation ``i -> perm[i]``."""
+    if sorted(perm) != list(range(g.n)):
+        raise ValueError("perm is not a permutation of the vertex set")
+    return ColouredGraph(g.n, g.r, [(perm[u], perm[v], c) for u, v, c in g.edges()])
+
+
+def recoloured(g: ColouredGraph, cperm: Sequence[int]) -> ColouredGraph:
+    """Image of ``g`` under the colour permutation ``c -> cperm[c]``."""
+    if sorted(cperm) != list(range(g.r)):
+        raise ValueError("cperm is not a permutation of the colour set")
+    return ColouredGraph(g.n, g.r, [(u, v, cperm[c]) for u, v, c in g.edges()])
+
+
+def centre(bow: Bowtie) -> int:
+    """The one vertex that the two triangles of ``bow`` share."""
+    (v,) = set(bow.first.vertices) & set(bow.second.vertices)
+    return v
+
+
+def edge_digest(g: ColouredGraph) -> str:
+    """A short fingerprint of the edge list, for pinning which hosts a run builds."""
+    return hashlib.sha256(repr(g.edges()).encode()).hexdigest()[:16]
 
 
 def oracle_max_packing(triangles: list[Triangle]) -> int:

@@ -1,0 +1,39 @@
+"""The public API has no name that only tests use."""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+import tritile
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def used_names(path: Path, imports: bool) -> set[str]:
+    """The names and attributes that ``path`` loads, and with ``imports`` the names it imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif imports and isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_exported_name_has_a_user():
+    """Each name in ``tritile.__all__`` is loaded by the library outside
+    ``__init__.py``, used by the benchmark, or named in the README."""
+    used = set()
+    for path in (ROOT / "src" / "tritile").glob("*.py"):
+        if path.name != "__init__.py":
+            used |= used_names(path, imports=False)
+    for path in (ROOT / "perfbench").glob("*.py"):
+        used |= used_names(path, imports=True)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    unused = [name for name in tritile.__all__
+              if name not in used and not re.search(rf"\b{re.escape(name)}\b", readme)]
+    assert unused == []

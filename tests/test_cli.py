@@ -8,6 +8,7 @@ import os
 import tempfile
 
 import pytest
+from helpers import edge_digest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -82,6 +83,8 @@ class TestSeedFlag:
         (["verify", "--lemma", "k7x2", "--samples", "-1", "--restarts", "1"], "--samples"),
         (["verify", "--lemma", "k7x2", "--samples", "10", "--restarts", "-1"], "--restarts"),
         (["probe", "--n", "25", "--deltas", "21", "--perturbed", "-1"], "--perturbed"),
+        (["solve", "host.txt", "--budget", "-3"], "--budget"),
+        (["tile", "host.txt", "--algorithm", "moon-small", "--budget", "-1"], "--budget"),
     ])
     def test_negative_count_is_one_error_line(self, tmp_path, monkeypatch, capsys, argv, flag):
         # Rejected by the parser, before lemma-k8 would scan its 2^27 codes.
@@ -405,6 +408,77 @@ class TestExperiment:
         if isinstance(config, dict):
             assert any(f"config {key} " in err[0] for key in config)
         assert not (tmp_path / "e.csv").exists()
+
+
+# `tritile experiment` on the config of test_hosts_and_rows_are_pinned: its
+# CSV and the edge digest of each host it solves, recorded before the cell
+# hosts had one builder, so that the spawn keys (n, delta, k) and the host
+# order stay fixed.
+PINNED_EXPERIMENT_CSV = """\
+source,n,delta,mixed_optimum,mixed_proved,single_optimum,single_proved,moon_small,bes_small,moon_large,bes_large,moon_bound,moon_piece,moon_asymptotic,bes_bound,bes_piece,bes_conjectural,extremal_min,status
+ex-triangle,12,10,2,True,2,True,2,2,,,2,low,False,1,low,False,2,ok
+ex-bes-1,12,10,3,True,2,True,2,2,,,2,low,False,1,low,False,2,ok
+ex-bes-3,12,10,2,True,1,True,2,1,,,2,low,False,1,low,False,2,ok
+random-0,12,10,4,True,4,True,2,1,,,2,low,False,1,low,False,2,ok
+random-1,12,10,4,True,4,True,2,2,,,2,low,False,1,low,False,2,ok
+ex-triangle,12,11,3,True,3,True,,,3,,3,high,False,2,high,True,3,ok
+ex-triangle-alt,12,11,3,True,3,True,,,3,,3,high,False,2,high,True,3,ok
+ex-bes-1,12,11,3,True,2,True,,,3,,3,high,False,2,high,True,3,ok
+ex-bes-3,12,11,4,True,2,True,,,3,,3,high,False,2,high,True,3,ok
+random-0,12,11,4,True,4,True,,,3,,3,high,False,2,high,True,3,ok
+random-1,12,11,4,True,4,True,,,3,,3,high,False,2,high,True,3,ok
+ex-triangle,20,16,0,True,0,True,0,0,,,0,low,False,0,low,False,0,ok
+ex-bes-1,20,16,5,True,3,True,0,0,,,0,low,False,0,low,False,0,ok
+ex-bes-3,20,16,0,True,0,True,0,0,,,0,low,False,0,low,False,0,ok
+random-0,20,16,6,True,6,True,0,0,,,0,low,False,0,low,False,0,ok
+random-1,20,16,6,True,6,True,0,0,,,0,low,False,0,low,False,0,ok
+ex-triangle,20,17,4,True,4,True,,,,,4,mid,True,3,low,True,4,ok
+ex-bes-1,20,17,5,True,3,True,,,,,4,mid,True,3,low,True,4,ok
+ex-bes-3,20,17,4,True,3,True,,,,,4,mid,True,3,low,True,4,ok
+random-0,20,17,6,True,6,True,,,,,4,mid,True,3,low,True,4,ok
+random-1,20,17,6,True,6,True,,,,,4,mid,True,3,low,True,4,ok
+ex-triangle,20,18,5,True,5,True,,,5,,5,high,False,3,high,True,5,ok
+ex-triangle-alt,20,18,5,True,5,True,,,5,,5,high,False,3,high,True,5,ok
+ex-bes-1,20,18,6,True,3,True,,,5,,5,high,False,3,high,True,5,ok
+ex-bes-3,20,18,6,True,4,True,,,5,,5,high,False,3,high,True,5,ok
+random-0,20,18,6,True,6,True,,,5,,5,high,False,3,high,True,5,ok
+random-1,20,18,6,True,6,True,,,5,,5,high,False,3,high,True,5,ok
+ex-triangle,20,19,6,True,6,True,,,6,,6,high,False,4,high,True,6,ok
+ex-triangle-alt,20,19,6,True,6,True,,,6,,6,high,False,4,high,True,6,ok
+ex-bes-1,20,19,6,True,4,True,,,6,,6,high,False,4,high,True,6,ok
+ex-bes-3,20,19,6,True,4,True,,,6,,6,high,False,4,high,True,6,ok
+random-0,20,19,6,True,6,True,,,6,,6,high,False,4,high,True,6,ok
+random-1,20,19,6,True,6,True,,,6,,6,high,False,4,high,True,6,ok
+"""
+PINNED_EXPERIMENT_HOSTS = [
+        '6be9311ab187b577', '9c77fdbe0754b5a4', '6bfe34ca091ee8bd', 'f9e3c3e1853fc4ac',
+        '817a6ee5b7d66630', '02dd2fc9a855dd55', 'edde2cbf2eea738f', '8d108f6cc4440a90',
+        '03fbeff2f1511827', 'e5964599bd9939f9', '432557c58cb2f447', 'a5ded6183dc6f58b',
+        'd1865e4fcf69705a', 'a5ded6183dc6f58b', '4d1695ed2fd24afe', 'b0d11043b50df7f5',
+        '89d3cc1132704787', '1638153d98cd3676', 'd3dfa5899168aabb', '6787d5cea927b829',
+        'e75acefa29c5d023', 'dcab45f126ab4627', 'b8730f142784615b', 'c4bb893dc6a019b1',
+        'd172fe1d4a9ff2e2', '29f30f4d17b065d0', 'f390c8ae76f45c42', 'e10417ae752b4b28',
+        '961235191a59639e', 'ce05ce0156a085c4', '6b879a8588aaad75', '97c040430a5f9d79',
+        'f1358fd014f3205b',
+]
+
+
+class TestExperimentPins:
+    def test_hosts_and_rows_are_pinned(self, tmp_path, monkeypatch):
+        solved = []
+        solve = cli.max_mixed_tiling
+
+        def recording(g, budget=None):
+            solved.append(edge_digest(g))
+            return solve(g, budget=budget)
+
+        monkeypatch.setattr(cli, "max_mixed_tiling", recording)
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"n_values": [12, 20], "samples_per_cell": 2, "seed": 11}))
+        assert run_in(tmp_path, monkeypatch,
+                      ["experiment", "--config", "cfg.json", "--out", "e.csv"]) == 0
+        assert (tmp_path / "e.csv").read_text() == PINNED_EXPERIMENT_CSV
+        assert solved == PINNED_EXPERIMENT_HOSTS
 
 
 class TestDeterminism:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from helpers import centre, relabelled
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -111,7 +112,7 @@ class TestBowtieThroughVertex:
         g = split_k6(RED)
         bow = bowtie_through_vertex_k6(g, 3)
         assert bow == Bowtie(MonoClique((3, 4, 5), BLUE), MonoClique((0, 1, 3), RED))
-        assert bow.centre == 3
+        assert centre(bow) == 3
 
     def test_every_vertex_on_every_qualifying_code(self):
         rng = np.random.default_rng(83)
@@ -275,7 +276,7 @@ class TestDoubledK7:
         rng = np.random.default_rng(7)
         for code in rng.integers(0, 2 ** 21, size=20):
             perm = [int(v) for v in rng.permutation(14)]
-            g = blow_up(complete_colouring(7, 2, int(code)), [2] * 7).relabelled(perm)
+            g = relabelled(blow_up(complete_colouring(7, 2, int(code)), [2] * 7), perm)
             used = 0
             for t in extract_three_disjoint_k7x2(g):
                 assert t.verify(g) and not used & t.mask

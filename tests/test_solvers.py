@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 import pytest
-from helpers import oracle_max_packing, recolour, small_graphs
+from helpers import centre, oracle_max_packing, recolour, relabelled, small_graphs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -146,7 +146,7 @@ class TestMixedSolver:
     def test_relabelling_invariance(self, g: ColouredGraph, rng):
         perm = list(range(g.n))
         rng.shuffle(perm)
-        assert max_mixed_tiling(g).optimum == max_mixed_tiling(g.relabelled(perm)).optimum
+        assert max_mixed_tiling(g).optimum == max_mixed_tiling(relabelled(g, perm)).optimum
 
     @settings(max_examples=60, deadline=None)
     @given(small_graphs(max_n=7), st.integers(min_value=0))
@@ -585,12 +585,135 @@ class TestPerfectTilings:
                     assert g.has_edge(u, v)
 
 
+def reference_quota_masks(n: int, adj: Sequence[int], t: int, whole: int, stripped: int,
+                          budget: int):
+    """The quota tiling search with its own rank-order clique generator.
+
+    Kept as the reference for the search over relabelled rows: the same
+    pick, children, tie breaks and node counting, on the original labels.
+    """
+    order = sorted(range(n), key=lambda v: (adj[v].bit_count(), v))
+    rank = {v: i for i, v in enumerate(order)}
+    prefix = []
+    seen = 0
+    for v in order:
+        seen |= 1 << v
+        prefix.append(seen)
+    calls = 0
+
+    def cliques(cand, size):
+        if size == 0:
+            yield ()
+            return
+        for i in range(n):
+            v = order[i]
+            if (cand >> v) & 1:
+                for tail in cliques(cand & adj[v] & ~prefix[i], size - 1):
+                    yield (v,) + tail
+
+    def visit(used, wq, sq):
+        nonlocal calls
+        calls += 1
+        if calls > budget:
+            raise SearchBudgetExceeded(f"clique tiling search exceeded {budget} nodes")
+        if used == (1 << n) - 1:
+            return None
+        floor_live = t - 1 if sq == 0 else t - 2
+        pick = None
+        for w in range(n):
+            if (used >> w) & 1:
+                continue
+            live = (adj[w] & ~used).bit_count()
+            if live < floor_live:
+                return iter(())
+            key = (live, rank[w])
+            if pick is None or key < pick:
+                pick, v = key, w
+        cand = adj[v] & ~used
+        return ((size, (v,) + tail) for size, quota in ((t, wq), (t - 1, sq)) if quota
+                for tail in cliques(cand, size - 1))
+
+    root = visit(0, whole, stripped)
+    if root is None:
+        return [], []
+    stack = [(0, whole, stripped, root, None)]
+    while stack:
+        used, wq, sq, children, _ = stack[-1]
+        step = next(children, None)
+        if step is None:
+            stack.pop()
+            continue
+        size, tile = step
+        child = (used | sum(1 << w for w in tile), wq - (size == t), sq - (size == t - 1))
+        below = visit(*child)
+        if below is None:
+            path = [frame[4] for frame in stack[1:]] + [step]
+            return ([tile for size, tile in path if size == t],
+                    [tile for size, tile in path if size == t - 1])
+        stack.append((*child, below, step))
+    return None
+
+
+class TestQuotaSearchMatchesReference:
+    BUDGETS = (0, 1, 2, 5, 17, 100, solvers.DEFAULT_TILING_BUDGET)
+
+    @staticmethod
+    def outcome(search, *args):
+        try:
+            return search(*args)
+        except SearchBudgetExceeded as exc:
+            return str(exc)
+
+    def test_matches_the_reference_in_the_band(self):
+        cases = 0
+        for n in range(8, 43):
+            for delta in range(-(-4 * n // 5), n):
+                hosts = []
+                for builder, _ in CONSTRUCTIONS.values():
+                    try:
+                        hosts.append(builder(n, delta))
+                    except ValueError:
+                        continue
+                rng = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(n, delta)))
+                hosts.append(random_min_degree_colouring(n, delta, rng))
+                for g in hosts:
+                    d = g.min_degree()
+                    for t in (3, 4, 6, 8):
+                        if not (n * (t - 2) <= d * (t - 1) and t * d <= (t - 1) * n):
+                            continue
+                        quotas = (t, (t - 1) * d - (t - 2) * n, (t - 1) * n - t * d)
+                        for budget in self.BUDGETS:
+                            args = (n, g.adj, *quotas, budget)
+                            assert (self.outcome(solvers._quota_masks, *args)
+                                    == self.outcome(reference_quota_masks, *args)), (n, delta, t)
+                            cases += 1
+        assert cases == 1855
+
+    def test_perfect_tilings_match_the_reference(self):
+        rng = random.Random(9)
+        for _ in range(60):
+            n = rng.choice((6, 8, 9, 12))
+            g = ColouredGraph(n, 1, [(u, v, 0) for u, v in combinations(range(n), 2)
+                                     if rng.random() < 0.85])
+            for t in (2, 3, 4):
+                if n % t == 0:
+                    for budget in self.BUDGETS:
+                        args = (n, g.adj, t, n // t, 0, budget)
+                        assert (self.outcome(solvers._quota_masks, *args)
+                                == self.outcome(reference_quota_masks, *args))
+
+    def test_empty_host(self):
+        assert len(find_perfect_clique_tiling(ColouredGraph(0, 2, []), 3)) == 0
+        with pytest.raises(SearchBudgetExceeded):
+            find_perfect_clique_tiling(ColouredGraph(0, 2, []), 3, budget=0)
+
+
 class TestFindBowtie:
     def test_finds_centre(self):
         edges = ([(0, 1, 0), (0, 2, 0), (1, 2, 0),
                   (2, 3, 1), (2, 4, 1), (3, 4, 1)])
         bow = find_bowtie(ColouredGraph(5, 2, edges))
-        assert bow is not None and bow.centre == 2
+        assert bow is not None and centre(bow) == 2
         assert bow.verify(ColouredGraph(5, 2, edges))
 
     def test_none_without_triangles(self):

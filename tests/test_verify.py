@@ -11,7 +11,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from helpers import enumerate_colourings, oracle_max_packing, small_graphs
+from helpers import edge_digest, enumerate_colourings, oracle_max_packing, small_graphs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -342,9 +342,9 @@ class TestDoubledK7Campaign:
         bits = np.zeros(len(K7X2_EDGES), dtype=np.uint8)
         assert _k7x2_objective(bits)[0] == 3
 
-    def test_small_campaign_is_clean_and_reproducible(self):
-        kwargs = dict(samples=1200, adversarial_restarts=3, plateau_steps=100,
-                      seed=3, chunk_size=500)
+    def test_small_campaign_is_clean_and_reproducible(self, monkeypatch):
+        monkeypatch.setattr(verifiers, "_K7X2_CHUNK", 500)
+        kwargs = dict(samples=1200, adversarial_restarts=3, plateau_steps=100, seed=3)
         a = verify_k7_blowup(workers=1, **kwargs)
         b = verify_k7_blowup(workers=2, **kwargs)
         assert a.violation_count == 0
@@ -352,10 +352,6 @@ class TestDoubledK7Campaign:
         assert a.extra["adversarial_min_packing"] == 3
         assert a.mode == "adversarial"
         assert a.comparable() == b.comparable()
-
-    def test_rejects_a_nonpositive_chunk_size(self):
-        with pytest.raises(ValueError, match="chunk size"):
-            verify_k7_blowup(samples=1, chunk_size=0)
 
     def test_pure_sampling_mode_label(self):
         rep = verify_k7_blowup(samples=50, adversarial_restarts=0, workers=1)
@@ -470,8 +466,9 @@ class TestDoubledK7MatchesReference:
     @pytest.mark.parametrize("seed", [0, 1, 11])
     @pytest.mark.parametrize("plateau_steps", [0, 1, 10_000])
     def test_reports_match_the_reference_tasks(self, monkeypatch, seed, plateau_steps):
+        monkeypatch.setattr(verifiers, "_K7X2_CHUNK", 120)
         kwargs = dict(samples=300, adversarial_restarts=3, plateau_steps=plateau_steps,
-                      seed=seed, workers=1, chunk_size=120)
+                      seed=seed, workers=1)
         report = verify_k7_blowup(**kwargs).comparable()
         monkeypatch.setattr(verifiers, "_k7x2_sample_task", reference_sample_task)
         monkeypatch.setattr(verifiers, "_k7x2_adversarial_task", reference_adversarial_task)
@@ -616,6 +613,42 @@ class TestProbe:
             assert r.applicable_piece in ("low", "mid", "high")
             assert not r.below_formula
             assert r.formula_low == (5 * 21 - 4 * 25 + 1) // 2
+
+    # Each record of the probe below, in probe order, with the edge digest of
+    # its host; recorded before the cell hosts had one builder, so that the
+    # spawn keys (n, delta, 0, k) and (n, delta, 1, k) and the host order stay fixed.
+    PINNED = [
+        ('ex-bes-1', 25, 20, 4, True, 4, 2, 0, 'low', 0, False, '620768c3cac80db6'),
+        ('ex-bes-2', 25, 20, 2, True, 4, 2, 0, 'low', 0, False, '978c0c80da4cbf1a'),
+        ('ex-bes-3', 25, 20, 0, True, 4, 2, 0, 'low', 0, False, '49bde500d81dbdb7'),
+        ('random-0', 25, 20, 8, True, 4, 2, 0, 'low', 0, False, '51be4450b616bcab'),
+        ('random-1', 25, 20, 8, True, 4, 2, 0, 'low', 0, False, 'e19239d8ba408675'),
+        ('perturbed-ex-bes-1-0', 25, 20, 8, True, 4, 2, 0, 'low', 0, False, 'a4094cbee0fba102'),
+        ('ex-bes-1', 25, 23, 4, True, 4, 6, 8, 'high', 4, False, '0827ec465a4302bc'),
+        ('ex-bes-2', 25, 23, 5, True, 4, 6, 8, 'high', 4, False, '8c6fb5a61235f4b3'),
+        ('ex-bes-3', 25, 23, 5, True, 4, 6, 8, 'high', 4, False, '46a87af7fe0661dd'),
+        ('random-0', 25, 23, 8, True, 4, 6, 8, 'high', 4, False, '07a75eb77ca02efc'),
+        ('random-1', 25, 23, 8, True, 4, 6, 8, 'high', 4, False, '059b09f080e75865'),
+        ('perturbed-ex-bes-1-0', 25, 23, 7, True, 4, 6, 8, 'high', 4, False, '22bebdbe68ecc829'),
+    ]
+    KEYS = ("source", "n", "delta", "optimum", "proved_optimal", "formula_high",
+            "formula_mid", "formula_low", "applicable_piece", "applicable_value",
+            "below_formula")
+
+    def test_records_and_hosts_are_pinned(self, monkeypatch):
+        solved = []
+        solve = verifiers.max_single_colour_tiling
+
+        def recording(g, budget=None):
+            solved.append(edge_digest(g))
+            return solve(g, budget=budget)
+
+        monkeypatch.setattr(verifiers, "max_single_colour_tiling", recording)
+        recs = probe_question(n_values=(25,), delta_values=(20, 23), samples_per_cell=2,
+                             perturbed_per_cell=1, seed=11)
+        assert all(set(r.as_dict()) == set(self.KEYS) for r in recs)
+        assert [(*(r.as_dict()[k] for k in self.KEYS), digest)
+                for r, digest in zip(recs, solved, strict=True)] == self.PINNED
 
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="n=25"):
