@@ -46,10 +46,9 @@ from tritile.graphs import (
     to_json_dict,
     write_graph,
 )
-from tritile.proofs import bes_large, bes_small, moon_large, moon_small, phased_tiler
+from tritile.proofs import K7X2_EDGES, bes_large, bes_small, moon_large, moon_small, phased_tiler
 from tritile.solvers import max_mixed_tiling, max_single_colour_tiling
 from tritile.verifiers import (
-    K7X2_EDGES,
     audit_tightness,
     compute_ramsey,
     compute_special_ramsey,

@@ -25,7 +25,7 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache, partial
 from itertools import combinations, product
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -48,8 +48,11 @@ from tritile.graphs import (
     lex_edges,
 )
 from tritile.proofs import (
+    K7X2_EDGES,
+    K7X2_N,
+    _k7x2_extract,
+    _k7x2_tables,
     bowtie_through_vertex_k6,
-    extract_three_disjoint_k7x2,
     extract_two_disjoint_k8,
     second_bowtie_k7,
 )
@@ -687,50 +690,6 @@ def verify_bowtie_lemmas(workers: Optional[int] = 1) -> tuple[LemmaReport, Lemma
 # doubled-K7 campaign (randomized + adversarial)
 
 
-K7X2_N = 14
-K7X2_CLASSES = tuple((2 * i, 2 * i + 1) for i in range(7))
-_K7X2_NONEDGES = frozenset(K7X2_CLASSES)
-K7X2_EDGES = tuple((u, v) for u in range(K7X2_N) for v in range(u + 1, K7X2_N)
-                   if (u, v) not in _K7X2_NONEDGES)
-
-
-class _K7x2Tables(NamedTuple):
-    """Fixed incidence tables of the doubled K7 (84 edges, 280 triangles)."""
-
-    tri_edges: np.ndarray       # (280, 3): the edge indices of each triangle
-    vmasks: tuple[int, ...]     # the vertex mask of each triangle
-    tri_index: dict[int, int]   # vertex mask -> triangle index
-    through: np.ndarray         # (84, 10): the triangles through each edge
-    others: np.ndarray          # (84, 10, 2): the other two edges of those triangles
-    weights: np.ndarray         # (84, 14): W[e, u] = 1 << v for the edge e = uv
-    full: np.ndarray            # (14,): each vertex's neighbourhood mask
-
-
-@lru_cache(maxsize=None)
-def _k7x2_tables() -> _K7x2Tables:
-    index = {e: i for i, e in enumerate(K7X2_EDGES)}
-    rows = []
-    vmasks = []
-    for a, b, c in combinations(range(K7X2_N), 3):
-        if (a, b) in index and (a, c) in index and (b, c) in index:
-            rows.append((index[(a, b)], index[(a, c)], index[(b, c)]))
-            vmasks.append((1 << a) | (1 << b) | (1 << c))
-    through = [[] for _ in K7X2_EDGES]
-    others = [[] for _ in K7X2_EDGES]
-    for t, tri in enumerate(rows):
-        for e in tri:
-            through[e].append(t)
-            others[e].append([x for x in tri if x != e])
-    weights = np.zeros((len(K7X2_EDGES), K7X2_N), dtype=np.int32)
-    for e, (u, v) in enumerate(K7X2_EDGES):
-        weights[e, u] = 1 << v
-        weights[e, v] = 1 << u
-    return _K7x2Tables(np.array(rows, dtype=np.int64), tuple(vmasks),
-                       {mask: t for t, mask in enumerate(vmasks)},
-                       np.array(through, dtype=np.int64), np.array(others, dtype=np.int64),
-                       weights, weights.sum(axis=0))
-
-
 def k7x2_code(bits: Sequence[int]) -> int:
     return _undigits(bits, 2)
 
@@ -739,17 +698,34 @@ def k7x2_bits(code: int) -> np.ndarray:
     return np.frombuffer(_digits(code, 2, len(K7X2_EDGES)), dtype=np.uint8).copy()
 
 
-def _k7x2_hosts(rows: np.ndarray) -> list[ColouredGraph]:
-    """The doubled-K7 host of each 0/1 row of ``rows``, in row order.
+def _k7x2_colour_rows(rows: np.ndarray) -> np.ndarray:
+    """Each 0/1 row's host as (B, 2, 14) neighbourhood masks per colour and vertex.
 
-    One integer matmul against the (edge, vertex) weights gives every
-    vertex's colour-1 neighbourhood mask; colour 0 holds the rest of the
-    vertex's neighbourhood.
+    One matmul against the (edge, vertex) weights gives the colour-1 masks;
+    colour 0 holds the rest of each vertex's neighbourhood.  The matmul runs
+    in floats, where numpy's is about ten times faster than in integers; its
+    sums of distinct powers of two below 2^14 are exact.
     """
     tab = _k7x2_tables()
-    blue = rows @ tab.weights
+    blue = (rows @ tab.weights).astype(np.int64)
+    return np.stack([tab.full ^ blue, blue], axis=1)
+
+
+def _k7x2_hosts(rows: np.ndarray) -> list[ColouredGraph]:
+    """The doubled-K7 host of each 0/1 row of ``rows``, in row order."""
     return [ColouredGraph._from_masks(K7X2_N, 2, pair)
-            for pair in np.stack([tab.full ^ blue, blue], axis=1).tolist()]
+            for pair in _k7x2_colour_rows(rows).tolist()]
+
+
+def _k7x2_packs(colour_rows: np.ndarray, tris: np.ndarray) -> np.ndarray:
+    """Whether each row's triangles ``tris`` (B, 3) are pairwise disjoint cliques,
+    each of one colour in ``colour_rows`` (B, 2, 14); a, b, c are (B, 1, 3)."""
+    a, b, c = np.moveaxis(_k7x2_tables().tri_verts[tris][:, None], 3, 0)
+    bc = (1 << b) | (1 << c)
+    mono = ((np.take_along_axis(colour_rows, a, 2) & bc == bc)
+            & (np.take_along_axis(colour_rows, b, 2) >> c & 1 == 1)).any(axis=1)
+    m = ((1 << a) | bc)[:, 0]
+    return mono.all(axis=1) & (np.bitwise_or.reduce(m, axis=1) == m.sum(axis=1))
 
 
 def k7x2_graph(bits: Sequence[int]) -> ColouredGraph:
@@ -767,16 +743,15 @@ def _k7x2_mono(bits: np.ndarray) -> np.ndarray:
 
 
 def _k7x2_objective(bits: np.ndarray) -> tuple[int, int]:
-    vmasks = _k7x2_tables().vmasks
-    monos = [vmasks[t] for t in _k7x2_mono(bits)]
+    monos = _k7x2_tables().tri_masks[_k7x2_mono(bits)].tolist()
     return len(_max_disjoint_capped(monos, 3)), len(monos)
 
 
 # The sampling phase runs in tasks of _K7X2_CHUNK colourings, each seeded by
 # its index, so the samples depend on it.  A task's colourings are drawn
-# _K7X2_DRAW rows per rng call and turned into hosts _K7X2_HOSTS rows at a
-# time, so that a batch's matmul temporaries and host objects stay well
-# under 1 MB.
+# _K7X2_DRAW rows per rng call and go through the extractor kernel and the
+# check of its triangles _K7X2_HOSTS rows at a time, so that a batch's
+# temporaries stay well under 1 MB.
 _K7X2_CHUNK = 100_000
 _K7X2_DRAW = 10_000
 _K7X2_HOSTS = 256
@@ -792,14 +767,15 @@ def _k7x2_sample_task(args: tuple) -> tuple[list[int], list[int]]:
                             dtype=np.uint8)
         for lo in range(0, len(rows), _K7X2_HOSTS):
             batch = rows[lo:lo + _K7X2_HOSTS]
-            for row, g in zip(batch, _k7x2_hosts(batch)):
-                if not _extracts(extract_three_disjoint_k7x2, g):
-                    code = k7x2_code(row)
-                    extractor_fails.append(code)
-                    # Classify independently: the lemma itself only fails when no
-                    # three disjoint mono triangles exist at all.
-                    if _k7x2_objective(row)[0] < 3:
-                        violations.append(code)
+            tris, codes = _k7x2_extract(batch)
+            ok = (codes == 0) & _k7x2_packs(_k7x2_colour_rows(batch), tris)
+            for row in batch[~ok]:
+                code = k7x2_code(row)
+                extractor_fails.append(code)
+                # Classify independently: the lemma itself only fails when no
+                # three disjoint mono triangles exist at all.
+                if _k7x2_objective(row)[0] < 3:
+                    violations.append(code)
     return violations, extractor_fails
 
 

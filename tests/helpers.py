@@ -1,7 +1,8 @@
 """Shared test utilities: small random graphs, seeded recolourings, vertex
 and colour permutations, a bowtie's centre, an edge-list digest, a plain
-enumeration of complete colourings, a brute-force packing oracle and the
-trivial degree threshold."""
+enumeration of complete colourings, a brute-force packing oracle, the
+trivial degree threshold, and the graph-walking doubled-K7 extractor that
+the table-driven one is checked against."""
 
 from __future__ import annotations
 
@@ -11,7 +12,17 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from hypothesis import strategies as st
 
-from tritile.graphs import Bowtie, ColouredGraph, Triangle, complete_colouring, mask_of
+from tritile.graphs import (
+    AnomalyError,
+    Bowtie,
+    ColouredGraph,
+    MonoClique,
+    Triangle,
+    complete_colouring,
+    first_pair,
+    mask_of,
+)
+from tritile.proofs import _exact_set, _first_mono_triangle, extract_mono_triangle_k6
 
 
 def small_graphs(max_n: int = 7, r: int = 2) -> st.SearchStrategy[ColouredGraph]:
@@ -114,3 +125,74 @@ def trivial_degree_threshold(ramsey_number: int, n: int) -> int:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     return n * (ramsey_number - 2) // (ramsey_number - 1)
+
+
+def claim_pair_k7(g: ColouredGraph, vertices: Optional[Sequence[int]] = None
+                  ) -> Optional[tuple[MonoClique, MonoClique]]:
+    """Lex-first pair of mono triangles sharing at most one vertex in a K7."""
+    verts = _exact_set(g, vertices, 7, "claim_pair_k7")
+    pair = first_pair(list(g.iter_mono_triangles(mask_of(verts))), 0, 1)
+    return None if pair is None else (MonoClique.of(pair[0]), MonoClique.of(pair[1]))
+
+
+def reference_extract_three_disjoint_k7x2(g: ColouredGraph
+                                          ) -> tuple[MonoClique, MonoClique, MonoClique]:
+    """The doubled-K7 extractor walking the host graph, one search per step.
+
+    ``tritile.proofs.extract_three_disjoint_k7x2`` runs the same steps by
+    table lookup on the canonically relabelled host, so the two agree on
+    canonically labelled hosts.
+    """
+    if g.n != 14 or g.r != 2:
+        raise ValueError(f"host must be a 2-coloured doubled K7, got n={g.n}, r={g.r}")
+    classes = []
+    seen = 0
+    for v in range(14):
+        if (seen >> v) & 1:
+            continue
+        missing = ~g.adj[v] & ((1 << 14) - 1) & ~(1 << v)
+        if missing.bit_count() != 1:
+            raise ValueError(
+                f"vertex {v} has {missing.bit_count()} non-neighbours, expected 1")
+        classes.append((v, missing.bit_length() - 1))
+        seen |= (1 << v) | missing
+    lower = [c[0] for c in classes]
+    upper = [c[1] for c in classes]
+    pair = claim_pair_k7(g, lower)
+    if pair is None:
+        raise AnomalyError("transversal K7 without a near-disjoint triangle pair",
+                           graph=g, detail={"transversal": lower})
+    a, b = pair
+    shared = set(a.vertices) & set(b.vertices)
+    if not shared:
+        third = _first_mono_triangle(g, upper)
+        if third is None:
+            raise AnomalyError("complete 7-set without a monochromatic triangle",
+                               graph=g, detail={"vertices": upper})
+        return (a, b, MonoClique.of(third))
+    (s,) = shared
+    label = {v: i for i, v in enumerate(lower)}
+    l3 = label[s]
+    l12 = sorted(label[v] for v in a.vertices if v != s)
+    l45 = sorted(label[v] for v in b.vertices if v != s)
+    rest = sorted(set(range(7)) - {l3} - set(l12) - set(l45))
+    found = _first_mono_triangle(g, [upper[i] for i in range(7) if i != l3])
+    if found is None:
+        raise AnomalyError("complete 6-set without a monochromatic triangle",
+                           graph=g, detail={"vertices": upper})
+    u_tri = MonoClique.of(found)
+    used_labels = {label_of for label_of, u in enumerate(upper) if u in u_tri.vertices}
+    if len(set(l12) & used_labels) <= 1:
+        keep, alt = a, l12
+        span = l45 + rest
+    else:
+        keep, alt = b, l45
+        span = l12 + rest
+    free = min(i for i in alt if i not in used_labels)
+    six = sorted([upper[free], upper[l3]] + [lower[i] for i in span])
+    third = extract_mono_triangle_k6(g, six)
+    out = (keep, u_tri, third)
+    if (keep.mask | u_tri.mask | third.mask).bit_count() != 9:
+        raise AnomalyError("extractor produced overlapping triangles",
+                           graph=g, detail={"triangles": [t.vertices for t in out]})
+    return out

@@ -201,7 +201,6 @@ def test_criterion_09_fifty_k66_colourings_yield_thirteen_one_colour_triangles()
           "disjoint same-colour triangles")
 
 
-@pytest.mark.slow
 def test_criterion_10_doubled_k7_campaign_finds_no_packing_below_three():
     rep = verify_k7_blowup(samples=1_000_000, adversarial_restarts=1_000,
                            seed=0, workers=1)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from helpers import centre, relabelled
+from helpers import centre, claim_pair_k7, reference_extract_three_disjoint_k7x2, relabelled
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,7 +36,6 @@ from tritile.proofs import (
     bes_large,
     bes_small,
     bowtie_through_vertex_k6,
-    claim_pair_k7,
     extract_mono_triangle_k6,
     extract_three_disjoint_k7x2,
     extract_two_disjoint_k8,
@@ -46,7 +45,8 @@ from tritile.proofs import (
     phased_tiler,
     second_bowtie_k7,
 )
-from tritile.proofs import _bes_augment
+from tritile import proofs
+from tritile.proofs import K7X2_EDGES, _bes_augment, _k7x2_extract, _k7x2_tables
 from tritile.solvers import find_bowtie
 
 
@@ -255,12 +255,44 @@ class TestDoubledK7:
             else:
                 disjoint += 1
             tris = extract_three_disjoint_k7x2(g)
+            assert tris == reference_extract_three_disjoint_k7x2(g)
             used = 0
             for t in tris:
                 assert t.verify(g)
                 assert not used & t.mask
                 used |= t.mask
         assert shared > 0 and disjoint > 0
+
+    def test_kernel_matches_the_reference_on_seeded_rows(self):
+        tab = _k7x2_tables()
+        rows = np.random.default_rng(14).integers(0, 2, size=(20_000, len(K7X2_EDGES)),
+                                                  dtype=np.uint8)
+        rows[0], rows[1] = 0, 1
+        for lo in range(0, len(rows), 256):
+            batch = rows[lo:lo + 256]
+            tris, codes = _k7x2_extract(batch)
+            assert not codes.any()
+            for row, triple in zip(batch, tris.tolist()):
+                g = ColouredGraph(14, 2, [(u, v, int(c)) for (u, v), c in zip(K7X2_EDGES, row)])
+                got = tuple(MonoClique(tuple(tab.tri_verts[t].tolist()),
+                                       int(row[tab.tri_edges[t, 0]])) for t in triple)
+                assert got == reference_extract_three_disjoint_k7x2(g)
+
+    @pytest.mark.parametrize("code,message", [
+        (1, "transversal K7 without a near-disjoint triangle pair"),
+        (2, "complete 7-set without a monochromatic triangle"),
+        (3, "complete 6-set without a monochromatic triangle"),
+        (4, "extractor produced overlapping triangles")])
+    def test_failure_codes_raise_their_anomaly(self, monkeypatch, code, message):
+        def failing(rows):
+            tris, _ = _k7x2_extract(rows)
+            return tris, np.full(len(rows), code)
+
+        monkeypatch.setattr(proofs, "_k7x2_extract", failing)
+        g = blow_up(all_red(7), [2] * 7)
+        with pytest.raises(AnomalyError, match=f"^{message}$") as err:
+            extract_three_disjoint_k7x2(g)
+        assert err.value.graph is g
 
     def test_rejects_non_doubled_hosts(self):
         with pytest.raises(ValueError, match=r"^vertex 0 has 0 non-neighbours, expected 1$"):
@@ -271,6 +303,10 @@ class TestDoubledK7:
         gapped = ColouredGraph(14, 2, [e for e in doubled.edges() if e[:2] != (0, 2)])
         with pytest.raises(ValueError, match=r"^vertex 0 has 2 non-neighbours, expected 1$"):
             extract_three_disjoint_k7x2(gapped)
+        # Two upper vertices non-adjacent: vertex 0 still has one non-neighbour.
+        upper_gap = ColouredGraph(14, 2, [e for e in doubled.edges() if e[:2] != (1, 3)])
+        with pytest.raises(ValueError, match=r"^vertex 1 has 2 non-neighbours, expected 1$"):
+            extract_three_disjoint_k7x2(upper_gap)
 
     def test_partners_found_after_relabelling(self):
         rng = np.random.default_rng(7)
@@ -281,6 +317,24 @@ class TestDoubledK7:
             for t in extract_three_disjoint_k7x2(g):
                 assert t.verify(g) and not used & t.mask
                 used |= t.mask
+
+    def test_relabelled_hosts_match_the_reference_on_the_canonical_labelling(self):
+        # Class i, numbered by its lower vertex, becomes (2i, 2i+1); the
+        # extractor's output is the reference's on that host, mapped back.
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            row = rng.integers(0, 2, size=len(K7X2_EDGES))
+            canon = ColouredGraph(14, 2, [(u, v, int(c)) for (u, v), c in zip(K7X2_EDGES, row)])
+            g = relabelled(canon, [int(v) for v in rng.permutation(14)])
+            lower = sorted(min(u, v) for u in range(14) for v in range(u + 1, 14)
+                           if not g.has_edge(u, v))
+            back = [w for u in lower for w in (u, next(v for v in range(14)
+                                                      if v != u and not g.has_edge(u, v)))]
+            ref = reference_extract_three_disjoint_k7x2(relabelled(g, [back.index(v)
+                                                                     for v in range(14)]))
+            expected = tuple(MonoClique(tuple(back[v] for v in t.vertices), t.colour)
+                             for t in ref)
+            assert extract_three_disjoint_k7x2(g) == expected
 
 
 class TestMoonSmall:

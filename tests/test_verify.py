@@ -11,13 +11,26 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from helpers import edge_digest, enumerate_colourings, oracle_max_packing, small_graphs
+from helpers import (
+    edge_digest,
+    enumerate_colourings,
+    oracle_max_packing,
+    reference_extract_three_disjoint_k7x2,
+    small_graphs,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tritile import verifiers
-from tritile.graphs import AnomalyError, ColouredGraph, colouring_code, complete_colouring
-from tritile.proofs import extract_three_disjoint_k7x2
+from tritile.graphs import (
+    AnomalyError,
+    ColouredGraph,
+    MonoClique,
+    Tiling,
+    colouring_code,
+    complete_colouring,
+)
+from tritile.proofs import _k7x2_extract, _k7x2_tables
 from tritile.verifiers import (
     AUDIT_INSTANCES,
     K7X2_EDGES,
@@ -45,9 +58,10 @@ from tritile.verifiers import (
     _fewer_mono,
     _has_mono_clique,
     _k7x2_adversarial_task,
+    _k7x2_colour_rows,
     _k7x2_hosts,
     _k7x2_objective,
-    _k7x2_tables,
+    _k7x2_packs,
     _max_disjoint_capped,
     _no_mono_pair,
     _ramsey_codes,
@@ -367,7 +381,7 @@ class TestDoubledK7Campaign:
 
 # The doubled-K7 tasks as they were before witness reuse and batched hosts:
 # every descent step searches all 84 flips, and every sampled host is built
-# one edge at a time.
+# one edge at a time and run through the graph-walking extractor.
 
 
 def reference_capped_count(masks, cap):
@@ -408,7 +422,8 @@ def reference_sample_task(args):
         rows = rng.integers(0, 2, size=(min(10_000, count - done), len(K7X2_EDGES)),
                             dtype=np.uint8)
         for row in rows:
-            if not _extracts(extract_three_disjoint_k7x2, reference_k7x2_graph(row)):
+            if not _extracts(reference_extract_three_disjoint_k7x2,
+                             reference_k7x2_graph(row)):
                 fails.append(k7x2_code(row))
                 if reference_objective(row)[0] < 3:
                     violations.append(k7x2_code(row))
@@ -445,6 +460,63 @@ def reference_adversarial_task(args, cap=3):
         if current[0] < cap:
             violations.append(k7x2_code(bits))
     return evaluated, min_floor, violations
+
+
+def corrupt(tris, rng):
+    """Each triple with one slot replaced: by a random triangle, or by a copy of
+    another slot or a random triangle through one of its vertices."""
+    tab = _k7x2_tables()
+    out = tris.copy()
+    for row in out:
+        slot, other = rng.choice(3, size=2, replace=False)
+        kind = rng.integers(3)
+        if kind == 0:
+            row[slot] = rng.integers(len(tab.vmasks))
+        elif kind == 1:
+            row[slot] = row[other]
+        else:
+            v = rng.choice(tab.tri_verts[row[other]])
+            row[slot] = rng.choice(np.flatnonzero((tab.tri_verts == v).any(axis=1)))
+    return out
+
+
+class TestDoubledK7BatchCheck:
+    def test_check_agrees_with_tiling_verify_on_corrupted_triples(self):
+        rng = np.random.default_rng(31)
+        tab = _k7x2_tables()
+        rows = rng.integers(0, 2, size=(3000, len(K7X2_EDGES)), dtype=np.uint8)
+        tris = corrupt(_k7x2_extract(rows)[0], rng)
+        packs = _k7x2_packs(_k7x2_colour_rows(rows), tris)
+        for row, triple, g, ok in zip(rows, tris.tolist(), _k7x2_hosts(rows), packs):
+            tiling = Tiling(tuple(MonoClique(tuple(tab.tri_verts[t].tolist()),
+                                             int(row[tab.tri_edges[t, 0]])) for t in triple))
+            assert ok == tiling.verify(g)
+        assert 0 < packs.sum() < len(rows) // 5
+
+    def test_kernel_output_is_checked_on_every_sample(self, monkeypatch):
+        # On chosen samples, overlap the kernel's triple with no failure code,
+        # or report a failure code with the triple intact: exactly those
+        # samples are extractor failures, and none is a violation.
+        real, chosen, seen, codes = _k7x2_extract, {3, 255, 256, 599}, [0], []
+
+        def corrupted(rows):
+            tris, fails = real(rows)
+            for i, row in enumerate(rows):
+                if seen[0] + i in chosen:
+                    if i % 2:
+                        tris[i, 2] = tris[i, 0]
+                    else:
+                        fails[i] = 3
+                    codes.append(k7x2_code(row))
+            seen[0] += len(rows)
+            return tris, fails
+
+        monkeypatch.setattr(verifiers, "_k7x2_extract", corrupted)
+        rep = verify_k7_blowup(samples=600, adversarial_restarts=0, seed=5, workers=1)
+        assert seen[0] == 600 and len(codes) == len(chosen)
+        assert rep.extra["extractor_failure_codes"] == codes
+        assert rep.extra["extractor_failures"] == len(chosen)
+        assert rep.violation_count == 0 and rep.violations == ()
 
 
 class TestDoubledK7MatchesReference:
