@@ -222,13 +222,12 @@ def _cmd_tile(args) -> int:
     start = time.perf_counter()
     notes: tuple[str, ...] = ()
     if args.algorithm == "phased":
-        if not args.seed_clique:
-            raise _UsageError("phased needs --seed-clique v0,v1,...")
-        verts = tuple(int(v) for v in args.seed_clique.split(","))
+        verts = args.seed_clique or ()
         if len(verts) < 2:
-            raise _UsageError("the seed clique needs at least two vertices")
-        colour = g.edge_colour(verts[0], verts[1])
-        result = phased_tiler(g, MonoClique(verts, colour))
+            raise _UsageError("phased needs --seed-clique v0,v1,... with at least two vertices")
+        if not all(0 <= v < g.n for v in verts):
+            raise ValueError("seed must be a monochromatic clique of the host")
+        result = phased_tiler(g, MonoClique(verts, g.edge_colour(verts[0], verts[1])))
         tiling, notes = result.tiling, result.notes
     else:
         tiling = _ALGORITHMS[args.algorithm](g, budget=args.budget)
@@ -376,9 +375,7 @@ PROBE_HEADERS = ("n", "delta", "source", "optimum", "c1", "c2", "c3", "below")
 
 
 def _cmd_probe(args) -> int:
-    n_values = tuple(int(v) for v in args.n.split(","))
-    deltas = tuple(int(v) for v in args.deltas.split(",")) if args.deltas else None
-    records = probe_question(n_values=n_values, delta_values=deltas,
+    records = probe_question(n_values=args.n, delta_values=args.deltas,
                              samples_per_cell=args.samples,
                              perturbed_per_cell=args.perturbed,
                              seed=args.seed, budget=args.budget)
@@ -534,6 +531,15 @@ def _nonnegative(text: str) -> int:
     return value
 
 
+def _int_list(text: str) -> tuple[int, ...]:
+    """Comma-separated integers, such as seed-clique vertices or probe orders."""
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated integers, got {text!r}") from None
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     """The argument parser, built once per process: parsing leaves it unchanged."""
@@ -577,7 +583,7 @@ def _build_parser() -> _Parser:
     p.add_argument("path")
     p.add_argument("--algorithm", required=True,
                    choices=tuple(_ALGORITHMS) + ("phased",))
-    p.add_argument("--seed-clique", dest="seed_clique",
+    p.add_argument("--seed-clique", dest="seed_clique", type=_int_list,
                    help="comma-separated seed clique vertices (phased only)")
     p.set_defaults(func=_cmd_tile)
 
@@ -613,9 +619,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("probe", parents=[common],
                        help="search for hosts beating the single-colour "
                             "formulas")
-    p.add_argument("--n", default="25",
+    p.add_argument("--n", type=_int_list, default="25",
                    help="comma-separated host orders (all >= 25)")
-    p.add_argument("--deltas", default=None,
+    p.add_argument("--deltas", type=_int_list, default=None,
                    help="comma-separated min degrees (default: whole band)")
     p.add_argument("--samples", type=_nonnegative, default=2,
                    help="random hosts per cell")

@@ -106,11 +106,17 @@ def ex_triangle_alt(n: int, delta: int) -> ColouredGraph:
     monochromatic triangle lies inside R, so no tiling beats |R|/3.
     """
     lay = ex_triangle_alt_layout(n, delta)
+    return _red_clique_over_pair(n, lay["R"], lay["S1"], lay["S2"])
+
+
+def _red_clique_over_pair(n: int, clique: Sequence[int], first: Sequence[int],
+                          second: Sequence[int]) -> ColouredGraph:
+    """A red clique joined blue to two independent classes that are red to each other."""
     edges: list[tuple[int, int, int]] = []
-    _between(edges, lay["S1"], lay["S2"], RED)
-    _between(edges, lay["S1"], lay["R"], BLUE)
-    _between(edges, lay["S2"], lay["R"], BLUE)
-    _within(edges, lay["R"], RED)
+    _within(edges, clique, RED)
+    _between(edges, clique, first, BLUE)
+    _between(edges, clique, second, BLUE)
+    _between(edges, first, second, RED)
     return ColouredGraph(n, 2, edges)
 
 
@@ -276,16 +282,7 @@ def special_blowup(*, t: int | None = None, n: int | None = None,
     _check(2 * delta > n and delta <= n - 1,
            f"degree mode needs n/2 < delta <= n-1, got n={n}, delta={delta}")
     u_size = 2 * delta - n
-    s = n - delta
-    u = list(range(0, u_size))
-    aa = list(range(u_size, u_size + s))
-    ab = list(range(u_size + s, n))
-    edges = []
-    _within(edges, u, RED)
-    _between(edges, u, aa, BLUE)
-    _between(edges, u, ab, BLUE)
-    _between(edges, aa, ab, RED)
-    return ColouredGraph(n, 2, edges)
+    return _red_clique_over_pair(n, range(u_size), range(u_size, delta), range(delta, n))
 
 
 # ---------------------------------------------------------------------------

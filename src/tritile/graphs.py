@@ -405,6 +405,8 @@ def complete_colouring(n: int, r: int, code: int) -> ColouredGraph:
     Digit ``i`` of ``code`` (least significant first) colours edge ``i`` in
     the lexicographic edge order ``(0,1), (0,2), ..., (n-2,n-1)``.
     """
+    if not 1 <= r <= 8:
+        raise ValueError(f"colour count must be in 1..8, got {r}")
     m = n * (n - 1) // 2
     if not 0 <= code < r ** m:
         raise ValueError(f"code {code} out of range for n={n}, r={r}")

@@ -1,7 +1,7 @@
 """Exhaustive, randomized, and adversarial checks for the tiling lemmas.
 
-Complete 2-coloured hosts are scanned as integer edge codes: bit ``i`` of a
-code colours edge ``i`` in the lexicographic edge order of
+Complete r-coloured hosts are scanned as integer edge codes: digit ``i`` of
+a base-r code colours edge ``i`` in the lexicographic edge order of
 :func:`tritile.graphs.complete_colouring`, so every report's witness codes
 round-trip through that function.  Exhaustive scans vectorise the
 monochromatic-triangle indicator over numpy chunks and are cut into
@@ -24,7 +24,7 @@ import os
 import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache, partial
-from itertools import combinations, product
+from itertools import combinations
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -44,7 +44,6 @@ from tritile.graphs import (
     _undigits,
     complete_colouring,
     first_pair,
-    iter_cliques,
     lex_edges,
 )
 from tritile.proofs import (
@@ -458,12 +457,37 @@ def _split_pair(codes: np.ndarray, n: int, share: int) -> np.ndarray:
     return _pair_hits(red, blue, n, share, share)
 
 
-def _code_chunks(lo: int, hi: int, shift: int = 0, low: int = 0):
-    """The codes ``(i << shift) | low`` for i in [lo, hi), as increasing numpy chunks."""
+def _clique_free(codes: np.ndarray, n: int, r: int, ell: int) -> np.ndarray:
+    """Codes of r-colourings of K_n without a monochromatic K_ell.
+
+    Two colours OR the red and blue clique bitmaps read off the code bits.
+    More colours divmod the base-r digits into one edge mask per colour;
+    the ``one`` tables, which :func:`_clique_bits` reads as blue, then mark
+    the cliques with all their edges in the mask.
+    """
+    _, _, one = _clique_tables(n, ell)
+    words = range(len(one[0]))
+    if r == 2:
+        bitmaps = [np.bitwise_or(*_clique_bits(codes, n, ell, word)) for word in words]
+    else:
+        masks = np.zeros((r,) + codes.shape, dtype=np.uint64)
+        digits = codes
+        for e in range(n * (n - 1) // 2):
+            digits, digit = np.divmod(digits, np.uint64(r))
+            for c in range(r):
+                masks[c] |= (digit == c).astype(np.uint64) << np.uint64(e)
+        bitmaps = [_clique_bits(mask, n, ell, word)[1] for mask in masks for word in words]
+    mono = np.zeros(codes.shape, dtype=bool)
+    for bits in bitmaps:
+        np.logical_or(mono, bits != 0, out=mono)
+    return ~mono
+
+
+def _code_chunks(lo: int, hi: int, shift: int = 0):
+    """The codes ``i << shift`` for i in [lo, hi), as increasing numpy chunks."""
     for clo in range(lo, hi, _CHUNK):
         codes = np.arange(clo, min(clo + _CHUNK, hi), dtype=np.uint64)
         np.left_shift(codes, np.uint64(shift), out=codes)
-        np.bitwise_or(codes, np.uint64(low), out=codes)
         yield codes
 
 
@@ -904,58 +928,27 @@ def verify_k7_blowup(samples: int = 1_000_000, adversarial_restarts: int = 1_000
 # Ramsey-style searches
 
 
-def _first_clique_free_code(n: int, r: int, ell: int, codes) -> Optional[int]:
-    """First code of the stream ``codes`` with no monochromatic K_ell, else None.
-
-    For two colours ``codes`` yields numpy chunks, otherwise plain ints.
-    """
-    if r == 2:
-        _, zero, _ = _clique_tables(n, ell)
-        words = len(zero[0])
-        for chunk in codes:
-            mono = np.zeros(chunk.shape, dtype=bool)
-            for word in range(words):
-                red, blue = _clique_bits(chunk, n, ell, word)
-                np.bitwise_or(red, blue, out=red)
-                np.logical_or(mono, red != 0, out=mono)
-            viol = np.flatnonzero(~mono)
-            if viol.size:
-                return int(chunk[viol[0]])
-        return None
-    for code in codes:
-        if not _has_mono_clique(complete_colouring(n, r, code), ell):
-            return code
-    return None
-
-
-def _has_mono_clique(g: ColouredGraph, ell: int) -> bool:
-    full = (1 << g.n) - 1
-    return any(next(iter_cliques(rows, full, ell), None) is not None
-               for rows in g.colour_adj)
-
-
 def _ramsey_codes(n: int, r: int, special: bool):
-    """(increasing stream, count) of the r-colourings of K_n a search visits.
+    """(increasing stream of uint64 chunks, count) of the r-colourings of K_n a search visits.
 
     With ``special`` these are the colourings in which vertex 0 misses
     colour 0.  The n-1 edges at vertex 0 are the lowest digits of the
-    lexicographic edge order, so such a code is a free code of the other
-    edges shifted up past an apex whose n-1 digits avoid 0; the classic
-    search has an apex of width 0.  For two colours the stream is numpy
-    chunks and the one apex is all ones; otherwise it is plain ints.
+    lexicographic edge order, so such a code is ``high * r**apex + base``:
+    a free code of the other edges above a base whose n-1 apex digits
+    avoid 0.  The classic search has an apex of width 0.
     """
     apex = n - 1 if special else 0
     rest = r ** (n * (n - 1) // 2 - apex)
-    if r == 2:
-        return _code_chunks(0, rest, apex, (1 << apex) - 1), rest
 
     def stream():
-        scale = r ** apex
-        bases = sorted(sum(d * r ** i for i, d in enumerate(digits))
-                       for digits in product(range(1, r), repeat=apex))
-        for high in range(rest):
-            for base in bases:
-                yield high * scale + base
+        # Each pass appends a lower digit, so the bases come out sorted.
+        bases = np.zeros(1, dtype=np.uint64)
+        for _ in range(apex):
+            bases = (bases[:, None] * np.uint64(r) + np.arange(1, r, dtype=np.uint64)).ravel()
+        step = max(1, _CHUNK // len(bases))
+        for lo in range(0, rest, step):
+            high = np.arange(lo, min(lo + step, rest), dtype=np.uint64)
+            yield (high[:, None] * np.uint64(r ** apex) + bases).ravel()
 
     return stream(), (r - 1) ** apex * rest
 
@@ -963,19 +956,20 @@ def _ramsey_codes(n: int, r: int, special: bool):
 def _ramsey_search(ell: int, r: int, n_max: int, budget: int,
                    special: bool) -> RamseyResult:
     """Scan n upward for the first order whose :func:`_ramsey_codes` all hold a mono K_ell."""
-    if ell < 2 or r < 2:
-        raise ValueError(f"need ell >= 2 and r >= 2, got ell={ell}, r={r}")
+    if ell < 2 or not 2 <= r <= 8:
+        raise ValueError(f"need ell >= 2 and 2 <= r <= 8, got ell={ell}, r={r}")
     start = time.perf_counter()
     checked: dict = {}
     witness_n, witness_code = (None, None) if special else (ell - 1, 0)
     value = None
     for n in range(1 if special else ell, n_max + 1):
         codes, universe = _ramsey_codes(n, r, special)
-        # r > 2 falls back to a plain python loop, so its practical budget
-        # is far smaller than the vectorised two-colour path's.
-        if universe > (budget if r == 2 else min(budget, 1 << 22)):
+        # Codes are uint64, so an order whose codes need more bits stops
+        # the search as an exhausted budget does.
+        if universe > budget or r ** (n * (n - 1) // 2) > 1 << 64:
             break
-        code = _first_clique_free_code(n, r, ell, codes)
+        free = (chunk[_clique_free(chunk, n, r, ell)] for chunk in codes)
+        code = next((int(f[0]) for f in free if f.size), None)
         checked[n] = universe
         if code is None:
             value = n

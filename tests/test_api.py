@@ -37,3 +37,23 @@ def test_every_exported_name_has_a_user():
     unused = [name for name in tritile.__all__
               if name not in used and not re.search(rf"\b{re.escape(name)}\b", readme)]
     assert unused == []
+
+
+def test_every_imported_name_is_used():
+    """Each name a ``src/tritile`` module imports is loaded in that module or,
+    in ``__init__.py``, listed in ``__all__``; no linter runs here to catch
+    an import that a deletion left behind."""
+    unused = []
+    for path in sorted((ROOT / "src" / "tritile").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        if path.name == "__init__.py":
+            loaded |= set(tritile.__all__)
+        unused += [f"{path.name}: {name}" for name in sorted(imported - loaded)]
+    assert unused == []

@@ -13,7 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tritile import cli
-from tritile.graphs import complete_colouring, read_graph, write_graph
+from tritile.graphs import (
+    complete_colouring,
+    from_json_dict,
+    read_graph,
+    to_json_dict,
+    write_graph,
+)
 from tritile.verifiers import verify_fact_k6, verify_lemma_k8
 
 
@@ -152,7 +158,7 @@ class TestSolveAndTile:
                       ["tile", str(tmp_path / "k15.txt"),
                        "--algorithm", "phased"]) == 1
 
-    @pytest.mark.parametrize("seed", ["-1,0,1", "0,1,15"])
+    @pytest.mark.parametrize("seed", ["-1,0,1", "0,1,15", "0,-1"])
     def test_phased_seed_outside_the_host_is_one_error_line(self, tmp_path, monkeypatch,
                                                             capsys, seed):
         write_graph(complete_colouring(15, 2, 0), tmp_path / "k15.txt")
@@ -162,6 +168,20 @@ class TestSolveAndTile:
         assert rc == 1
         assert capsys.readouterr().err == \
             "error: seed must be a monochromatic clique of the host\n"
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["tile", "k15.txt", "--algorithm", "phased", "--seed-clique", "0,x"], "--seed-clique"),
+        (["tile", "k15.txt", "--algorithm", "phased", "--seed-clique", "0,,1"], "--seed-clique"),
+        (["probe", "--n", "25,x"], "--n"),
+        (["probe", "--n", "25", "--deltas", "21,2.5"], "--deltas"),
+    ])
+    def test_malformed_integer_list_is_one_error_line(self, tmp_path, monkeypatch, capsys,
+                                                      argv, flag):
+        write_graph(complete_colouring(15, 2, 0), tmp_path / "k15.txt")
+        assert run_in(tmp_path, monkeypatch, argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: argument {flag}: must be comma-separated integers")
 
     def test_solve_reads_json_graphs(self, tmp_path, monkeypatch, capsys):
         from tritile.graphs import to_json_dict
@@ -326,6 +346,23 @@ class TestReportingCommands:
         assert rc == 0
         assert doc["value"] == 6
         assert doc["witness_graph"]["n"] == 5
+
+    def test_three_colour_ramsey_json_is_pinned(self, tmp_path, monkeypatch, capsys):
+        rc = run_in(tmp_path, monkeypatch, ["ramsey", "--colours", "3", "--n-max", "6", "--json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        del doc["elapsed"]
+        assert doc == {"schema": 1, "command": "ramsey", "ell": 3, "colours": 3, "n_max": 6,
+                       "value": None, "resolved": False, "witness_n": 6, "witness_code": 635283,
+                       "checked": {"3": 27, "4": 729, "5": 59049, "6": 14348907},
+                       "witness_graph": to_json_dict(complete_colouring(6, 3, 635283))}
+        assert from_json_dict(doc["witness_graph"]).mono_triangles() == []
+
+    def test_colour_count_above_eight_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+        assert run_in(tmp_path, monkeypatch, ["ramsey", "--colours", "9", "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: need ell >= 2 and 2 <= r <= 8, got ell=3, r=9\n"
 
     def test_special_ramsey_text(self, tmp_path, monkeypatch, capsys):
         rc = run_in(tmp_path, monkeypatch, ["special-ramsey"])

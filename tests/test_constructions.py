@@ -6,7 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from helpers import trivial_degree_threshold
+from helpers import relabelled, trivial_degree_threshold
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -195,6 +195,20 @@ class TestSpecialBlowup:
         assert g.min_degree() == 13
         u = set(range(6))
         assert all(verts <= u for verts, _ in triangle_inventory(g))
+
+    @pytest.mark.parametrize("n, delta", [(16, 14), (24, 21), (40, 36)])
+    def test_degree_mode_relabels_ex_triangle_alt(self, n, delta):
+        # S1 -> AA, S2 -> AB and R -> U carry one colouring onto the other.
+        lay = ex_triangle_alt_layout(n, delta)
+        u_size = 2 * delta - n
+        perm = [0] * n
+        for k, v in enumerate(lay["S1"]):
+            perm[v] = u_size + k
+        for k, v in enumerate(lay["S2"]):
+            perm[v] = delta + k
+        for k, v in enumerate(lay["R"]):
+            perm[v] = k
+        assert relabelled(ex_triangle_alt(n, delta), perm) == special_blowup(n=n, delta=delta)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):

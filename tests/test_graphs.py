@@ -245,6 +245,10 @@ class TestCodes:
             complete_colouring(3, 2, 8)
         with pytest.raises(ValueError, match=r"^code -1 out of range for n=4, r=3$"):
             complete_colouring(4, 3, -1)
+        # The constructor's colour range holds here too, so every host a
+        # code decodes to can be written and read back.
+        with pytest.raises(ValueError, match=r"^colour count must be in 1..8, got 9$"):
+            complete_colouring(3, 9, 0)
 
     @staticmethod
     def reference_colouring(n: int, r: int, code: int) -> ColouredGraph:

@@ -53,10 +53,10 @@ from tritile.verifiers import (
     verify_lemma_k8,
     bowtie_extraction_holds,
     _bowtie_sweep,
+    _clique_free,
     _confirm_witnesses,
     _extracts,
     _fewer_mono,
-    _has_mono_clique,
     _k7x2_adversarial_task,
     _k7x2_colour_rows,
     _k7x2_hosts,
@@ -619,15 +619,27 @@ class TestRamsey:
 
     def test_special_codes_are_sorted_and_special(self):
         stream, count = _ramsey_codes(4, 3, True)
-        codes = list(stream)
+        codes = [int(c) for chunk in stream for c in chunk]
         assert len(codes) == count == 2 ** 3 * 3 ** 3
         assert codes == sorted(codes)
         g = complete_colouring(4, 3, codes[0])
         assert all(g.edge_colour(0, v) != 0 for v in range(1, 4))
 
+    def test_three_colour_special_stream_over_many_chunks(self):
+        stream, count = _ramsey_codes(6, 3, True)
+        chunks = list(stream)
+        codes = np.concatenate(chunks)
+        assert len(chunks) > 100 and all(c.dtype == np.uint64 for c in chunks)
+        assert len(codes) == count == 1_889_568
+        assert (codes[1:] > codes[:-1]).all()
+        for code in codes[::9973]:
+            g = complete_colouring(6, 3, int(code))
+            assert all(g.edge_colour(0, v) != 0 for v in range(1, 6))
+
     def test_classic_codes_are_the_whole_universe(self):
         stream, count = _ramsey_codes(4, 3, False)
-        assert list(stream) == list(range(3 ** 6)) and count == 3 ** 6
+        codes = [int(c) for chunk in stream for c in chunk]
+        assert codes == list(range(3 ** 6)) and count == 3 ** 6
 
     def test_two_colour_special_codes_force_the_apex_bits(self):
         stream, count = _ramsey_codes(4, 2, True)
@@ -637,20 +649,56 @@ class TestRamsey:
     @pytest.mark.parametrize("n", [5, 6])
     @pytest.mark.parametrize("ell", [3, 4])
     def test_mono_clique_check_matches_reference(self, n, ell):
-        rng = np.random.default_rng(100 * n + ell)
-        hits = 0
-        for code in rng.integers(0, 3 ** (n * (n - 1) // 2), size=2000):
-            g = complete_colouring(n, 3, int(code))
-            want = reference_has_mono_clique(g, ell)
-            assert _has_mono_clique(g, ell) == want
-            hits += want
-        assert 0 < hits < 2000
+        for r in (2, 3, 4):
+            rng = np.random.default_rng(1000 * r + 100 * n + ell)
+            codes = rng.integers(0, r ** (n * (n - 1) // 2), size=2000, dtype=np.uint64)
+            free = _clique_free(codes, n, r, ell)
+            want = [not reference_has_mono_clique(complete_colouring(n, r, int(c)), ell)
+                    for c in codes]
+            assert free.tolist() == want
+            # Both outcomes occur, except that R(3,3) = 6 leaves none clique-free.
+            assert 0 < sum(want) < 2000 or (r, n, ell) == (2, 6, 3)
+
+    @pytest.mark.parametrize("special, ell, r, n_max, checked, witness", [
+        (False, 3, 3, 5, {3: 27, 4: 729, 5: 59049}, (5, 2614)),
+        (True, 3, 3, 6, {1: 1, 2: 2, 3: 12, 4: 216, 5: 11664, 6: 1889568}, (6, 635602)),
+        (False, 3, 4, 5, {3: 64, 4: 4096, 5: 1048576}, (5, 17947)),
+        (True, 3, 4, 5, {1: 1, 2: 3, 3: 36, 4: 1728, 5: 331776}, (5, 18011)),
+        (False, 4, 3, 5, {4: 729, 5: 59049}, (5, 85)),
+        (False, 3, 3, 8, {3: 27, 4: 729, 5: 59049, 6: 14348907}, (6, 635283)),
+    ])
+    def test_many_colour_searches_are_pinned(self, special, ell, r, n_max, checked, witness):
+        search = compute_special_ramsey if special else compute_ramsey
+        res = search(ell, r, n_max)
+        assert res.value is None
+        assert res.checked == checked
+        assert (res.witness_n, res.witness_code) == witness
+        w = res.witness()
+        assert reference_has_mono_clique(w, ell) is False
+        if special:
+            assert all(w.edge_colour(0, v) != 0 for v in range(1, w.n))
+
+    def test_search_stops_where_codes_outgrow_64_bits(self, monkeypatch):
+        # Every code flagged: each order takes its first code as the witness
+        # until K_12, whose 2^66 codes do not fit in a uint64.
+        monkeypatch.setattr(verifiers, "_clique_free",
+                            lambda codes, n, r, ell: np.ones(codes.shape, dtype=bool))
+        res = compute_ramsey(3, 2, n_max=20, budget=1 << 70)
+        assert res.value is None
+        assert sorted(res.checked) == list(range(3, 12))
+        assert res.checked[11] == 1 << 55
+        assert (res.witness_n, res.witness_code) == (11, 0)
+        res = compute_special_ramsey(3, 3, n_max=20, budget=1 << 70)
+        assert max(res.checked) == 9  # 3^36 < 2^64 < 3^45
+        assert res.witness_code == (3 ** 8 - 1) // 2  # every apex digit 1
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="ell"):
             compute_ramsey(1, 2)
         with pytest.raises(ValueError, match="ell"):
             compute_special_ramsey(3, 1)
+        with pytest.raises(ValueError, match="r <= 8"):
+            compute_ramsey(3, 9)
 
 
 class TestAudit:
