@@ -232,8 +232,9 @@ class _K7x2Tables(NamedTuple):
     tri_masks: np.ndarray       # (280,) int16: the vertex mask of each triangle
     vmasks: tuple[int, ...]     # the same masks as python ints
     tri_index: dict[int, int]   # vertex mask -> triangle index
-    through: np.ndarray         # (84, 10): the triangles through each edge
-    others: np.ndarray          # (84, 10, 2): the other two edges of those triangles
+    through: tuple              # per edge: (1 << t, a, b) for the ten triangles t through
+                                # it, a and b their other two edges
+    apart: tuple[int, ...]      # per triangle: the bitset of the triangles disjoint from it
     weights: np.ndarray         # (84, 14): W[e, u] = 1 << v for the edge e = uv, as floats
     full: np.ndarray            # (14,): each vertex's neighbourhood mask
     pairs: np.ndarray           # (385, 5): lower triangles i < j meeting in <= 1 vertex,
@@ -254,6 +255,9 @@ def _k7x2_tables() -> _K7x2Tables:
     # A stable sort of the flattened edge table lists each edge's ten triangles in order.
     pos = np.argsort(rows.ravel(), kind="stable").reshape(len(K7X2_EDGES), 10)
     others = np.take_along_axis(rows[pos // 3], np.array([[1, 2], [0, 2], [0, 1]])[pos % 3], 2)
+    through = tuple(tuple((1 << t, a, b) for t, (a, b) in zip(ts, ab))
+                    for ts, ab in zip((pos // 3).tolist(), others.tolist()))
+    apart = np.packbits(masks[:, None] & masks == 0, axis=1, bitorder="little")
     edges = np.array(K7X2_EDGES)
     weights = np.zeros((len(edges), K7X2_N))
     weights[np.arange(len(edges))[:, None], edges] = 1 << edges[:, ::-1]
@@ -265,7 +269,8 @@ def _k7x2_tables() -> _K7x2Tables:
     upper = np.flatnonzero(uppers == 3)
     lower_verts = np.array([mask_of(2 * k for k in iter_bits(m)) for m in range(128)], np.int16)
     return _K7x2Tables(rows, verts, masks, vmasks, {mask: t for t, mask in enumerate(vmasks)},
-                       pos // 3, others, weights, weights.sum(axis=0).astype(np.int64),
+                       through, tuple(int.from_bytes(r, "little") for r in apart),
+                       weights, weights.sum(axis=0).astype(np.int64),
                        np.stack([i, j, shared, classes[i] ^ shared, classes[j] ^ shared], axis=1),
                        upper, classes[upper], lower_verts)
 

@@ -25,7 +25,7 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache, partial
 from itertools import combinations
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from tritile.graphs import (
     _undigits,
     complete_colouring,
     first_pair,
+    iter_bits,
     lex_edges,
 )
 from tritile.proofs import (
@@ -760,14 +761,10 @@ def k7x2_graph(bits: Sequence[int]) -> ColouredGraph:
     return _k7x2_hosts(row[None, :])[0]
 
 
-def _k7x2_mono(bits: np.ndarray) -> np.ndarray:
-    """Indices of the monochromatic triangles, in triangle order."""
-    sums = bits[_k7x2_tables().tri_edges].sum(axis=1)
-    return np.flatnonzero((sums == 0) | (sums == 3))
-
-
 def _k7x2_objective(bits: np.ndarray) -> tuple[int, int]:
-    monos = _k7x2_tables().tri_masks[_k7x2_mono(bits)].tolist()
+    """The capped packing size and the mono-triangle count of a 0/1 row."""
+    sums = bits[_k7x2_tables().tri_edges].sum(axis=1)
+    monos = _k7x2_tables().tri_masks[(sums == 0) | (sums == 3)].tolist()
     return len(_max_disjoint_capped(monos, 3)), len(monos)
 
 
@@ -803,6 +800,14 @@ def _k7x2_sample_task(args: tuple) -> tuple[list[int], list[int]]:
     return violations, extractor_fails
 
 
+def _k7x2_third(mono: int, kept: Sequence[int]) -> Optional[int]:
+    """The lowest triangle of the bitset ``mono`` disjoint from all of ``kept``, or None."""
+    apart = _k7x2_tables().apart
+    for t in kept:
+        mono &= apart[t]
+    return (mono & -mono).bit_length() - 1 if mono else None
+
+
 def _k7x2_adversarial_task(args: tuple, cap: int = 3) -> tuple[int, int, list[int]]:
     """One steepest-descent restart; see :func:`verify_k7_blowup` for the argument.
 
@@ -811,49 +816,58 @@ def _k7x2_adversarial_task(args: tuple, cap: int = 3) -> tuple[int, int, list[in
     restart_index, seed, max_steps = args
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, restart_index)))
     tab = _k7x2_tables()
+    through, tri_edges = tab.through, tab.tri_edges.tolist()
     m = len(K7X2_EDGES)
-    bits = rng.integers(0, 2, size=m, dtype=np.uint8)
-    mono = set(_k7x2_mono(bits).tolist())
-    packing = _max_disjoint_capped([tab.vmasks[t] for t in sorted(mono)], cap)
-    current = (len(packing), len(mono))
+    bits = rng.integers(0, 2, size=m, dtype=np.uint8).tolist()
+    # toggles[e]: the triangles whose mono status a flip of e changes, those through
+    # e whose other two edges agree; delta[e]: the change in the mono count.
+    toggles = [sum(bit for bit, a, b in row if bits[a] == bits[b]) for row in through]
+    mono = sum(1 << t for t, (x, y, z) in enumerate(tri_edges) if bits[x] == bits[y] == bits[z])
+    delta = [tog.bit_count() - 2 * (tog & mono).bit_count() for tog in toggles]
+
+    def largest(tris: Iterable[int]) -> list[int]:
+        return [tab.tri_index[p] for p in _max_disjoint_capped([tab.vmasks[t] for t in tris], cap)]
+
+    packing = largest(iter_bits(mono))
+    current = (len(packing), mono.bit_count())
     evaluated = 1
     min_floor = current[0]
     violations: list[int] = []
     if current[0] < cap:
         violations.append(k7x2_code(bits))
     for _ in range(max_steps):
-        # Flipping edge f toggles exactly the triangles through f whose other
-        # two edges agree; those are mono afterwards when they differ from f.
-        a, b = bits[tab.others[..., 0]], bits[tab.others[..., 1]]
-        agree = a == b
-        counts = len(mono) + 2 * (agree & (a != bits[:, None])).sum(axis=1) - agree.sum(axis=1)
-        floors = np.full(m, cap)
         packings: dict[int, list[int]] = {}
-        if len(packing) == cap:
-            search = tab.tri_edges[[tab.tri_index[t] for t in packing]].ravel().tolist()
-        else:
-            search = range(m)
+        search = [e for t in packing for e in tri_edges[t]] if len(packing) == cap else range(m)
         for f in search:
-            toggled = tab.through[f][agree[f]].tolist()
-            kept = [t for t in packing if tab.tri_index[t] not in toggled]
-            found = _max_disjoint_capped(
-                kept + [tab.vmasks[t] for t in mono.symmetric_difference(toggled)], cap)
-            floors[f] = len(found)
-            packings[f] = found
-        # First strict minimum of (floor, count) in edge order; counts < 1024.
-        f = int(np.argmin(floors * 1024 + counts))
-        best = (int(floors[f]), int(counts[f]))
+            after = mono ^ toggles[f]
+            kept = [t for t in packing if after >> t & 1]
+            third = _k7x2_third(after, kept) if len(kept) == cap - 1 else None
+            packings[f] = kept + [third] if third is not None else largest(
+                kept + list(iter_bits(after)))
+        least = min(delta)
+        floor, change, f = min([(len(p), delta[f], f) for f, p in packings.items()
+                                if len(p) < cap], default=(cap, least, delta.index(least)))
+        best = (floor, current[1] + change)
         if best >= current:
             break
-        mono.symmetric_difference_update(tab.through[f][agree[f]].tolist())
+        mono ^= toggles[f]
+        for bit, a, b in through[f]:
+            toggles[a] ^= bit
+            toggles[b] ^= bit
+            delta[a] += 1 if bits[a] == bits[f] else -1
+            delta[b] += 1 if bits[b] == bits[f] else -1
+        delta[f] = -delta[f]
         bits[f] ^= 1
         packing = packings.get(f, packing)
-        # The skipped flips above rely on every triangle of P being mono.
-        _confirm(all(tab.tri_index[t] in mono for t in packing), "a descent's kept packing")
+        # The skipped flips rely on P being mono, the third-triangle picks on it being
+        # disjoint, and the counts on delta agreeing with the mono set.
+        _confirm(mono.bit_count() == best[1] and all(mono >> t & 1 for t in packing)
+                 and not any(tab.vmasks[s] & tab.vmasks[t] for s, t in combinations(packing, 2)),
+                 "a descent's mono set and kept packing")
         current = best
         evaluated += 1
-        min_floor = min(min_floor, current[0])
-        if current[0] < cap:
+        min_floor = min(min_floor, floor)
+        if floor < cap:
             violations.append(k7x2_code(bits))
     return evaluated, min_floor, violations
 
@@ -873,23 +887,29 @@ def verify_k7_blowup(samples: int = 1_000_000, adversarial_restarts: int = 1_000
     failures on non-violating states are reported separately in ``extra``.
     Each restart takes at most ``plateau_steps`` steps.
 
-    A descent step does not search every flip.  It keeps a largest capped
-    packing P of the current state.  Flipping edge e changes the mono status
-    of the ten triangles through e and of no other triangle.  The triangles
-    of P are vertex-disjoint, so no two of them share an edge.  Hence when
-    |P| = 3 and e is none of P's nine edges, all of P stays mono after the
-    flip, and that flip's floor is 3, the cap, with no search.  Only the
-    flips of P's edges (every flip, when |P| < 3) are searched, and each
-    search returns the packing that becomes P if its flip is taken.  Each
-    flip's mono count is the current count plus the changes among the ten
-    triangles through its edge.  So every flip gets the (floor, count) that
-    a full search would give, and the step taken, the first strict minimum
-    in edge order, is the same.
+    A descent step does not search every flip.  It holds the mono set as a
+    280-bit int and keeps a largest capped packing P.  Flipping edge e
+    toggles exactly the triangles through e whose other two edges agree, so
+    the change delta[e] in the mono count is kept for every edge: flipping f
+    negates delta[f] and moves the delta of each other edge of a triangle
+    through f by +1 if that edge had f's colour, else by -1.  The triangles
+    of P share no edge, so when |P| = cap a flip off P's edges keeps P mono
+    and its floor is the cap.  A flip of an edge of P (any flip, when
+    |P| < cap) keeps P's still-mono triangles; when cap - 1 remain, one AND
+    of bitsets finds a mono triangle avoiding them, which makes the floor the
+    cap, and the full capped search runs only where none exists or fewer
+    remain.  So every flip gets the (floor, count) of a full search, whichever
+    largest P is kept, and the step, the first strict minimum in edge order
+    (the least delta when every floor is the cap), is the same.  A taken
+    flip's packing becomes P and is confirmed mono and pairwise disjoint,
+    and the mono set's size is confirmed against the count.
     """
     if samples < 0 or adversarial_restarts < 0:
         raise ValueError("sample and restart counts must be nonnegative")
     if plateau_steps < 0:
         raise ValueError(f"plateau step count must be nonnegative, got {plateau_steps}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     start = time.perf_counter()
     tasks = [(index, min(_K7X2_CHUNK, samples - lo), seed)
              for index, lo in enumerate(range(0, samples, _K7X2_CHUNK))]

@@ -29,6 +29,7 @@ from tritile.graphs import (
     Tiling,
     colouring_code,
     complete_colouring,
+    iter_bits,
 )
 from tritile.proofs import _k7x2_extract, _k7x2_tables
 from tritile.verifiers import (
@@ -378,6 +379,11 @@ class TestDoubledK7Campaign:
         with pytest.raises(ValueError, match="extractor sample count"):
             verify_lemma_k8(extractor_samples=-5)
 
+    @pytest.mark.parametrize("samples, restarts", [(1, 1), (0, 0)])
+    def test_negative_seed_is_rejected_up_front(self, samples, restarts):
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            verify_k7_blowup(samples=samples, adversarial_restarts=restarts, seed=-1)
+
 
 # The doubled-K7 tasks as they were before witness reuse and batched hosts:
 # every descent step searches all 84 flips, and every sampled host is built
@@ -555,6 +561,40 @@ class TestDoubledK7MatchesReference:
         assert low == reference_adversarial_task((0, 0, 2), cap=5)
         for args in ((0, 1, 10_000), (1, 1, 10_000)):
             assert _k7x2_adversarial_task(args, cap=4) == reference_adversarial_task(args, cap=4)
+
+    @pytest.mark.parametrize("cap", [3, 4, 5])
+    def test_descents_without_the_third_triangle_check_match(self, monkeypatch, cap):
+        # With the one-mask check finding nothing, every searched flip runs the
+        # full capped search.
+        searches = []
+        monkeypatch.setattr(verifiers, "_k7x2_third", lambda mono, kept: searches.append(1))
+        steps = 2 if cap == 5 else 10_000
+        for args in ((0, 2, steps), (1, 11, steps)):
+            assert _k7x2_adversarial_task(args, cap) == reference_adversarial_task(args, cap)
+        assert searches
+
+    def test_an_overlapping_third_triangle_is_caught(self, monkeypatch):
+        vmasks = _k7x2_tables().vmasks
+
+        def overlapping(mono, kept):
+            return next(t for t in iter_bits(mono)
+                        if t not in kept and any(vmasks[t] & vmasks[k] for k in kept))
+
+        args = (0, 0, 10_000)
+        _k7x2_adversarial_task(args)
+        monkeypatch.setattr(verifiers, "_k7x2_third", overlapping)
+        with pytest.raises(AnomalyError, match="a descent's mono set and kept packing"):
+            _k7x2_adversarial_task(args)
+
+    def test_a_mono_set_out_of_step_with_the_counts_is_caught(self, monkeypatch):
+        # One triangle of edge 5's incidence list swapped for its neighbour:
+        # the toggled mono set drifts from the counts kept in delta.
+        tab = _k7x2_tables()
+        bit, a, b = tab.through[5][0]
+        bad = tab.through[:5] + (((bit << 1, a, b),) + tab.through[5][1:],) + tab.through[6:]
+        monkeypatch.setattr(verifiers, "_k7x2_tables", lambda: tab._replace(through=bad))
+        with pytest.raises(AnomalyError, match="a descent's mono set and kept packing"):
+            _k7x2_adversarial_task((0, 0, 10_000))
 
 
 @settings(max_examples=150, deadline=None)
