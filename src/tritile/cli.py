@@ -126,6 +126,8 @@ def _cmd_gen(args) -> int:
     if not args.out:
         raise _UsageError("gen writes files; pass --out PATH")
     family = args.family
+    _check_order(args.n, "--n")
+    _check_order(None if args.t is None else 3 * args.t + 1, "--t")
     params: dict = {}
     classes = None
     if family in CONSTRUCTIONS:
@@ -177,6 +179,13 @@ def _cmd_gen(args) -> int:
     else:
         print(summary)
     return 0
+
+
+def _check_order(n: Optional[int], flag: str) -> None:
+    """Reject a host order above MAX_VERTICES before any of its O(n^2) edges is built."""
+    if n is not None and n > MAX_VERTICES:
+        raise _UsageError(f"{flag} asks for a host of {n} vertices; hosts have at most "
+                          f"{MAX_VERTICES}")
 
 
 def _require(args, *names) -> None:
@@ -276,6 +285,11 @@ def _write_and_reconfirm_witnesses(lemma: str, reports, path: str) -> None:
                 graph=g, detail={"path": path})
 
 
+def _given(**flags) -> dict:
+    """The flags the user passed, so that left-out ones take the campaign's defaults."""
+    return {k: v for k, v in flags.items() if v is not None}
+
+
 def _cmd_verify(args) -> int:
     lemma = args.lemma
     if lemma == "fact-k6":
@@ -283,16 +297,14 @@ def _cmd_verify(args) -> int:
     elif lemma == "claim-k7":
         reports = [verify_claim_k7(workers=args.workers)]
     elif lemma == "lemma-k8":
-        reports = [verify_lemma_k8(workers=args.workers,
-                                   extractor_samples=args.samples or 0,
-                                   seed=args.seed)]
+        reports = [verify_lemma_k8(workers=args.workers, seed=args.seed,
+                                   **_given(extractor_samples=args.samples))]
     elif lemma == "bowtie":
         reports = list(verify_bowtie_lemmas(workers=args.workers))
     elif lemma == "k7x2":
-        reports = [verify_k7_blowup(
-            samples=args.samples if args.samples is not None else 1_000_000,
-            adversarial_restarts=args.restarts if args.restarts is not None else 1_000,
-            seed=args.seed, workers=args.workers)]
+        reports = [verify_k7_blowup(seed=args.seed, workers=args.workers,
+                                    **_given(samples=args.samples,
+                                             adversarial_restarts=args.restarts))]
     else:
         raise _UsageError(f"unknown lemma {lemma!r}; choose from {LEMMAS}")
     payload = {"command": "verify", "lemma": lemma,
@@ -375,6 +387,8 @@ PROBE_HEADERS = ("n", "delta", "source", "optimum", "c1", "c2", "c3", "below")
 
 
 def _cmd_probe(args) -> int:
+    for n in args.n:
+        _check_order(n, "--n")
     records = probe_question(n_values=args.n, delta_values=args.deltas,
                              samples_per_cell=args.samples,
                              perturbed_per_cell=args.perturbed,

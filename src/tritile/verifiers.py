@@ -23,7 +23,7 @@ import multiprocessing
 import os
 import time
 from dataclasses import asdict, dataclass, field, replace
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -288,15 +288,15 @@ def _confirm(cond: bool, what: str, g: Optional[ColouredGraph] = None) -> None:
 
 
 # --------------------------------------------------------------------------
-# scan engine over edge codes (r = 2)
+# scan engine over edge codes
 #
-# The kernels work on slice tables.  A code's E edge bits are cut into
-# near-equal slices of at most _SLICE_BITS bits.  For slice k and each value
-# x of its bits, zero_k[x] marks the cliques whose edges inside the slice
-# are all 0 in x, and one_k[x] those whose edges there are all 1; a clique
-# with no edge in the slice is marked in both.  A clique is red exactly
-# when it is marked in zero_k[slice k of the code] for every k, so the red
-# bitmap is the AND of one gather per slice, and likewise blue.  The pair
+# The kernels work on slice tables.  A code's E base-r digits are cut into
+# near-equal slices of at most w digits, w the largest with r^w <= 2^_SLICE_BITS.
+# For slice k, colour c and each value x of its digits, tables[c][k][x] marks
+# the cliques whose edges inside the slice all have colour c in x; a clique
+# with no edge in the slice is marked for every colour.  A clique has colour
+# c exactly when it is marked in tables[c][k][slice k of the code] for every
+# k, so each colour's bitmap is the AND of one gather per slice.  The pair
 # test works the same way on triangle bitmaps: the partner set of a bitmap
 # is the union of its triangles' partner masks, hence the OR of one gather
 # per slice of the bitmap from tables of partial unions.  K7 takes two
@@ -309,15 +309,16 @@ def _confirm(cond: bool, what: str, g: Optional[ColouredGraph] = None) -> None:
 _SLICE_BITS = 12
 
 
-def _slices(bits: int) -> tuple[tuple[int, int], ...]:
-    """(shift, width) of each slice when ``bits`` bits are cut into near-equal slices.
+def _slices(digits: int, r: int) -> tuple[tuple[int, int], ...]:
+    """(shift, width) of each slice when ``digits`` base-r digits are cut into near-equal slices.
 
-    There is always at least one slice, of width 0 when ``bits`` is 0.
+    There is always at least one slice, of width 0 when ``digits`` is 0.
     """
+    most = next(w for w in range(1, _SLICE_BITS + 1) if r ** (w + 1) > 1 << _SLICE_BITS)
     out = []
     shift = 0
-    for left in range(max(1, -(-bits // _SLICE_BITS)), 0, -1):
-        width = -(-(bits - shift) // left)
+    for left in range(max(1, -(-digits // most)), 0, -1):
+        width = -(-(digits - shift) // left)
         out.append((shift, width))
         shift += width
     return tuple(out)
@@ -338,25 +339,28 @@ def _pack_words(flags: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _clique_tables(n: int, ell: int) -> tuple[tuple[tuple[int, int], ...],
-                                               tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """The code slices of K_n, and per slice the tables zero_k and one_k of its K_ell.
+def _clique_tables(n: int, ell: int, r: int
+                   ) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[np.ndarray, ...], ...]]:
+    """The code slices of r-coloured K_n, and per colour c and slice k the table of its K_ell.
 
-    Clique j is bit j in ``combinations(range(n), ell)`` order: a table is a
-    (words, 2^width) array whose row w holds bits 64w..64w+63, with at
+    Clique j is bit j in ``combinations(range(n), ell)`` order: ``tables[c][k]``
+    is a (words, r^width) array whose row w holds bits 64w..64w+63, with at
     least one word.
     """
     index = {e: i for i, e in enumerate(lex_edges(n))}
     masks = np.array([sum(1 << index[e] for e in combinations(verts, 2))
                       for verts in combinations(range(n), ell)], dtype=np.uint64)
-    slices = _slices(len(index))
-    zero, one = [], []
+    slices = _slices(len(index), r)
+    per_slice = []
     for shift, width in slices:
         part = (masks >> np.uint64(shift)) & np.uint64((1 << width) - 1)
-        sub = np.arange(1 << width, dtype=np.uint64)[:, None] & part
-        zero.append(_pack_words(sub == 0))
-        one.append(_pack_words(sub == part))
-    return slices, tuple(zero), tuple(one)
+        # digits[j, x] is digit j of the slice value x, least significant first,
+        # so bit j of weights @ (digits == c) is set where digit j is c.
+        digits = np.indices((r,) * width, dtype=np.uint8).reshape(width, r ** width)[::-1]
+        weights = np.uint64(1) << np.arange(width, dtype=np.uint64)
+        per_slice.append([_pack_words(((weights @ (digits == c))[:, None] & part) == part)
+                          for c in range(r)])
+    return slices, tuple(zip(*per_slice))
 
 
 @lru_cache(maxsize=None)
@@ -372,7 +376,7 @@ def _partner_tables(n: int, lo: int, hi: int
     incidence = (tris[:, :, None] == np.arange(n)).sum(axis=1)
     meet = incidence @ incidence.T
     partners = _pack_words((lo <= meet) & (meet <= hi) & ~np.eye(len(tris), dtype=bool))[0]
-    slices = _slices(len(tris))
+    slices = _slices(len(tris), 2)
     tables = []
     for shift, width in slices:
         table = np.zeros(1, dtype=np.uint64)
@@ -383,14 +387,23 @@ def _partner_tables(n: int, lo: int, hi: int
     return slices, tuple(tables)
 
 
-def _gather(bits: np.ndarray, slices: Sequence[tuple[int, int]], op: np.ufunc,
+def _gather(values: np.ndarray, r: int, slices: Sequence[tuple[int, int]], op: np.ufunc,
             pairs: Sequence[tuple[Sequence[np.ndarray], np.ndarray]]) -> None:
-    """For each ``(tables, out)``: out = ``op`` over k of ``tables[k][slice k of bits]``."""
-    idx = np.empty_like(bits)
-    part = np.empty_like(bits)
+    """For each ``(tables, out)``: out = ``op`` over k of ``tables[k][slice k of values]``.
+
+    Slice k holds base-r digits shift..shift + width - 1.  Binary values are
+    cut by a shift and a mask, as division on uint64 costs about seven times
+    as much; other bases divide.
+    """
+    idx = np.empty_like(values)
+    part = np.empty_like(values)
     for k, (shift, width) in enumerate(slices):
-        np.right_shift(bits, np.uint64(shift), out=idx)
-        np.bitwise_and(idx, np.uint64((1 << width) - 1), out=idx)
+        if r == 2:
+            np.right_shift(values, np.uint64(shift), out=idx)
+            np.bitwise_and(idx, np.uint64((1 << width) - 1), out=idx)
+        else:
+            np.floor_divide(values, np.uint64(r ** shift), out=idx)
+            np.remainder(idx, np.uint64(r ** width), out=idx)
         for tables, out in pairs:
             # mode="clip" lets take write straight into ``out``; the
             # indices are in range, so it never clips.
@@ -399,24 +412,18 @@ def _gather(bits: np.ndarray, slices: Sequence[tuple[int, int]], op: np.ufunc,
                 op(out, part, out=out)
 
 
-def _clique_bits(codes: np.ndarray, n: int, ell: int, word: int = 0
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Red and blue bitmaps of the K_ell numbered 64 * word to 64 * word + 63."""
-    slices, zero, one = _clique_tables(n, ell)
-    red = np.empty_like(codes)
-    blue = np.empty_like(codes)
-    _gather(codes, slices, np.bitwise_and,
-            (([z[word] for z in zero], red), ([o[word] for o in one], blue)))
-    return red, blue
-
-
-def _colour_bits(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Red and blue triangle bitmaps: bit ``t`` marks triangle ``t`` red (blue)."""
-    return _clique_bits(codes, n, 3)
+def _clique_bits(codes: np.ndarray, n: int, r: int, ell: int, word: int = 0
+                 ) -> list[np.ndarray]:
+    """Per colour, the bitmap of its K_ell numbered 64 * word to 64 * word + 63."""
+    slices, tables = _clique_tables(n, ell, r)
+    outs = [np.empty_like(codes) for _ in range(r)]
+    _gather(codes, r, slices, np.bitwise_and,
+            [([t[word] for t in colour], out) for colour, out in zip(tables, outs)])
+    return outs
 
 
 def _mono_bits(codes: np.ndarray, n: int) -> np.ndarray:
-    red, blue = _colour_bits(codes, n)
+    red, blue = _clique_bits(codes, n, 2, 3)
     return np.bitwise_or(red, blue, out=red)
 
 
@@ -425,7 +432,7 @@ def _pair_hits(first: np.ndarray, second: np.ndarray, n: int, lo: int, hi: int
     """True where a triangle of ``first`` meets another of ``second`` in lo..hi vertices."""
     slices, tables = _partner_tables(n, lo, hi)
     partners = np.empty_like(first)
-    _gather(first, slices, np.bitwise_or, ((tables, partners),))
+    _gather(first, 2, slices, np.bitwise_or, ((tables, partners),))
     np.bitwise_and(partners, second, out=partners)
     return partners != 0
 
@@ -454,32 +461,19 @@ def _no_mono_pair(codes: np.ndarray, n: int, share: int) -> np.ndarray:
 
 def _split_pair(codes: np.ndarray, n: int, share: int) -> np.ndarray:
     """Codes with a red and a blue triangle meeting in exactly ``share`` vertices."""
-    red, blue = _colour_bits(codes, n)
+    red, blue = _clique_bits(codes, n, 2, 3)
     return _pair_hits(red, blue, n, share, share)
 
 
 def _clique_free(codes: np.ndarray, n: int, r: int, ell: int) -> np.ndarray:
     """Codes of r-colourings of K_n without a monochromatic K_ell.
 
-    Two colours OR the red and blue clique bitmaps read off the code bits.
-    More colours divmod the base-r digits into one edge mask per colour;
-    the ``one`` tables, which :func:`_clique_bits` reads as blue, then mark
-    the cliques with all their edges in the mask.
+    Per 64-bit word of cliques, the OR of the r colour bitmaps marks the mono ones.
     """
-    _, _, one = _clique_tables(n, ell)
-    words = range(len(one[0]))
-    if r == 2:
-        bitmaps = [np.bitwise_or(*_clique_bits(codes, n, ell, word)) for word in words]
-    else:
-        masks = np.zeros((r,) + codes.shape, dtype=np.uint64)
-        digits = codes
-        for e in range(n * (n - 1) // 2):
-            digits, digit = np.divmod(digits, np.uint64(r))
-            for c in range(r):
-                masks[c] |= (digit == c).astype(np.uint64) << np.uint64(e)
-        bitmaps = [_clique_bits(mask, n, ell, word)[1] for mask in masks for word in words]
+    _, tables = _clique_tables(n, ell, r)
     mono = np.zeros(codes.shape, dtype=bool)
-    for bits in bitmaps:
+    for word in range(len(tables[0][0])):
+        bits = reduce(np.bitwise_or, _clique_bits(codes, n, r, ell, word))
         np.logical_or(mono, bits != 0, out=mono)
     return ~mono
 
@@ -736,12 +730,6 @@ def _k7x2_colour_rows(rows: np.ndarray) -> np.ndarray:
     return np.stack([tab.full ^ blue, blue], axis=1)
 
 
-def _k7x2_hosts(rows: np.ndarray) -> list[ColouredGraph]:
-    """The doubled-K7 host of each 0/1 row of ``rows``, in row order."""
-    return [ColouredGraph._from_masks(K7X2_N, 2, pair)
-            for pair in _k7x2_colour_rows(rows).tolist()]
-
-
 def _k7x2_packs(colour_rows: np.ndarray, tris: np.ndarray) -> np.ndarray:
     """Whether each row's triangles ``tris`` (B, 3) are pairwise disjoint cliques,
     each of one colour in ``colour_rows`` (B, 2, 14); a, b, c are (B, 1, 3)."""
@@ -758,14 +746,7 @@ def k7x2_graph(bits: Sequence[int]) -> ColouredGraph:
     row = np.asarray(bits)
     if row.shape != (len(K7X2_EDGES),) or not ((row == 0) | (row == 1)).all():
         raise ValueError(f"a doubled-K7 colouring is {len(K7X2_EDGES)} bits of 0 or 1")
-    return _k7x2_hosts(row[None, :])[0]
-
-
-def _k7x2_objective(bits: np.ndarray) -> tuple[int, int]:
-    """The capped packing size and the mono-triangle count of a 0/1 row."""
-    sums = bits[_k7x2_tables().tri_edges].sum(axis=1)
-    monos = _k7x2_tables().tri_masks[(sums == 0) | (sums == 3)].tolist()
-    return len(_max_disjoint_capped(monos, 3)), len(monos)
+    return ColouredGraph._from_masks(K7X2_N, 2, _k7x2_colour_rows(row[None, :]).tolist()[0])
 
 
 # The sampling phase runs in tasks of _K7X2_CHUNK colourings, each seeded by
@@ -795,7 +776,7 @@ def _k7x2_sample_task(args: tuple) -> tuple[list[int], list[int]]:
                 extractor_fails.append(code)
                 # Classify independently: the lemma itself only fails when no
                 # three disjoint mono triangles exist at all.
-                if _k7x2_objective(row)[0] < 3:
+                if max_disjoint_mono_capped(k7x2_graph(row), 3) < 3:
                     violations.append(code)
     return violations, extractor_fails
 

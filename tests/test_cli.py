@@ -70,6 +70,27 @@ class TestGen:
                       ["gen", "--family", "ex-triangle", "--n", "12",
                        "--out", "g.txt"]) == 1
 
+    @pytest.mark.parametrize("argv, flag, n", [
+        (["gen", "--family", "ex-bes-1", "--n", "65537", "--delta", "65536"], "--n", 65537),
+        (["gen", "--family", "random", "--n", "65537", "--delta", "3"], "--n", 65537),
+        (["gen", "--family", "special-blowup", "--t", "21846"], "--t", 65539),
+        (["probe", "--n", "25,65537"], "--n", 65537),
+    ])
+    def test_orders_above_the_vertex_cap_are_one_error_line(self, tmp_path, monkeypatch,
+                                                            capsys, argv, flag, n):
+        # The builders are replaced, so that a missing check fails here
+        # instead of building the host's 2^31 edges.
+        def built(*args, **kwargs):
+            raise AssertionError("a host was built")
+
+        monkeypatch.setitem(cli.CONSTRUCTIONS, "ex-bes-1", (built, built))
+        for name in ("random_min_degree_colouring", "special_blowup", "probe_question"):
+            monkeypatch.setattr(cli, name, built)
+        assert run_in(tmp_path, monkeypatch, argv + ["--out", "g.txt"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {flag} asks for a host of {n} vertices; hosts have at most 65536"]
+        assert not (tmp_path / "g.txt").exists()
+
 
 class TestSeedFlag:
     @pytest.mark.parametrize("argv", [
@@ -262,6 +283,28 @@ class TestVerifyCommand:
         doc = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert doc["reports"][0]["extra"]["extractor_failures"] == 0
+
+    @pytest.mark.parametrize("argv, campaign, given", [
+        (["--lemma", "k7x2"], "verify_k7_blowup", {}),
+        (["--lemma", "k7x2", "--samples", "10"], "verify_k7_blowup", {"samples": 10}),
+        (["--lemma", "k7x2", "--restarts", "0"], "verify_k7_blowup",
+         {"adversarial_restarts": 0}),
+        (["--lemma", "lemma-k8"], "verify_lemma_k8", {}),
+        (["--lemma", "lemma-k8", "--samples", "0"], "verify_lemma_k8",
+         {"extractor_samples": 0}),
+    ])
+    def test_left_out_flags_take_the_campaign_defaults(self, tmp_path, monkeypatch, capsys,
+                                                       argv, campaign, given):
+        seen = []
+
+        def record(**kwargs):
+            seen.append(kwargs)
+            return verify_fact_k6()
+
+        monkeypatch.setattr(cli, campaign, record)
+        assert run_in(tmp_path, monkeypatch, ["verify", *argv]) == 0
+        assert seen == [{"seed": 0, "workers": 1, **given}]
+        capsys.readouterr()
 
     def test_unknown_lemma_rejected(self, tmp_path, monkeypatch):
         assert run_in(tmp_path, monkeypatch,

@@ -6,8 +6,9 @@ once with the slow python predicates and frozen; the vector kernels must
 keep reproducing them exactly.
 """
 
-from functools import partial
+from functools import partial, reduce
 from itertools import combinations
+from operator import or_
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from tritile.graphs import (
     colouring_code,
     complete_colouring,
     iter_bits,
+    lex_edges,
 )
 from tritile.proofs import _k7x2_extract, _k7x2_tables
 from tritile.verifiers import (
@@ -60,8 +62,6 @@ from tritile.verifiers import (
     _fewer_mono,
     _k7x2_adversarial_task,
     _k7x2_colour_rows,
-    _k7x2_hosts,
-    _k7x2_objective,
     _k7x2_packs,
     _max_disjoint_capped,
     _no_mono_pair,
@@ -229,7 +229,7 @@ class TestSliceKernels:
         (8, _k8_codes()),
     ], ids=["k6-all", "k7-slice", "k8-random"])
     def test_colour_bitmaps_and_pair_hits(self, n, codes):
-        red, blue = verifiers._colour_bits(codes, n)
+        red, blue = verifiers._clique_bits(codes, n, 2, 3)
         ref = [reference_colour_bits(n, int(code)) for code in codes]
         assert [[int(r), int(b)] for r, b in zip(red, blue)] == ref
         mono = red | blue
@@ -246,17 +246,53 @@ class TestSliceKernels:
     @pytest.mark.parametrize("n, ell", [(5, 2), (6, 3), (8, 4)])
     def test_clique_bitmaps_span_several_words(self, n, ell):
         # K8 has 70 K4, so its tables hold two 64-bit words per entry.
+        self._check_clique_bitmaps(n, ell, 2)
+
+    @pytest.mark.parametrize("n, ell", [(5, 2), (6, 3), (8, 4)])
+    def test_three_colour_clique_bitmaps_span_several_words(self, n, ell):
+        self._check_clique_bitmaps(n, ell, 3)
+
+    @staticmethod
+    def _check_clique_bitmaps(n, ell, r):
         cliques = list(combinations(range(n), ell))
-        codes = np.random.default_rng(n).integers(0, 1 << (n * (n - 1) // 2), size=200,
+        codes = np.random.default_rng(n).integers(0, r ** (n * (n - 1) // 2), size=200,
                                                    dtype=np.uint64)
-        words = [verifiers._clique_bits(codes, n, ell, w) for w in range(-(-len(cliques) // 64))]
+        words = [verifiers._clique_bits(codes, n, r, ell, w)
+                 for w in range(-(-len(cliques) // 64))]
         for i, code in enumerate(codes.tolist()):
-            g = complete_colouring(n, 2, code)
+            g = complete_colouring(n, r, code)
             for j, verts in enumerate(cliques):
                 colours = {g.edge_colour(u, v) for u, v in combinations(verts, 2)}
-                red, blue = words[j // 64]
-                assert (int(red[i]) >> (j % 64) & 1, int(blue[i]) >> (j % 64) & 1) == \
-                    (colours == {0}, colours == {1})
+                assert [int(bits[i]) >> (j % 64) & 1 for bits in words[j // 64]] == \
+                    [colours == {c} for c in range(r)]
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("ell", [2, 3, 4])
+    def test_two_colour_tables_are_the_zero_and_one_tables(self, n, ell):
+        # The reference: per slice of the edge bits, zero[x] marks the cliques
+        # with no edge bit set in x inside the slice, one[x] those with all set.
+        index = {e: i for i, e in enumerate(lex_edges(n))}
+        masks = np.array([sum(1 << index[e] for e in combinations(verts, 2))
+                          for verts in combinations(range(n), ell)], dtype=np.uint64)
+        slices, (zero, one) = verifiers._clique_tables(n, ell, 2)
+        for (shift, width), z, o in zip(slices, zero, one):
+            part = (masks >> np.uint64(shift)) & np.uint64((1 << width) - 1)
+            sub = np.arange(1 << width, dtype=np.uint64)[:, None] & part
+            assert z.tobytes() == verifiers._pack_words(sub == 0).tobytes()
+            assert o.tobytes() == verifiers._pack_words(sub == part).tobytes()
+            assert z.shape == o.shape == (max(1, -(-len(masks) // 64)), 1 << width)
+
+    @pytest.mark.parametrize("r, most", [(2, 12), (3, 7), (4, 6), (5, 5), (8, 4)])
+    def test_slices_are_the_widest_that_fit_a_table(self, r, most):
+        # r^most digit values fit in 2^12 entries, r^(most + 1) do not.
+        for digits in range(0, 80):
+            slices = verifiers._slices(digits, r)
+            widths = [w for _, w in slices]
+            assert [s for s, _ in slices] == [sum(widths[:k]) for k in range(len(widths))]
+            assert sum(widths) == digits and max(widths) - min(widths) <= 1
+            assert max(widths) <= most and len(slices) == max(1, -(-digits // most))
+        assert r ** most <= 1 << 12 < r ** (most + 1)
+        assert verifiers._slices(0, r) == ((0, 0),)  # K0 and K1: one slice of width 0
 
     def test_reports_do_not_depend_on_the_chunk_size(self, monkeypatch):
         reports = [verify_lemma_k8(n=7, workers=1).comparable(),
@@ -346,16 +382,21 @@ class TestDoubledK7Campaign:
             assert np.array_equal(k7x2_bits(k7x2_code(bits)), bits)
 
     def test_packing_floor_matches_graph_route(self):
+        # The sampler's classifier against a flat search over the host's
+        # mono triangles, at every cap up to the lemma's.
         rng = np.random.default_rng(9)
         for _ in range(60):
-            bits = rng.integers(0, 2, size=len(K7X2_EDGES), dtype=np.uint8)
-            g = k7x2_graph(bits)
-            assert _k7x2_objective(bits) == (max_disjoint_mono_capped(g, 3),
-                                             len(g.mono_triangles()))
+            g = k7x2_graph(rng.integers(0, 2, size=len(K7X2_EDGES), dtype=np.uint8))
+            masks = [(1 << u) | (1 << v) | (1 << w) for u, v, w, _ in g.mono_triangles()]
+            for cap in (1, 2, 3):
+                floor = max(k for k in range(cap + 1) if any(
+                    sum(m.bit_count() for m in pack) == reduce(or_, pack, 0).bit_count()
+                    for pack in combinations(masks, k)))
+                assert max_disjoint_mono_capped(g, cap) == floor
 
     def test_all_red_host_floor(self):
         bits = np.zeros(len(K7X2_EDGES), dtype=np.uint8)
-        assert _k7x2_objective(bits)[0] == 3
+        assert max_disjoint_mono_capped(k7x2_graph(bits), 3) == 3
 
     def test_small_campaign_is_clean_and_reproducible(self, monkeypatch):
         monkeypatch.setattr(verifiers, "_K7X2_CHUNK", 500)
@@ -493,7 +534,8 @@ class TestDoubledK7BatchCheck:
         rows = rng.integers(0, 2, size=(3000, len(K7X2_EDGES)), dtype=np.uint8)
         tris = corrupt(_k7x2_extract(rows)[0], rng)
         packs = _k7x2_packs(_k7x2_colour_rows(rows), tris)
-        for row, triple, g, ok in zip(rows, tris.tolist(), _k7x2_hosts(rows), packs):
+        for row, triple, ok in zip(rows, tris.tolist(), packs):
+            g = k7x2_graph(row)
             tiling = Tiling(tuple(MonoClique(tuple(tab.tri_verts[t].tolist()),
                                              int(row[tab.tri_edges[t, 0]])) for t in triple))
             assert ok == tiling.verify(g)
@@ -530,11 +572,10 @@ class TestDoubledK7MatchesReference:
         rows = np.random.default_rng(21).integers(0, 2, size=(300, len(K7X2_EDGES)),
                                                   dtype=np.uint8)
         rows[0], rows[1] = 0, 1
-        for row, g in zip(rows, _k7x2_hosts(rows)):
-            ref = reference_k7x2_graph(row)
-            for h in (g, k7x2_graph(row)):
-                assert h == ref
-                assert (h.adj, h.edge_count, hash(h)) == (ref.adj, ref.edge_count, hash(ref))
+        for row in rows:
+            ref, h = reference_k7x2_graph(row), k7x2_graph(row)
+            assert h == ref
+            assert (h.adj, h.edge_count, hash(h)) == (ref.adj, ref.edge_count, hash(ref))
 
     @pytest.mark.parametrize("bits", [[0] * 83, [0] * 83 + [2], [1] * 85])
     def test_host_builder_rejects_malformed_bits(self, bits):
@@ -621,6 +662,16 @@ def reference_has_mono_clique(g, ell):
     return False
 
 
+def plant_mono_clique(code, n, r, ell, rng):
+    """``code`` with the edges of a random ell-set of K_n recoloured to one random colour."""
+    index = {e: i for i, e in enumerate(lex_edges(n))}
+    colour = int(rng.integers(r))
+    for e in combinations(sorted(rng.choice(n, ell, replace=False).tolist()), 2):
+        place = r ** index[e]
+        code += (colour - code // place % r) * place
+    return code
+
+
 class TestRamsey:
     def test_triangle_two_colours(self):
         res = compute_ramsey(3, 2, 8)
@@ -689,15 +740,21 @@ class TestRamsey:
     @pytest.mark.parametrize("n", [5, 6])
     @pytest.mark.parametrize("ell", [3, 4])
     def test_mono_clique_check_matches_reference(self, n, ell):
-        for r in (2, 3, 4):
+        # Five colours divide the codes into slices; eight cut them into
+        # 4-digit slices whose 8^4 = 4096 values fill a whole table.
+        for r in (2, 3, 4, 5, 8):
             rng = np.random.default_rng(1000 * r + 100 * n + ell)
             codes = rng.integers(0, r ** (n * (n - 1) // 2), size=2000, dtype=np.uint64)
+            # With many colours a random code rarely holds a mono clique, so
+            # 200 more codes each get one planted on a random vertex set.
+            codes = np.concatenate([codes, [plant_mono_clique(int(c), n, r, ell, rng)
+                                            for c in codes[:200]]]).astype(np.uint64)
             free = _clique_free(codes, n, r, ell)
             want = [not reference_has_mono_clique(complete_colouring(n, r, int(c)), ell)
                     for c in codes]
             assert free.tolist() == want
             # Both outcomes occur, except that R(3,3) = 6 leaves none clique-free.
-            assert 0 < sum(want) < 2000 or (r, n, ell) == (2, 6, 3)
+            assert 0 < sum(want) < len(codes) or (r, n, ell) == (2, 6, 3)
 
     @pytest.mark.parametrize("special, ell, r, n_max, checked, witness", [
         (False, 3, 3, 5, {3: 27, 4: 729, 5: 59049}, (5, 2614)),
