@@ -671,6 +671,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except SearchBudgetExceeded as exc:
         print(f"error: {exc}; raise --budget", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
     except AnomalyError as exc:
         path = getattr(args, "witness", None) or "anomaly-witness.json"
         # Where the anomaly came from: the release, the command line, the seed.

@@ -1,16 +1,20 @@
 """Extremal two-colourings for disjoint monochromatic triangle problems.
 
-Each generator takes the host order ``n`` and the exact minimum degree
-``delta``, checks admissibility with integer arithmetic (all band boundaries
-are rationals, so no floats anywhere), and assembles an edge list over
-consecutively laid-out vertex classes.  A companion ``*_layout`` function
-exposes the class decomposition so callers (and the CLI sidecar) can name
-every vertex.
+Every construction is a blow-up of a small pattern.  Its vertices fall into
+classes, each a one-colour clique or an independent set, and each pair of
+classes is joined in one colour or not at all.  The pattern is data: a
+symmetric k x k table whose entry ``[i][j]`` colours the joins of classes i
+and j, and ``[i][i]`` the inside of class i, None meaning no edges.  A
+companion ``*_layout`` function takes the order ``n`` and the exact minimum
+degree ``delta``, checks admissibility with integer arithmetic (all band
+boundaries are rationals, so no floats anywhere), and names the vertex range
+of every class in the pattern's class order, for callers and the CLI
+sidecar.  One builder, ``graphs._pattern_blow_up``, makes every host from its
+pattern and class sizes.
 
 The recurring ingredient is the badly coloured K5: the unique 2-colouring of
-K5 without a monochromatic triangle, red and blue classes both 5-cycles.  The
-pattern is pinned once, on class indices 1..5, with the red cycle running
-through consecutive indices.
+K5 without a monochromatic triangle, red and blue classes both 5-cycles.
+Most constructions split its first class into parts.
 """
 
 from __future__ import annotations
@@ -21,41 +25,35 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from tritile.graphs import BLUE, RED, ColouredGraph, blow_up
+from tritile.graphs import BLUE, RED, ColouredGraph, _pattern_blow_up
 
-BADLY_RED_PAIRS = ((1, 2), (2, 3), (3, 4), (4, 5), (1, 5))
-BADLY_BLUE_PAIRS = ((1, 3), (1, 4), (2, 4), (2, 5), (3, 5))
+# The badly coloured K5: class i is red to classes i +- 1 and blue to i +- 2 (mod 5).
+_BADLY_K5 = [[None if i == j else RED if (i - j) % 5 in (1, 4) else BLUE for j in range(5)]
+             for i in range(5)]
 
-_PATTERN_COLOUR = {p: RED for p in BADLY_RED_PAIRS}
-_PATTERN_COLOUR.update({p: BLUE for p in BADLY_BLUE_PAIRS})
+
+def _k5_split(first: list[list]) -> list[list]:
+    """The badly coloured K5 with its first class split into parts joined by ``first``.
+
+    Each part keeps the first class's joins to the other four classes.
+    """
+    return ([part + _BADLY_K5[0][1:] for part in first]
+            + [[row[0]] * len(first) + row[1:] for row in _BADLY_K5[1:]])
+
+
+def _layout_blow_up(pattern: list[list], layout: dict[str, list[int]]) -> ColouredGraph:
+    """The two-colour blow-up of ``pattern`` whose classes are the layout's, in key order."""
+    return _pattern_blow_up(pattern, [len(cls) for cls in layout.values()], 2)
 
 
 def badly_coloured_k5() -> ColouredGraph:
     """The triangle-free 2-colouring of K5 (both colour classes 5-cycles)."""
-    edges = [(u - 1, v - 1, c) for (u, v), c in _PATTERN_COLOUR.items()]
-    return ColouredGraph(5, 2, edges)
-
-
-def _between(edges: list, a: Iterable[int], b: Sequence[int], colour: int) -> None:
-    for u in a:
-        for v in b:
-            edges.append((u, v, colour) if u < v else (v, u, colour))
-
-
-def _within(edges: list, a: Iterable[int], colour: int) -> None:
-    for u, v in combinations(a, 2):
-        edges.append((u, v, colour))
+    return _pattern_blow_up(_BADLY_K5, [1] * 5, 2)
 
 
 def _check(cond: bool, message: str) -> None:
     if not cond:
         raise ValueError(message)
-
-
-def _pattern_edges(edges: list, classes: dict[int, Sequence[int]]) -> None:
-    """Join the given index->vertex-class map along the badly coloured K5."""
-    for (i, j), colour in _PATTERN_COLOUR.items():
-        _between(edges, classes[i], classes[j], colour)
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +69,9 @@ def ex_triangle_layout(n: int, delta: int) -> dict[str, list[int]]:
     return {name: list(range(bounds[k], bounds[k + 1])) for k, name in enumerate(names)}
 
 
+_EX_TRIANGLE = _k5_split([[RED, RED], [RED, None]])
+
+
 def ex_triangle(n: int, delta: int) -> ColouredGraph:
     """Construction with no blue triangle and few disjoint red ones.
 
@@ -80,13 +81,7 @@ def ex_triangle(n: int, delta: int) -> ColouredGraph:
     and every monochromatic triangle is red with at least one vertex in
     ``V0`` and at least two in ``V0 + V1``.
     """
-    lay = ex_triangle_layout(n, delta)
-    edges: list[tuple[int, int, int]] = []
-    _within(edges, lay["V0"], RED)
-    _between(edges, lay["V0"], lay["V1"], RED)
-    classes = {i: lay["V0"] + lay["V1"] if i == 1 else lay[f"V{i}"] for i in range(1, 6)}
-    _pattern_edges(edges, classes)
-    return ColouredGraph(n, 2, edges)
+    return _layout_blow_up(_EX_TRIANGLE, ex_triangle_layout(n, delta))
 
 
 def ex_triangle_alt_layout(n: int, delta: int) -> dict[str, list[int]]:
@@ -98,6 +93,9 @@ def ex_triangle_alt_layout(n: int, delta: int) -> dict[str, list[int]]:
             "R": list(range(2 * s, n))}
 
 
+_EX_TRIANGLE_ALT = [[None, RED, BLUE], [RED, None, BLUE], [BLUE, BLUE, RED]]
+
+
 def ex_triangle_alt(n: int, delta: int) -> ColouredGraph:
     """High-degree construction: blue is bipartite, red triangles sit in R.
 
@@ -105,19 +103,7 @@ def ex_triangle_alt(n: int, delta: int) -> ColouredGraph:
     blue to an internally red clique R of size ``2*delta - n``.  Every
     monochromatic triangle lies inside R, so no tiling beats |R|/3.
     """
-    lay = ex_triangle_alt_layout(n, delta)
-    return _red_clique_over_pair(n, lay["R"], lay["S1"], lay["S2"])
-
-
-def _red_clique_over_pair(n: int, clique: Sequence[int], first: Sequence[int],
-                          second: Sequence[int]) -> ColouredGraph:
-    """A red clique joined blue to two independent classes that are red to each other."""
-    edges: list[tuple[int, int, int]] = []
-    _within(edges, clique, RED)
-    _between(edges, clique, first, BLUE)
-    _between(edges, clique, second, BLUE)
-    _between(edges, first, second, RED)
-    return ColouredGraph(n, 2, edges)
+    return _layout_blow_up(_EX_TRIANGLE_ALT, ex_triangle_alt_layout(n, delta))
 
 
 # ---------------------------------------------------------------------------
@@ -126,12 +112,14 @@ def _red_clique_over_pair(n: int, clique: Sequence[int], first: Sequence[int],
 def ex_bes_1_layout(n: int, delta: int) -> dict[str, list[int]]:
     _check(5 <= delta <= n - 1,
            f"ex_bes_1 needs 5 <= delta <= n-1, got n={n}, delta={delta}")
-    s = n - delta
     rsize = 3 * ((delta + 1) // 5) + 2
     bsize = delta - rsize
     return {"R": list(range(0, rsize)),
             "B": list(range(rsize, rsize + bsize)),
             "S": list(range(rsize + bsize, n))}
+
+
+_EX_BES_1 = [[RED, BLUE, BLUE], [BLUE, BLUE, RED], [BLUE, RED, None]]
 
 
 def ex_bes_1(n: int, delta: int) -> ColouredGraph:
@@ -142,14 +130,7 @@ def ex_bes_1(n: int, delta: int) -> ColouredGraph:
     R to everything else.  The best single-colour tiling has exactly
     ``floor((delta+1)/5)`` triangles.
     """
-    lay = ex_bes_1_layout(n, delta)
-    edges: list[tuple[int, int, int]] = []
-    _within(edges, lay["R"], RED)
-    _between(edges, lay["S"], lay["B"], RED)
-    _within(edges, lay["B"], BLUE)
-    _between(edges, lay["R"], lay["B"], BLUE)
-    _between(edges, lay["R"], lay["S"], BLUE)
-    return ColouredGraph(n, 2, edges)
+    return _layout_blow_up(_EX_BES_1, ex_bes_1_layout(n, delta))
 
 
 def ex_bes_2_layout(n: int, delta: int) -> dict[str, list[int]]:
@@ -164,6 +145,9 @@ def ex_bes_2_layout(n: int, delta: int) -> dict[str, list[int]]:
     return {name: list(range(bounds[k], bounds[k + 1])) for k, name in enumerate(names)}
 
 
+_EX_BES_2 = _k5_split([[RED, BLUE], [BLUE, BLUE]])
+
+
 def ex_bes_2(n: int, delta: int) -> ColouredGraph:
     """Mid-band single-colour construction over the K5 pattern.
 
@@ -172,15 +156,7 @@ def ex_bes_2(n: int, delta: int) -> ColouredGraph:
     triangles use two R vertices, blue ones at least one B vertex, capping a
     single-colour tiling at ``floor((4*delta - 3n + 1)/3)``.
     """
-    lay = ex_bes_2_layout(n, delta)
-    edges: list[tuple[int, int, int]] = []
-    _within(edges, lay["R"], RED)
-    _within(edges, lay["B"], BLUE)
-    _between(edges, lay["R"], lay["B"], BLUE)
-    classes = {1: lay["R"] + lay["B"], 2: lay["V2"], 3: lay["V3"],
-               4: lay["V4"], 5: lay["V5"]}
-    _pattern_edges(edges, classes)
-    return ColouredGraph(n, 2, edges)
+    return _layout_blow_up(_EX_BES_2, ex_bes_2_layout(n, delta))
 
 
 def ex_bes_3_layout(n: int, delta: int) -> dict[str, list[int]]:
@@ -195,6 +171,9 @@ def ex_bes_3_layout(n: int, delta: int) -> dict[str, list[int]]:
     return {name: list(range(bounds[k], bounds[k + 1])) for k, name in enumerate(names)}
 
 
+_EX_BES_3 = _k5_split([[RED, BLUE, RED], [BLUE, BLUE, BLUE], [RED, BLUE, None]])
+
+
 def ex_bes_3(n: int, delta: int) -> ColouredGraph:
     """Low-band single-colour construction over the K5 pattern.
 
@@ -203,17 +182,7 @@ def ex_bes_3(n: int, delta: int) -> ColouredGraph:
     red triangle meets R and every blue one meets B, so a single-colour
     tiling never beats ``ceil((5*delta - 4n)/2)``.
     """
-    lay = ex_bes_3_layout(n, delta)
-    edges: list[tuple[int, int, int]] = []
-    _within(edges, lay["R"], RED)
-    _between(edges, lay["R"], lay["S"], RED)
-    _within(edges, lay["B"], BLUE)
-    _between(edges, lay["B"], lay["R"], BLUE)
-    _between(edges, lay["B"], lay["S"], BLUE)
-    classes = {1: lay["R"] + lay["B"] + lay["S"], 2: lay["V2"], 3: lay["V3"],
-               4: lay["V4"], 5: lay["V5"]}
-    _pattern_edges(edges, classes)
-    return ColouredGraph(n, 2, edges)
+    return _layout_blow_up(_EX_BES_3, ex_bes_3_layout(n, delta))
 
 
 # The extremal constructions by name: (builder, layout), both taking (n, delta).
@@ -229,11 +198,9 @@ CONSTRUCTIONS = {
 # ---------------------------------------------------------------------------
 # Apex blow-up: the colouring where every triangle goes through one class.
 
-def pinned_apex_pattern() -> ColouredGraph:
-    """K6 pattern: badly coloured base 1..5 plus an apex red to 1,2 and blue to 3,4,5."""
-    edges = [(u, v, c) for (u, v), c in _PATTERN_COLOUR.items()]
-    edges += [(0, 1, RED), (0, 2, RED), (0, 3, BLUE), (0, 4, BLUE), (0, 5, BLUE)]
-    return ColouredGraph(6, 2, edges)
+# An apex class red to base classes 1, 2 and blue to 3, 4, 5 over the badly coloured K5.
+_APEX = [None, RED, RED, BLUE, BLUE, BLUE]
+_PINNED_APEX = [_APEX] + [[a] + row for a, row in zip(_APEX[1:], _BADLY_K5)]
 
 
 def pinned_apex_sizes(n: int, delta: int) -> list[int]:
@@ -249,7 +216,12 @@ def pinned_apex_colouring(sizes: Sequence[int]) -> ColouredGraph:
     apex-1-2, the blue ones apex-3-5.
     """
     _check(len(sizes) == 6, f"pinned apex takes 6 class sizes, got {len(sizes)}")
-    return blow_up(pinned_apex_pattern(), list(sizes))
+    _check(all(s > 0 for s in sizes), "class sizes must be positive")
+    return _pattern_blow_up(_PINNED_APEX, sizes, 2)
+
+
+# Classes A, a, b in t-mode and U, S1, S2 in degree mode.
+_RED_CLIQUE_OVER_PAIR = [[RED, BLUE, BLUE], [BLUE, None, RED], [BLUE, RED, None]]
 
 
 def special_blowup(*, t: int | None = None, n: int | None = None,
@@ -269,20 +241,12 @@ def special_blowup(*, t: int | None = None, n: int | None = None,
     if t is not None:
         _check(n is None and delta is None, "pass either t or (n, delta), not both")
         _check(t >= 1, f"t must be positive, got {t}")
-        size_a = 3 * t - 1
-        a, b = size_a, size_a + 1
-        edges: list[tuple[int, int, int]] = []
-        _within(edges, range(size_a), RED)
-        _between(edges, range(size_a), [a], BLUE)
-        _between(edges, range(size_a), [b], BLUE)
-        edges.append((a, b, RED))
-        return ColouredGraph(3 * t + 1, 2, edges)
+        return _pattern_blow_up(_RED_CLIQUE_OVER_PAIR, [3 * t - 1, 1, 1], 2)
     if n is None or delta is None:
         raise ValueError("pass either t or (n, delta)")
     _check(2 * delta > n and delta <= n - 1,
            f"degree mode needs n/2 < delta <= n-1, got n={n}, delta={delta}")
-    u_size = 2 * delta - n
-    return _red_clique_over_pair(n, range(u_size), range(u_size, delta), range(delta, n))
+    return _pattern_blow_up(_RED_CLIQUE_OVER_PAIR, [2 * delta - n, n - delta, n - delta], 2)
 
 
 # ---------------------------------------------------------------------------

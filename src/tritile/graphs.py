@@ -2,10 +2,11 @@
 
 Everything in this package runs on one representation: vertices are
 ``0..n-1``, every present edge carries exactly one colour in ``0..r-1``, and
-a missing edge is meaningful (blow-ups of colour patterns leave their classes
-internally empty).  Adjacency is stored per colour as one Python integer
-bitmask per vertex, so the hot operations (common neighbourhoods, triangle
-tests, independence checks) reduce to a few ``&`` and ``bit_count`` calls.
+a missing edge is meaningful (a blow-up of a colour pattern may leave a
+class, or a pair of classes, without edges).  Adjacency is stored per colour
+as one Python integer bitmask per vertex, so the hot operations (common
+neighbourhoods, triangle tests, independence checks) reduce to a few ``&``
+and ``bit_count`` calls.
 
 Inside the package a monochromatic triangle is a plain ``(u, v, w, c)``
 tuple with ``u < v < w`` and edge colour ``c`` (:data:`Triangle`):
@@ -27,7 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
+from itertools import accumulate, combinations
 from operator import or_
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -99,6 +100,11 @@ def lex_edges(n: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
+def _check_vertex_count(n: int) -> None:
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}, got {n}")
+
+
 class ColouredGraph:
     """Immutable edge-coloured graph on vertices ``0..n-1``.
 
@@ -113,8 +119,7 @@ class ColouredGraph:
     __slots__ = ("n", "r", "colour_adj", "adj", "edge_count", "_hash")
 
     def __init__(self, n: int, r: int, edges: Iterable[tuple[int, int, int]]):
-        if not 0 <= n <= MAX_VERTICES:
-            raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}, got {n}")
+        _check_vertex_count(n)
         if not 1 <= r <= 8:
             raise ValueError(f"colour count must be in 1..8, got {r}")
         rows = [[0] * n for _ in range(r)]
@@ -388,15 +393,34 @@ def blow_up(g: ColouredGraph, sizes: Sequence[int]) -> ColouredGraph:
         raise ValueError(f"need {g.n} class sizes, got {len(sizes)}")
     if any(s <= 0 for s in sizes):
         raise ValueError("class sizes must be positive")
-    offsets = [0]
-    for s in sizes:
-        offsets.append(offsets[-1] + s)
-    edges = []
-    for i, j, c in g.edges():
-        for u in range(offsets[i], offsets[i + 1]):
-            for v in range(offsets[j], offsets[j + 1]):
-                edges.append((u, v, c) if u < v else (v, u, c))
-    return ColouredGraph(offsets[-1], g.r, edges)
+    pattern = [[g.edge_colour(i, j) for j in range(g.n)] for i in range(g.n)]
+    return _pattern_blow_up(pattern, sizes, g.r)
+
+
+def _pattern_blow_up(pattern: Sequence[Sequence[Optional[int]]], sizes: Sequence[int],
+                     r: int) -> ColouredGraph:
+    """The blow-up of a symmetric ``k x k`` colour pattern into classes of ``sizes``.
+
+    Class ``i`` is the next ``sizes[i]`` vertices; a class may be empty.
+    ``pattern[i][j]`` is the colour joining classes ``i`` and ``j``, or None
+    where they are not joined, and ``pattern[i][i]`` colours the edges inside
+    class ``i``, None leaving it independent.  A vertex's row in colour ``c``
+    is the OR of the classes its class meets in ``c``, less the vertex itself.
+    """
+    bounds = list(accumulate(sizes, initial=0))
+    n = bounds[-1]
+    _check_vertex_count(n)
+    classes = [(1 << b) - (1 << a) for a, b in zip(bounds, bounds[1:])]
+    rows = [[0] * n for _ in range(r)]
+    for i, line in enumerate(pattern):
+        joins = [0] * r
+        for j, c in enumerate(line):
+            if c is not None:
+                joins[c] |= classes[j]
+        for c, mask in enumerate(joins):
+            rows[c][bounds[i]:bounds[i + 1]] = [mask & ~(1 << v)
+                                                for v in range(bounds[i], bounds[i + 1])]
+    return ColouredGraph._from_masks(n, r, rows)
 
 
 def complete_colouring(n: int, r: int, code: int) -> ColouredGraph:

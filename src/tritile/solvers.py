@@ -92,7 +92,6 @@ from tritile.graphs import (
     Triangle,
     first_pair,
     iter_cliques,
-    mask_of,
 )
 
 DEFAULT_NODE_BUDGET = 5_000_000
@@ -522,12 +521,11 @@ def clique_tiling_interpolated(g: ColouredGraph, t: int,
     return Tiling(tuple(whole)), Tiling(tuple(stripped))
 
 
-def find_bowtie(g: ColouredGraph, forbidden: Sequence[int] = ()) -> Optional[Bowtie]:
+def find_bowtie(g: ColouredGraph) -> Optional[Bowtie]:
     """First pair of different-coloured mono triangles sharing one vertex.
 
-    Scans triangle pairs in lexicographic order, skipping any triangle that
-    touches ``forbidden``; None when the graph has no such bowtie.
+    Scans triangle pairs in lexicographic order; None when the graph has no
+    such bowtie.
     """
-    pair = first_pair(list(g.iter_mono_triangles(~mask_of(forbidden))), 1, 1,
-                      same_colour=False)
+    pair = first_pair(list(g.iter_mono_triangles()), 1, 1, same_colour=False)
     return None if pair is None else Bowtie(MonoClique.of(pair[0]), MonoClique.of(pair[1]))

@@ -12,7 +12,7 @@ from helpers import edge_digest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tritile import cli
+from tritile import cli, constructions
 from tritile.graphs import (
     complete_colouring,
     from_json_dict,
@@ -89,6 +89,18 @@ class TestGen:
         assert run_in(tmp_path, monkeypatch, argv + ["--out", "g.txt"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {flag} asks for a host of {n} vertices; hosts have at most 65536"]
+        assert not (tmp_path / "g.txt").exists()
+
+    def test_out_of_memory_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+        # A legal order can still need more memory than the machine has:
+        # special-blowup at t = 21845 asks for 65,536 vertices and 2^31 edges.
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(constructions, "_pattern_blow_up", exhausted)
+        argv = ["gen", "--family", "special-blowup", "--t", "21845", "--out", "g.txt"]
+        assert run_in(tmp_path, monkeypatch, argv) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: out of memory"]
         assert not (tmp_path / "g.txt").exists()
 
 

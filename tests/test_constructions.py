@@ -2,19 +2,22 @@
 
 from __future__ import annotations
 
+import hashlib
 from itertools import combinations
 
 import numpy as np
 import pytest
-from helpers import relabelled, trivial_degree_threshold
+from helpers import edge_digest, relabelled, trivial_degree_threshold
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tritile.constructions import (
     BLUE,
+    CONSTRUCTIONS,
     RED,
     badly_coloured_k5,
     bound_report,
+    cell_hosts,
     ex_bes_1,
     ex_bes_1_layout,
     ex_bes_2,
@@ -217,6 +220,28 @@ class TestSpecialBlowup:
             special_blowup(t=2, n=10, delta=6)
         with pytest.raises(ValueError):
             special_blowup(n=10, delta=5)
+
+
+def test_every_small_host_is_pinned():
+    """Every admissible construction host with n <= 40 at every delta, each
+    special_blowup in both modes and each pinned_apex_colouring, digested in
+    one fixed order, so that a change to any pattern, layout or to the
+    builder shows here."""
+    def digest(build) -> list[str]:
+        try:
+            return [edge_digest(build())]
+        except ValueError:
+            return []
+
+    digests = []
+    for n in range(1, 41):
+        for delta in range(n):
+            digests += [edge_digest(g) for _, g in cell_hosts(n, delta, CONSTRUCTIONS, 0, 0, ())]
+            digests += digest(lambda: special_blowup(n=n, delta=delta))
+            digests += digest(lambda: pinned_apex_colouring(pinned_apex_sizes(n, delta)))
+    digests += [edge_digest(special_blowup(t=t)) for t in range(1, 14)]
+    assert len(digests) == 1528
+    assert hashlib.sha256(" ".join(digests).encode()).hexdigest()[:16] == "a98d9d92b6b15b41"
 
 
 class TestBounds:

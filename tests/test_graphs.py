@@ -11,7 +11,7 @@ from itertools import combinations
 
 import pytest
 from helpers import centre, recoloured, relabelled, small_graphs
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tritile.graphs import (
@@ -20,6 +20,7 @@ from tritile.graphs import (
     ColouredGraph,
     MonoClique,
     Tiling,
+    _pattern_blow_up,
     blow_up,
     colouring_code,
     complete_colouring,
@@ -210,6 +211,25 @@ class TestBlowUp:
             blow_up(badly_k5(), [2, 2])
         with pytest.raises(ValueError):
             blow_up(badly_k5(), [2, 2, 2, 2, 0])
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=5),
+           st.lists(st.integers(-1, 2), min_size=15, max_size=15))
+    @example(sizes=[2, 0, 3], entries=[2, 0, -1, 1, 2, 0] + [0] * 9)
+    def test_pattern_builder_matches_pair_oracle(self, r, sizes, entries):
+        """Each vertex pair gets its classes' pattern entry: zero-size classes,
+        coloured diagonals (cliques) and r = 3 included."""
+        k = len(sizes)
+        upper = iter(None if e < 0 else e % r for e in entries)
+        pattern = [[None] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i, k):
+                pattern[i][j] = pattern[j][i] = next(upper)
+        cls = [i for i, size in enumerate(sizes) for _ in range(size)]
+        edges = [(u, v, pattern[cls[u]][cls[v]]) for u, v in combinations(range(len(cls)), 2)
+                 if pattern[cls[u]][cls[v]] is not None]
+        assert _pattern_blow_up(pattern, sizes, r) == ColouredGraph(len(cls), r, edges)
 
     @settings(max_examples=40, deadline=None)
     @given(small_graphs(max_n=4),

@@ -718,8 +718,3 @@ class TestFindBowtie:
 
     def test_none_without_triangles(self):
         assert find_bowtie(badly_coloured_k5()) is None
-
-    def test_forbidden_vertices_block(self):
-        edges = ([(0, 1, 0), (0, 2, 0), (1, 2, 0),
-                  (2, 3, 1), (2, 4, 1), (3, 4, 1)])
-        assert find_bowtie(ColouredGraph(5, 2, edges), forbidden=[3]) is None
