@@ -305,8 +305,6 @@ def _cmd_verify(args) -> int:
         reports = [verify_k7_blowup(seed=args.seed, workers=args.workers,
                                     **_given(samples=args.samples,
                                              adversarial_restarts=args.restarts))]
-    else:
-        raise _UsageError(f"unknown lemma {lemma!r}; choose from {LEMMAS}")
     payload = {"command": "verify", "lemma": lemma,
                "reports": [r.as_dict() for r in reports]}
     lines = []
@@ -349,12 +347,14 @@ def _ramsey_output(args, res, label: str) -> int:
 
 def _cmd_ramsey(args) -> int:
     return _ramsey_output(
-        args, compute_ramsey(args.ell, args.colours, args.n_max), "ramsey")
+        args, compute_ramsey(args.ell, args.colours, args.n_max,
+                             **_given(budget=args.budget)), "ramsey")
 
 
 def _cmd_special_ramsey(args) -> int:
     return _ramsey_output(
-        args, compute_special_ramsey(args.ell, args.colours, args.n_max),
+        args, compute_special_ramsey(args.ell, args.colours, args.n_max,
+                                     **_given(budget=args.budget)),
         "special-ramsey")
 
 

@@ -193,16 +193,25 @@ class ColouredGraph:
         full = (1 << self.n) - 1
         return all(self.adj[v] == full ^ (1 << v) for v in range(self.n))
 
-    def edges(self) -> list[tuple[int, int, int]]:
-        """All edges as sorted ``(u, v, c)`` triples, lexicographic."""
+    def _later_neighbours(self, u: int) -> list[tuple[int, int]]:
+        """``(v, c)`` for each edge ``uv`` of colour ``c`` with ``v > u``, by increasing ``v``.
+
+        Rows are read as binary strings, so ``str.find`` walks the set bits
+        rather than one big-int step per bit.
+        """
         out = []
-        for u in range(self.n):
-            for c in range(self.r):
-                m = self.colour_adj[c][u] >> (u + 1)
-                for off in iter_bits(m):
-                    out.append((u, u + 1 + off, c))
+        for c, rows in enumerate(self.colour_adj):
+            bits = format(rows[u], f"0{self.n}b")[::-1]
+            v = bits.find("1", u + 1)
+            while v >= 0:
+                out.append((v, c))
+                v = bits.find("1", v + 1)
         out.sort()
         return out
+
+    def edges(self) -> list[tuple[int, int, int]]:
+        """All edges as sorted ``(u, v, c)`` triples, lexicographic."""
+        return [(u, v, c) for u in range(self.n) for v, c in self._later_neighbours(u)]
 
     def iter_mono_triangles(self, within: int = -1) -> Iterator[Triangle]:
         """Monochromatic triangles inside the vertex mask ``within``, lazily.
@@ -234,22 +243,6 @@ class ColouredGraph:
     def mono_triangles(self) -> list[Triangle]:
         """Every monochromatic triangle as a ``(u, v, w, c)`` tuple, in lexicographic order."""
         return list(self.iter_mono_triangles())
-
-    def induced(self, vertices: Iterable[int]) -> tuple["ColouredGraph", tuple[int, ...]]:
-        """Induced subgraph on ``vertices`` plus the new-to-old vertex map.
-
-        Vertices are renumbered ``0..k-1`` in increasing original order; the
-        returned tuple maps new indices back to the originals.
-        """
-        verts = tuple(sorted(set(vertices)))
-        index = {v: i for i, v in enumerate(verts)}
-        edges = []
-        for i, u in enumerate(verts):
-            for v in verts[i + 1:]:
-                c = self.edge_colour(u, v)
-                if c is not None:
-                    edges.append((index[u], index[v], c))
-        return ColouredGraph(len(verts), self.r, edges), verts
 
 
 @dataclass(frozen=True)
@@ -495,8 +488,8 @@ def write_graph(g: ColouredGraph, path) -> None:
     """Write the text format: a ``n r`` header then one ``u v c`` line per edge."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{g.n} {g.r}\n")
-        for u, v, c in g.edges():
-            fh.write(f"{u} {v} {c}\n")
+        for u in range(g.n):
+            fh.write("".join([f"{u} {v} {c}\n" for v, c in g._later_neighbours(u)]))
 
 
 def parse_graph_text(text: str) -> ColouredGraph:

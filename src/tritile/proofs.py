@@ -36,11 +36,7 @@ from tritile.graphs import (
     iter_cliques,
     mask_of,
 )
-from tritile.solvers import (
-    clique_tiling_interpolated,
-    find_bowtie,
-    find_perfect_clique_tiling,
-)
+from tritile.solvers import _quota_masks, clique_tiling_interpolated
 
 # Known exact values, keyed by (colours, clique size); re-derived from
 # scratch by the verification module and pinned against these in the tests.
@@ -399,14 +395,12 @@ def moon_large(g: ColouredGraph, budget: Optional[int] = None) -> Tiling:
             verts = sorted(iter_bits(mask),
                            key=lambda v: ((g.adj[v] & mask).bit_count(), v))
             horizon = verts[:8 * (n1 - delta_lb)]
-            sub, back = g.induced(horizon)
-            tiling = find_perfect_clique_tiling(sub, 8, budget=budget)
-            if tiling is None:
+            found = _quota_masks(g.adj, horizon, 8, n1 - delta_lb, 0, budget)
+            if found is None:
                 raise AnomalyError(
                     "dense 8k-set refused a perfect K8 tiling", graph=g,
                     detail={"horizon": horizon, "delta_lb": delta_lb})
-            for tile in tiling:
-                eight = tuple(back[v] for v in tile.vertices)
+            for eight in found[0]:
                 out.extend(extract_two_disjoint_k8(g, eight))
             break
         six = next(iter_cliques(g.adj, mask, 6), None)
@@ -547,14 +541,11 @@ def _bes_augment(g: ColouredGraph, pool_b: list[tuple[int, ...]],
             raise AnomalyError("no pool 5-set adjacent to the anchor set",
                                graph=g, detail={"anchor": anchor, "b": len(pool_b)})
         five = pool_b[idx]
-        sub, back = g.induced(five)
-        inner = find_bowtie(sub)
-        if inner is None:
+        pair = first_pair(_mono_triangles_in(g, five), 1, 1, same_colour=False)
+        if pair is None:
             raise AnomalyError("pool 5-set lost its bowtie", graph=g,
                                detail={"five": five})
-        known = Bowtie(
-            MonoClique(tuple(back[w] for w in inner.first.vertices), inner.first.colour),
-            MonoClique(tuple(back[w] for w in inner.second.vertices), inner.second.colour))
+        known = Bowtie(MonoClique.of(pair[0]), MonoClique.of(pair[1]))
         seven = tuple(sorted(five + (u, v)))
         swapped = second_bowtie_k7(g, known, seven)
         new_five = tuple(sorted(swapped.vertex_set))

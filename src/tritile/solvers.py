@@ -78,7 +78,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -91,7 +91,9 @@ from tritile.graphs import (
     Tiling,
     Triangle,
     first_pair,
+    iter_bits,
     iter_cliques,
+    mask_of,
 )
 
 DEFAULT_NODE_BUDGET = 5_000_000
@@ -412,35 +414,42 @@ def find_perfect_clique_tiling(g: ColouredGraph, t: int,
         raise ValueError(f"clique size must be at least 2, got {t}")
     if g.n % t != 0:
         raise ValueError(f"perfect {t}-tiling needs t | n, got n={g.n}")
-    budget = DEFAULT_TILING_BUDGET if budget is None else budget
-    found = _quota_masks(g.n, g.adj, t, g.n // t, 0, budget)
+    found = _quota_masks(g.adj, range(g.n), t, g.n // t, 0, budget)
     if found is None:
         return None
     return Tiling(tuple(MonoClique(tuple(sorted(tile)), None) for tile in found[0]))
 
 
-def _quota_masks(n: int, adj: Sequence[int], t: int, whole: int, stripped: int,
-                 budget: int) -> Optional[tuple[list[tuple[int, ...]], list[tuple[int, ...]]]]:
-    """Partition ``0..n-1`` into ``whole`` K_t's plus ``stripped`` K_{t-1}'s.
+def _quota_masks(adj: Sequence[int], vertices: Iterable[int], t: int, whole: int,
+                 stripped: int, budget: Optional[int]
+                 ) -> Optional[tuple[list[tuple[int, ...]], list[tuple[int, ...]]]]:
+    """Partition ``vertices`` into ``whole`` K_t's plus ``stripped`` K_{t-1}'s.
 
-    Branches on the unused vertex with the fewest remaining candidates (the
-    scan that finds it doubles as a dead-end prune: a vertex left with too
-    few live neighbours for the smallest tile still allowed kills the node),
-    extending it by every clique of an allowed size in its neighbourhood in
+    ``adj`` holds the host's rows; the search sees only the edges among
+    ``vertices`` and returns tiles in host labels.  Branches on the unused
+    vertex with the fewest remaining candidates (the scan that finds it
+    doubles as a dead-end prune: a vertex left with too few live neighbours
+    for the smallest tile still allowed kills the node), extending it by
+    every clique of an allowed size in its neighbourhood in
     rank-lexicographic order, whole tiles first.  The rank orders vertices
-    by degree, then index; the search runs on the rows relabelled so that
-    vertex i is the one of rank i, where :func:`iter_cliques` lists cliques
-    in rank order and a tie in the pick goes to the lower rank.  Searching
-    the two sizes directly avoids the padded-graph encoding, whose
-    interchangeable pad vertices blow the branching up by a factorial
-    factor.  Returns None only after an exhaustive search.
+    by degree inside ``vertices``, then index; the search runs on the rows
+    cut to ``vertices`` and relabelled so that vertex i is the one of rank
+    i, where :func:`iter_cliques` lists cliques in rank order and a tie in
+    the pick goes to the lower rank.  Searching the two sizes directly
+    avoids the padded-graph encoding, whose interchangeable pad vertices
+    blow the branching up by a factorial factor.  A ``budget`` of None is
+    ``DEFAULT_TILING_BUDGET`` nodes.  Returns None only after an exhaustive
+    search.
     """
-    order = sorted(range(n), key=lambda v: (adj[v].bit_count(), v))
-    if n:
-        # Row i is the row of order[i] with its bits permuted into rank
-        # order, as a string: vertex v is character n - 1 - v.
-        ranked, width = itemgetter(*[n - 1 - v for v in reversed(order)]), f"0{n}b"
+    budget = DEFAULT_TILING_BUDGET if budget is None else budget
+    within = mask_of(vertices)
+    order = sorted(iter_bits(within), key=lambda v: ((adj[v] & within).bit_count(), v))
+    if order:
+        # Row i is the row of order[i] cut to ``vertices`` with its bits in
+        # rank order, as a string: host vertex v is character len(adj) - 1 - v.
+        ranked, width = itemgetter(*[len(adj) - 1 - v for v in reversed(order)]), f"0{len(adj)}b"
         adj = [int("".join(ranked(format(adj[v], width))), 2) for v in order]
+    n = len(order)
     calls = 0
 
     def visit(used: int, wq: int, sq: int) -> Optional[Iterator[tuple[int, tuple[int, ...]]]]:
@@ -508,8 +517,7 @@ def clique_tiling_interpolated(g: ColouredGraph, t: int,
         raise ValueError(
             f"interpolation needs (1-1/(t-1))n <= delta <= (1-1/t)n, "
             f"got n={n}, delta={delta}, t={t}")
-    budget = DEFAULT_TILING_BUDGET if budget is None else budget
-    found = _quota_masks(g.n, g.adj, t, (t - 1) * delta - (t - 2) * n,
+    found = _quota_masks(g.adj, range(n), t, (t - 1) * delta - (t - 2) * n,
                          (t - 1) * n - t * delta, budget)
     if found is None:
         raise AnomalyError(

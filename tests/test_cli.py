@@ -402,6 +402,16 @@ class TestReportingCommands:
         assert doc["value"] == 6
         assert doc["witness_graph"]["n"] == 5
 
+    def test_ramsey_searches_take_the_budget(self, tmp_path, monkeypatch, capsys):
+        rc = run_in(tmp_path, monkeypatch, ["ramsey", "--budget", "100", "--json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert (doc["value"], doc["checked"], doc["witness_n"]) == (None, {"3": 8, "4": 64}, 4)
+        rc = run_in(tmp_path, monkeypatch, ["special-ramsey", "--budget", "0", "--json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert (doc["value"], doc["checked"]) == (None, {})
+
     def test_three_colour_ramsey_json_is_pinned(self, tmp_path, monkeypatch, capsys):
         rc = run_in(tmp_path, monkeypatch, ["ramsey", "--colours", "3", "--n-max", "6", "--json"])
         doc = json.loads(capsys.readouterr().out)

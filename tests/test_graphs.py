@@ -14,6 +14,7 @@ from helpers import centre, recoloured, relabelled, small_graphs
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tritile.constructions import CONSTRUCTIONS
 from tritile.graphs import (
     MAX_VERTICES,
     Bowtie,
@@ -26,6 +27,7 @@ from tritile.graphs import (
     complete_colouring,
     first_pair,
     from_json_dict,
+    iter_bits,
     iter_cliques,
     lex_edges,
     read_graph,
@@ -361,6 +363,45 @@ class TestSerialisation:
             assert read_graph(path) == g
 
 
+def reference_edges(g: ColouredGraph) -> list[tuple[int, int, int]]:
+    """The sorted build of the edge list: every colour row's later bits, then one sort."""
+    out = []
+    for u in range(g.n):
+        for c in range(g.r):
+            for off in iter_bits(g.colour_adj[c][u] >> (u + 1)):
+                out.append((u, u + 1 + off, c))
+    out.sort()
+    return out
+
+
+def assert_edges_and_file_match_the_sorted_build(g: ColouredGraph) -> None:
+    want = reference_edges(g)
+    assert g.edges() == want
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.cg")
+        write_graph(g, path)
+        with open(path, "rb") as fh:
+            written = fh.read()
+    assert written == "".join([f"{g.n} {g.r}\n"] + [f"{u} {v} {c}\n" for u, v, c in want]).encode()
+
+
+class TestEdgeWalk:
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_sorted_build(self, r, data):
+        assert_edges_and_file_match_the_sorted_build(data.draw(small_graphs(max_n=9, r=r)))
+
+    def test_constructions_match_the_sorted_build(self):
+        for n, delta in ((12, 10), (30, 25), (66, 65), (70, 58), (131, 130)):
+            for builder, _ in CONSTRUCTIONS.values():
+                try:
+                    g = builder(n, delta)
+                except ValueError:
+                    continue
+                assert_edges_and_file_match_the_sorted_build(g)
+
+
 class TestRecords:
     def test_monoclique_normalises_and_verifies(self):
         t = MonoClique((2, 0, 1), 0)
@@ -397,15 +438,6 @@ class TestRecords:
         assert bow.verify(g)
         same_colour = Bowtie(MonoClique((0, 1, 2), 0), MonoClique((0, 3, 4), 0))
         assert not same_colour.verify(g)
-
-    def test_induced_subgraph(self):
-        g = blow_up(badly_k5(), [2, 1, 1, 1, 1])
-        sub, back = g.induced([0, 2, 3, 5])
-        assert back == (0, 2, 3, 5)
-        assert sub.n == 4
-        for i, u in enumerate(back):
-            for j in range(i + 1, 4):
-                assert sub.edge_colour(i, j) == g.edge_colour(u, back[j])
 
 
 def test_permutation_validation():

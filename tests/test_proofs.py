@@ -7,11 +7,14 @@ output structurally instead of trusting the construction.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from helpers import centre, claim_pair_k7, reference_extract_three_disjoint_k7x2, relabelled
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_acceptance import _band_pairs
 
 from tritile.constructions import (
     RED,
@@ -24,8 +27,10 @@ from tritile.graphs import (
     Bowtie,
     ColouredGraph,
     MonoClique,
+    SearchBudgetExceeded,
     blow_up,
     complete_colouring,
+    first_pair,
     iter_cliques,
     mask_of,
 )
@@ -423,6 +428,29 @@ class TestBesLarge:
             bes_large(random_min_degree_colouring(66, 64, np.random.default_rng(0)))
 
 
+def test_degree_tiler_outputs_are_pinned():
+    """The four degree tilers on the first 60 criterion-08 hosts of each regime,
+    at budgets None, 0 and 3: one sha256 over every tiling's ``(vertices,
+    colour)`` pairs, or the exception's type and message."""
+    regimes = [(moon_small, _band_pairs(4, 5, 5, 6, range(12, 43))),
+               (bes_small, _band_pairs(4, 5, 5, 6, range(12, 43))),
+               (moon_large, _band_pairs(7, 8, 1, 1, range(16, 61))),
+               (bes_large, _band_pairs(65, 66, 1, 1, range(66, 133)))]
+    outcomes = []
+    for idx, (algorithm, pairs) in enumerate(regimes):
+        for k in range(60):
+            n, d = pairs[k % len(pairs)]
+            g = random_min_degree_colouring(n, d, np.random.default_rng([8, idx, k]))
+            for budget in (None, 0, 3):
+                try:
+                    outcomes.append([(t.vertices, t.colour) for t in algorithm(g, budget=budget)])
+                except (SearchBudgetExceeded, AnomalyError) as exc:
+                    outcomes.append((type(exc).__name__, str(exc)))
+    assert sum(isinstance(o, tuple) for o in outcomes) == 314
+    assert (hashlib.sha256(repr(outcomes).encode()).hexdigest()
+            == "c13c04cf6b11c4460b9003e52c4a2788d4caa4617adc7d1c0a30611852c29691")
+
+
 def engineered_bowtie_pool(g_n: int, count: int) -> tuple[ColouredGraph, list]:
     """Complete host whose first ``count`` 5-blocks each hold a fixed bowtie."""
     edges = {}
@@ -450,8 +478,8 @@ class TestAugmentation:
         used = mask_of(v for bs in pool_b for v in bs)
         assert not pool_t[0].mask & used
         for five in pool_b:
-            sub, back = g.induced(five)
-            assert find_bowtie(sub) is not None
+            inside = list(g.iter_mono_triangles(mask_of(five)))
+            assert first_pair(inside, 1, 1, same_colour=False) is not None
 
     def test_nonempty_t_grows_a_pool(self):
         g, pool_b = engineered_bowtie_pool(66, 10)

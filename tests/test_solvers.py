@@ -683,9 +683,10 @@ class TestQuotaSearchMatchesReference:
                             continue
                         quotas = (t, (t - 1) * d - (t - 2) * n, (t - 1) * n - t * d)
                         for budget in self.BUDGETS:
-                            args = (n, g.adj, *quotas, budget)
-                            assert (self.outcome(solvers._quota_masks, *args)
-                                    == self.outcome(reference_quota_masks, *args)), (n, delta, t)
+                            assert (self.outcome(solvers._quota_masks, g.adj, range(n),
+                                                 *quotas, budget)
+                                    == self.outcome(reference_quota_masks, n, g.adj,
+                                                    *quotas, budget)), (n, delta, t)
                             cases += 1
         assert cases == 1855
 
@@ -698,9 +699,9 @@ class TestQuotaSearchMatchesReference:
             for t in (2, 3, 4):
                 if n % t == 0:
                     for budget in self.BUDGETS:
-                        args = (n, g.adj, t, n // t, 0, budget)
-                        assert (self.outcome(solvers._quota_masks, *args)
-                                == self.outcome(reference_quota_masks, *args))
+                        quotas = (t, n // t, 0, budget)
+                        assert (self.outcome(solvers._quota_masks, g.adj, range(n), *quotas)
+                                == self.outcome(reference_quota_masks, n, g.adj, *quotas))
 
     def test_empty_host(self):
         assert len(find_perfect_clique_tiling(ColouredGraph(0, 2, []), 3)) == 0

@@ -603,6 +603,27 @@ class TestDoubledK7MatchesReference:
         for args in ((0, 1, 10_000), (1, 1, 10_000)):
             assert _k7x2_adversarial_task(args, cap=4) == reference_adversarial_task(args, cap=4)
 
+    def test_a_descent_below_its_cap_matches_the_reference(self, monkeypatch):
+        # Red inside the class groups {0, 1} and {2..6}, blue between them:
+        # blue is bipartite and every red triangle lies in the K_{2,2,2,2,2}
+        # of classes 2..6, so the largest packing is 3.  At cap 4 the descent
+        # starts below its cap, where the third-triangle check must wait for
+        # exactly cap - 1 kept triangles.
+        start = np.array([int((u < 4) != (v < 4)) for u, v in K7X2_EDGES], dtype=np.uint8)
+
+        class FromStart:
+            def __init__(self, seed):
+                pass
+
+            def integers(self, low, high, size, dtype):
+                return start.copy()
+
+        monkeypatch.setattr(np.random, "default_rng", FromStart)
+        args = (0, 0, 10_000)
+        task = _k7x2_adversarial_task(args, cap=4)
+        assert task == reference_adversarial_task(args, cap=4)
+        assert task[:2] == (11, 3)
+
     @pytest.mark.parametrize("cap", [3, 4, 5])
     def test_descents_without_the_third_triangle_check_match(self, monkeypatch, cap):
         # With the one-mask check finding nothing, every searched flip runs the
