@@ -8,8 +8,12 @@ graph dumped alongside.
 
 Output is deterministic: identical argv and seed produce byte-identical
 stdout and files, except for the ``elapsed`` wall-clock fields inside JSON
-reports.  ``--workers 1`` is the reference configuration; other worker
-counts must produce the same bytes there too.
+reports.  ``verify --workers 1`` is the reference configuration; other
+worker counts must produce the same bytes there too.
+
+Each subcommand takes only the flags it reads, and flags are spelled out
+in full: a flag a command would ignore ends with exit 1 and one ``error:``
+line, like any other usage error.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import numpy as np
 from tritile import __version__
 from tritile.constructions import (
     CONSTRUCTIONS,
+    _degree_band,
     badly_coloured_k5,
     bound_report,
     cell_hosts,
@@ -70,6 +75,10 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        # No prefix matching: on `tile`, `--seed` would otherwise mean `--seed-clique`.
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -86,14 +95,18 @@ def _dump_json(payload: dict, stream) -> None:
 def _emit(args, *, text: Optional[str] = None, payload: Optional[dict] = None,
           headers: Optional[Sequence[str]] = None,
           rows: Optional[Sequence[Sequence]] = None) -> None:
-    """Route a command's result to stdout or --out in the requested format."""
-    if args.json and payload is not None:
+    """Route a command's result to stdout or --out in the requested format.
+
+    A command with no JSON payload takes no --json, and one with rows but no
+    text form takes no --csv: its rows are always CSV.
+    """
+    if payload is not None and args.json:
         body = dict(payload)
         body["schema"] = SCHEMA
         buf = io.StringIO()
         _dump_json(body, buf)
         out = buf.getvalue()
-    elif args.csv and rows is not None:
+    elif rows is not None and (text is None or args.csv):
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         if headers:
@@ -123,8 +136,6 @@ GEN_FAMILIES = tuple(CONSTRUCTIONS) + (
 
 
 def _cmd_gen(args) -> int:
-    if not args.out:
-        raise _UsageError("gen writes files; pass --out PATH")
     family = args.family
     _check_order(args.n, "--n")
     _check_order(None if args.t is None else 3 * args.t + 1, "--t")
@@ -292,6 +303,10 @@ def _given(**flags) -> dict:
 
 def _cmd_verify(args) -> int:
     lemma = args.lemma
+    if args.samples is not None and lemma not in ("lemma-k8", "k7x2"):
+        raise _UsageError(f"--samples applies to lemma-k8 and k7x2, not {lemma}")
+    if args.restarts is not None and lemma != "k7x2":
+        raise _UsageError(f"--restarts applies to k7x2 only, not {lemma}")
     if lemma == "fact-k6":
         reports = [verify_fact_k6(workers=args.workers)]
     elif lemma == "claim-k7":
@@ -327,7 +342,10 @@ def _cmd_verify(args) -> int:
 # ramsey / special-ramsey
 
 
-def _ramsey_output(args, res, label: str) -> int:
+def _cmd_ramsey(args) -> int:
+    label = args.command
+    search = compute_ramsey if label == "ramsey" else compute_special_ramsey
+    res = search(args.ell, args.colours, args.n_max, **_given(budget=args.budget))
     payload = {"command": label, "ell": res.ell, "colours": res.r,
                "n_max": res.n_max, "value": res.value,
                "resolved": res.resolved, "witness_n": res.witness_n,
@@ -343,19 +361,6 @@ def _ramsey_output(args, res, label: str) -> int:
             f"code {res.witness_code}")
     _emit(args, text=text, payload=payload)
     return 0
-
-
-def _cmd_ramsey(args) -> int:
-    return _ramsey_output(
-        args, compute_ramsey(args.ell, args.colours, args.n_max,
-                             **_given(budget=args.budget)), "ramsey")
-
-
-def _cmd_special_ramsey(args) -> int:
-    return _ramsey_output(
-        args, compute_special_ramsey(args.ell, args.colours, args.n_max,
-                                     **_given(budget=args.budget)),
-        "special-ramsey")
 
 
 # --------------------------------------------------------------------------
@@ -491,8 +496,7 @@ def _experiment_rows(config: dict) -> list[list]:
     rows: list[list] = []
     cells = 0
     for n in n_values:
-        deltas = config.get("delta_values") or range(-(-4 * n // 5), n)
-        for delta in deltas:
+        for delta in config.get("delta_values") or _degree_band(n):
             if max_cells is not None and cells >= max_cells:
                 rows.append(["TRUNCATED"] + [""] * (len(EXPERIMENT_HEADERS) - 1))
                 return rows
@@ -524,9 +528,7 @@ def _cmd_experiment(args) -> int:
     with open(args.config, encoding="ascii") as fh:
         config = json.load(fh)
     _check_config(config)
-    rows = _experiment_rows(config)
-    forced = argparse.Namespace(**{**vars(args), "csv": True, "json": False})
-    _emit(forced, headers=EXPERIMENT_HEADERS, rows=rows)
+    _emit(args, headers=EXPERIMENT_HEADERS, rows=_experiment_rows(config))
     return 0
 
 
@@ -557,82 +559,74 @@ def _int_list(text: str) -> tuple[int, ...]:
 @functools.cache
 def _build_parser() -> _Parser:
     """The argument parser, built once per process: parsing leaves it unchanged."""
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", type=_nonnegative, default=0,
-                        help="campaign seed (default 0)")
-    common.add_argument("--workers", type=int, default=1,
-                        help="parallel worker count (default 1)")
-    common.add_argument("--json", action="store_true",
-                        help="emit a schema-1 JSON document")
-    common.add_argument("--csv", action="store_true",
-                        help="emit CSV (where the command has rows)")
-    common.add_argument("--out", help="write output to this path")
-    common.add_argument("--budget", type=_nonnegative, default=None,
-                        help="search node budget override")
-    common.add_argument("--witness",
-                        help="violation/anomaly witness file path")
-
+    flags = {
+        "--seed": dict(type=_nonnegative, default=0, help="campaign seed (default 0)"),
+        "--workers": dict(type=int, default=1, help="parallel worker count (default 1)"),
+        "--json": dict(action="store_true", help="emit a schema-1 JSON document"),
+        "--csv": dict(action="store_true", help="emit CSV rows"),
+        "--out": dict(help="write output to this path"),
+        "--budget": dict(type=_nonnegative, default=None,
+                         help="search node budget override"),
+        "--witness": dict(help="violation/anomaly witness file path"),
+    }
     parser = _Parser(prog="tritile",
                      description="exact tiling constructions, solvers, "
                                  "and lemma verifiers")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    p = sub.add_parser("gen", parents=[common],
-                       help="write a construction to disk with its classes")
+    def command(name: str, func, takes: str, help: str) -> _Parser:
+        """A subcommand with the common flags it reads, named in ``takes``."""
+        p = sub.add_parser(name, help=help)
+        for flag in takes.split():
+            p.add_argument(flag, **flags[flag])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("gen", _cmd_gen, "--seed --json",
+                help="write a construction to disk with its classes")
+    p.add_argument("--out", required=True,
+                   help="host file path; the classes go to PATH.classes.json")
     p.add_argument("--family", required=True, choices=GEN_FAMILIES)
     p.add_argument("--n", type=int)
     p.add_argument("--delta", type=int)
     p.add_argument("--t", type=int)
-    p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("solve", parents=[common],
-                       help="exact optimum triangle tiling of a host file")
+    p = command("solve", _cmd_solve, "--json --out --budget",
+                help="exact optimum triangle tiling of a host file")
     p.add_argument("path")
     p.add_argument("--mode", choices=("mixed", "single"), default="mixed")
-    p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("tile", parents=[common],
-                       help="run a constructive tiling algorithm on a host file")
+    p = command("tile", _cmd_tile, "--json --out --budget --witness",
+                help="run a constructive tiling algorithm on a host file")
     p.add_argument("path")
     p.add_argument("--algorithm", required=True,
                    choices=tuple(_ALGORITHMS) + ("phased",))
     p.add_argument("--seed-clique", dest="seed_clique", type=_int_list,
                    help="comma-separated seed clique vertices (phased only)")
-    p.set_defaults(func=_cmd_tile)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="run an exhaustive or randomized lemma campaign")
+    p = command("verify", _cmd_verify, "--seed --workers --json --out --witness",
+                help="run an exhaustive or randomized lemma campaign")
     p.add_argument("--lemma", required=True, choices=LEMMAS)
     p.add_argument("--samples", type=_nonnegative, default=None,
                    help="sample count (lemma-k8 extractor subset / k7x2)")
     p.add_argument("--restarts", type=_nonnegative, default=None,
                    help="adversarial restart count (k7x2)")
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("ramsey", parents=[common],
-                       help="exhaustive mono-clique Ramsey search")
-    p.add_argument("--ell", type=int, default=3)
-    p.add_argument("--colours", type=int, default=2)
-    p.add_argument("--n-max", dest="n_max", type=int, default=8)
-    p.set_defaults(func=_cmd_ramsey)
+    for name, n_max, about in (
+            ("ramsey", 8, "exhaustive mono-clique Ramsey search"),
+            ("special-ramsey", 6, "Ramsey search over colourings missing a colour "
+                                  "at a vertex")):
+        p = command(name, _cmd_ramsey, "--json --out --budget", help=about)
+        p.add_argument("--ell", type=int, default=3)
+        p.add_argument("--colours", type=int, default=2)
+        p.add_argument("--n-max", dest="n_max", type=int, default=n_max)
 
-    p = sub.add_parser("special-ramsey", parents=[common],
-                       help="Ramsey search over colourings missing a colour "
-                            "at a vertex")
-    p.add_argument("--ell", type=int, default=3)
-    p.add_argument("--colours", type=int, default=2)
-    p.add_argument("--n-max", dest="n_max", type=int, default=6)
-    p.set_defaults(func=_cmd_special_ramsey)
+    command("audit", _cmd_audit, "--json --csv --out --budget --witness",
+            help="exact optima vs closed-form bounds on the pinned instances")
 
-    p = sub.add_parser("audit", parents=[common],
-                       help="exact optima vs closed-form bounds on the "
-                            "pinned instances")
-    p.set_defaults(func=_cmd_audit)
-
-    p = sub.add_parser("probe", parents=[common],
-                       help="search for hosts beating the single-colour "
-                            "formulas")
+    p = command("probe", _cmd_probe, "--seed --json --csv --out --budget --witness",
+                help="search for hosts beating the single-colour formulas")
     p.add_argument("--n", type=_int_list, default="25",
                    help="comma-separated host orders (all >= 25)")
     p.add_argument("--deltas", type=_int_list, default=None,
@@ -641,14 +635,11 @@ def _build_parser() -> _Parser:
                    help="random hosts per cell")
     p.add_argument("--perturbed", type=_nonnegative, default=1,
                    help="perturbed constructions per cell")
-    p.set_defaults(func=_cmd_probe)
 
-    p = sub.add_parser("experiment", parents=[common],
-                       help="CSV sweep over constructions, solvers, and "
-                            "extracted algorithms")
+    p = command("experiment", _cmd_experiment, "--out --witness",
+                help="CSV sweep over constructions, solvers, and extracted algorithms")
     p.add_argument("--config", required=True,
                    help="JSON config with n_values and options")
-    p.set_defaults(func=_cmd_experiment)
 
     return parser
 

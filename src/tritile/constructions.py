@@ -56,11 +56,16 @@ def _check(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _degree_band(n: int) -> range:
+    """The minimum degrees 4n/5 <= delta <= n-1 where the paper's bounds are stated."""
+    return range(-(-4 * n // 5), n)
+
+
 # ---------------------------------------------------------------------------
 # Mixed-colour extremal family: one special class on top of the K5 pattern.
 
 def ex_triangle_layout(n: int, delta: int) -> dict[str, list[int]]:
-    _check(4 * n <= 5 * delta and delta <= n - 1,
+    _check(delta in _degree_band(n),
            f"ex_triangle needs 4n/5 <= delta <= n-1, got n={n}, delta={delta}")
     s = n - delta
     v0 = 5 * delta - 4 * n
@@ -134,7 +139,7 @@ def ex_bes_1(n: int, delta: int) -> ColouredGraph:
 
 
 def ex_bes_2_layout(n: int, delta: int) -> dict[str, list[int]]:
-    _check(n >= 25 and 4 * n <= 5 * delta and delta <= n - 1,
+    _check(n >= 25 and delta in _degree_band(n),
            f"ex_bes_2 needs n >= 25 and 4n/5 <= delta <= n-1, got n={n}, delta={delta}")
     s = n - delta
     v1 = 4 * delta - 3 * n
@@ -160,7 +165,7 @@ def ex_bes_2(n: int, delta: int) -> ColouredGraph:
 
 
 def ex_bes_3_layout(n: int, delta: int) -> dict[str, list[int]]:
-    _check(4 * n <= 5 * delta and delta <= n - 1,
+    _check(delta in _degree_band(n),
            f"ex_bes_3 needs 4n/5 <= delta <= n-1, got n={n}, delta={delta}")
     s = n - delta
     rsize = (5 * delta - 4 * n + 1) // 2
@@ -361,7 +366,7 @@ def extremal_min_formula(n: int, delta: int) -> int:
 
 
 def bound_report(n: int, delta: int) -> BoundReport:
-    _check(4 * n <= 5 * delta and delta <= n - 1,
+    _check(delta in _degree_band(n),
            f"bounds are stated for 4n/5 <= delta <= n-1, got n={n}, delta={delta}")
     moon = moon_formulas(n, delta)
     if 6 * delta <= 5 * n:

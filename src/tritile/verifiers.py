@@ -31,6 +31,7 @@ import numpy as np
 
 from tritile.constructions import (
     CONSTRUCTIONS,
+    _degree_band,
     bes_band,
     bes_formulas,
     cell_hosts,
@@ -1079,10 +1080,9 @@ def probe_question(n_values: Sequence[int] = (25,),
     for n in n_values:
         if n < 25:
             raise ValueError(f"the probe grid starts at n=25, got n={n}")
-        deltas = delta_values if delta_values is not None \
-            else range(-(-4 * n // 5), n)
-        for delta in deltas:
-            if 5 * delta < 4 * n or delta > n - 1:
+        band = _degree_band(n)
+        for delta in band if delta_values is None else delta_values:
+            if delta not in band:
                 raise ValueError(f"delta={delta} outside 4n/5..n-1 for n={n}")
             # The single-colour constructions, then the random hosts.
             hosts = cell_hosts(n, delta, _BES_PIECES, samples_per_cell, seed, (0,))

@@ -349,6 +349,7 @@ class TestAnomalyExit:
         doc = json.loads((tmp_path / "anomaly-witness.json").read_text())
         assert doc["detail"] == {"reason": "test"}
         assert doc["graph"]["n"] == 6
+        assert doc["seed"] is None  # tile takes no --seed
         capsys.readouterr()
 
     def test_anomaly_dump_names_version_argv_and_seed(self, tmp_path, monkeypatch, capsys):
@@ -365,6 +366,85 @@ class TestAnomalyExit:
         doc = json.loads((tmp_path / "dump.json").read_text())
         assert (doc["version"], doc["argv"], doc["seed"]) == (__version__, argv, 17)
         capsys.readouterr()
+
+
+# The common flags, each with the argument it is given here (None for a
+# switch) and the value it parses to; a subcommand takes only the ones in
+# FLAGS_TAKEN and refuses the others.
+COMMON_FLAGS = {"--seed": ("5", 5), "--workers": ("2", 2), "--json": (None, True),
+                "--csv": (None, True), "--out": ("o.txt", "o.txt"),
+                "--budget": ("100", 100), "--witness": ("w.json", "w.json")}
+FLAGS_TAKEN = {
+    "gen": "--seed --json --out",
+    "solve": "--json --out --budget",
+    "tile": "--json --out --budget --witness",
+    "verify": "--seed --workers --json --out --witness",
+    "ramsey": "--json --out --budget",
+    "special-ramsey": "--json --out --budget",
+    "audit": "--json --csv --out --budget --witness",
+    "probe": "--seed --json --csv --out --budget --witness",
+    "experiment": "--out --witness",
+}
+# An argv per subcommand that writes o.txt and exits 0 without a refused flag.
+FLAG_BASES = {
+    "gen": ["gen", "--family", "badly-k5"],
+    "solve": ["solve", "host.txt"],
+    "tile": ["tile", "host.txt", "--algorithm", "bes-small"],
+    "verify": ["verify", "--lemma", "fact-k6"],
+    "ramsey": ["ramsey"],
+    "special-ramsey": ["special-ramsey"],
+    "audit": ["audit"],
+    "probe": ["probe", "--n", "25", "--deltas", "21", "--samples", "1", "--perturbed", "0"],
+    "experiment": ["experiment", "--config", "cfg.json"],
+}
+DROPPED_FLAGS = [(command, flag) for command, taken in FLAGS_TAKEN.items()
+                 for flag in COMMON_FLAGS if flag not in taken.split()]
+
+
+def flag_argv(flag: str) -> list[str]:
+    given = COMMON_FLAGS[flag][0]
+    return [flag] if given is None else [flag, given]
+
+
+class TestFlagSurface:
+    def test_the_tables_cover_every_subcommand(self):
+        assert set(FLAGS_TAKEN) == set(FLAG_BASES) and len(FLAGS_TAKEN) == 9
+        assert sum(len(t.split()) for t in FLAGS_TAKEN.values()) == 34
+        assert len(DROPPED_FLAGS) == 29
+
+    @pytest.mark.parametrize("command, flag", [(c, f) for c, taken in FLAGS_TAKEN.items()
+                                               for f in taken.split()])
+    def test_every_taken_flag_parses(self, command, flag):
+        argv = FLAG_BASES[command] + flag_argv(flag)
+        if command == "gen" and flag != "--out":
+            argv += ["--out", "o.txt"]
+        args = cli._build_parser().parse_args(argv)
+        assert getattr(args, flag[2:]) == COMMON_FLAGS[flag][1]
+
+    @pytest.mark.parametrize("command, flag", DROPPED_FLAGS)
+    def test_a_flag_the_command_ignores_is_one_error_line(self, tmp_path, monkeypatch, capsys,
+                                                          command, flag):
+        write_graph(constructions.ex_triangle(12, 10), tmp_path / "host.txt")
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"n_values": [12], "delta_values": [10], "families": ["ex-triangle"]}))
+        argv = FLAG_BASES[command] + flag_argv(flag) + ["--out", "o.txt"]
+        assert run_in(tmp_path, monkeypatch, argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: unrecognized arguments: {' '.join(flag_argv(flag))}"]
+        assert not (tmp_path / "o.txt").exists()
+
+    @pytest.mark.parametrize("lemma, flag", [
+        ("fact-k6", "--samples"), ("claim-k7", "--samples"), ("bowtie", "--samples"),
+        ("fact-k6", "--restarts"), ("claim-k7", "--restarts"), ("lemma-k8", "--restarts"),
+        ("bowtie", "--restarts"),
+    ])
+    def test_a_campaign_option_the_lemma_ignores_is_one_error_line(
+            self, tmp_path, monkeypatch, capsys, lemma, flag):
+        argv = ["verify", "--lemma", lemma, flag, "3", "--out", "o.txt"]
+        assert run_in(tmp_path, monkeypatch, argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {flag} applies to ")
+        assert not (tmp_path / "o.txt").exists()
 
 
 class TestReportingCommands:
@@ -662,6 +742,5 @@ class TestInputFuzz:
             path = os.path.join(tmp, "g.txt")
             with open(path, "w") as fh:
                 fh.write(text)
-            rc, err = run_captured(["solve", path,
-                                    "--witness", os.path.join(tmp, "w.json")])
+            rc, err = run_captured(["solve", path])
         assert_clean_exit(rc, err)
