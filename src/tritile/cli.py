@@ -1,10 +1,10 @@
 """Command-line front end for generators, solvers, tilers, and verifiers.
 
-Exit codes: 0 success; 1 usage or input errors; 2 a verification campaign
-found violations, in which case a witness file is written and re-confirmed
-by reloading it before the process exits; 3 an internal anomaly, meaning a
-step that a proven statement says cannot fail did fail, with the offending
-graph dumped alongside.
+Exit codes: 0 success; 1 usage or input errors; 2 a lemma campaign found
+violations, or a grid command a host below a conjectural formula, and a
+witness file is written and re-confirmed by reloading it; 3 an internal
+anomaly, meaning a step that a proven statement says cannot fail did fail,
+with the offending graph dumped alongside.
 
 Output is deterministic: identical argv and seed produce byte-identical
 stdout and files, except for the ``elapsed`` wall-clock fields inside JSON
@@ -25,6 +25,7 @@ import io
 import json
 import sys
 import time
+from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,6 +33,7 @@ import numpy as np
 from tritile import __version__
 from tritile.constructions import (
     CONSTRUCTIONS,
+    BoundReport,
     _degree_band,
     badly_coloured_k5,
     bound_report,
@@ -51,12 +53,16 @@ from tritile.graphs import (
     to_json_dict,
     write_graph,
 )
-from tritile.proofs import K7X2_EDGES, bes_large, bes_small, moon_large, moon_small, phased_tiler
+from tritile.proofs import K7X2_EDGES, phased_tiler
 from tritile.solvers import max_mixed_tiling, max_single_colour_tiling
 from tritile.verifiers import (
+    AUDIT_COLUMNS,
+    TILERS,
+    GridRow,
     audit_tightness,
     compute_ramsey,
     compute_special_ramsey,
+    grid_row,
     k7x2_graph,
     lemma_violated,
     probe_question,
@@ -93,25 +99,17 @@ def _dump_json(payload: dict, stream) -> None:
 
 
 def _emit(args, *, text: Optional[str] = None, payload: Optional[dict] = None,
-          headers: Optional[Sequence[str]] = None,
           rows: Optional[Sequence[Sequence]] = None) -> None:
     """Route a command's result to stdout or --out in the requested format.
 
-    A command with no JSON payload takes no --json, and one with rows but no
-    text form takes no --csv: its rows are always CSV.
+    ``rows`` are CSV rows, headers first.  A command with no JSON payload takes no
+    --json, and one with rows but no text form takes no --csv: its rows are always CSV.
     """
     if payload is not None and args.json:
-        body = dict(payload)
-        body["schema"] = SCHEMA
-        buf = io.StringIO()
-        _dump_json(body, buf)
-        out = buf.getvalue()
+        out = json.dumps({**payload, "schema": SCHEMA}, sort_keys=True, indent=2) + "\n"
     elif rows is not None and (text is None or args.csv):
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        if headers:
-            writer.writerow(headers)
-        writer.writerows(rows)
+        csv.writer(buf, lineterminator="\n").writerows(rows)
         out = buf.getvalue()
     else:
         out = (text or "") + ("\n" if text and not text.endswith("\n") else "")
@@ -229,12 +227,8 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-_ALGORITHMS = {
-    "moon-small": moon_small,
-    "bes-small": bes_small,
-    "moon-large": moon_large,
-    "bes-large": bes_large,
-}
+# The constructive tilers by their command-line names.
+_ALGORITHMS = {name.replace("_", "-"): tiler for name, (tiler, _, _) in TILERS.items()}
 
 
 def _cmd_tile(args) -> int:
@@ -273,23 +267,22 @@ def _cmd_tile(args) -> int:
 LEMMAS = ("fact-k6", "claim-k7", "lemma-k8", "bowtie", "k7x2")
 
 
-def _write_and_reconfirm_witnesses(lemma: str, reports, path: str) -> None:
-    entries = []
-    for rep in reports:
-        for code in rep.violations:
-            g = rep.graph(code)
-            entries.append({"code": code, "n": rep.n,
-                            "graph": to_json_dict(g),
-                            "extra": {k: v for k, v in rep.extra.items()
-                                      if isinstance(v, (int, str, bool))}})
+def _write_and_reload(path: str, doc: dict) -> list:
+    """Write ``doc`` as a witness file and read it back: (host, entry) per witness."""
     with open(path, "w", encoding="ascii") as fh:
-        _dump_json({"schema": SCHEMA, "lemma": lemma,
-                    "violation_count": sum(r.violation_count for r in reports),
-                    "witnesses": entries}, fh)
+        _dump_json({"schema": SCHEMA, **doc}, fh)
     with open(path, encoding="ascii") as fh:
         reloaded = json.load(fh)
-    for entry in reloaded["witnesses"]:
-        g = from_json_dict(entry["graph"])
+    return [(from_json_dict(entry["graph"]), entry) for entry in reloaded["witnesses"]]
+
+
+def _write_and_reconfirm_witnesses(lemma: str, reports, path: str) -> None:
+    entries = [{"code": code, "n": rep.n, "graph": to_json_dict(rep.graph(code)),
+                "extra": {k: v for k, v in rep.extra.items() if isinstance(v, (int, str, bool))}}
+               for rep in reports for code in rep.violations]
+    doc = {"lemma": lemma, "violation_count": sum(r.violation_count for r in reports),
+           "witnesses": entries}
+    for g, entry in _write_and_reload(path, doc):
         if not lemma_violated(lemma, g, entry.get("extra", {})):
             raise AnomalyError(
                 f"reloaded {lemma} witness {entry['code']} no longer violates",
@@ -364,85 +357,16 @@ def _cmd_ramsey(args) -> int:
 
 
 # --------------------------------------------------------------------------
-# audit / probe
+# audit / probe / experiment: presets of the grid engine (verifiers.grid_row)
 
 
-AUDIT_HEADERS = ("construction", "n", "delta", "mode", "optimum", "bound",
-                 "proved_optimal", "nodes_explored", "theorem_equality",
-                 "matches")
-
-
-def _cmd_audit(args) -> int:
-    rows = audit_tightness(budget=args.budget)
-    table = [[r.construction, r.n, r.delta, r.mode, r.optimum, r.bound,
-              r.proved_optimal, r.nodes_explored, r.theorem_equality,
-              r.matches] for r in rows]
-    payload = {"command": "audit", "rows": [r.as_dict() for r in rows]}
-    lines = [f"{r.construction}({r.n},{r.delta}) {r.mode}: optimum "
-             f"{r.optimum} vs bound {r.bound} "
-             f"[{'tight' if r.matches else 'GAP'}"
-             f"{', proved' if r.proved_optimal else ', budget exhausted'}]"
-             for r in rows]
-    _emit(args, text="\n".join(lines), payload=payload,
-          headers=AUDIT_HEADERS, rows=table)
-    return 0
-
-
+AUDIT_HEADERS = tuple(c for c in AUDIT_COLUMNS if c != "elapsed")
 PROBE_HEADERS = ("n", "delta", "source", "optimum", "c1", "c2", "c3", "below")
-
-
-def _cmd_probe(args) -> int:
-    for n in args.n:
-        _check_order(n, "--n")
-    records = probe_question(n_values=args.n, delta_values=args.deltas,
-                             samples_per_cell=args.samples,
-                             perturbed_per_cell=args.perturbed,
-                             seed=args.seed, budget=args.budget)
-    table = [[p.n, p.delta, p.source, p.optimum, p.formula_high, p.formula_mid,
-              p.formula_low, p.below_formula] for p in records]
-    payload = {"command": "probe", "records": [p.as_dict() for p in records]}
-    lines = [f"n={p.n} delta={p.delta} {p.source}: optimum {p.optimum} "
-             f"({p.applicable_piece} piece {p.applicable_value})"
-             + (" BELOW FORMULA" if p.below_formula else "")
-             for p in records]
-    _emit(args, text="\n".join(lines), payload=payload,
-          headers=PROBE_HEADERS, rows=table)
-    hits = [p for p in records if p.below_formula]
-    if hits:
-        path = args.witness or "probe-violations.json"
-        with open(path, "w", encoding="ascii") as fh:
-            _dump_json({"schema": SCHEMA, "records": [p.as_dict() for p in hits]},
-                       fh)
-        print(f"{len(hits)} hosts beat the formula; witness file {path} written",
-              file=sys.stderr)
-        return 2
-    return 0
-
-
-# --------------------------------------------------------------------------
-# experiment
-
-
 EXPERIMENT_HEADERS = (
     "source", "n", "delta", "mixed_optimum", "mixed_proved",
     "single_optimum", "single_proved", "moon_small", "bes_small",
     "moon_large", "bes_large", "moon_bound", "moon_piece", "moon_asymptotic",
     "bes_bound", "bes_piece", "bes_conjectural", "extremal_min", "status")
-
-
-def _algorithm_cell(fn, g, budget) -> tuple[str, bool]:
-    """Run one extracted algorithm; empty cell when its band excludes g."""
-    try:
-        tiling = fn(g, budget=budget)
-    except ValueError:
-        return "", False
-    except SearchBudgetExceeded:
-        return "", True
-    if not tiling.verify(g):
-        raise AnomalyError("experiment row produced an unverifiable tiling",
-                           graph=g)
-    return str(len(tiling)), False
-
 
 # Experiment config keys other than the list keys must hold integers, each
 # at least the value given here; a key left out or set to null takes its
@@ -481,55 +405,84 @@ def _check_config(config) -> None:
         raise _UsageError(f"experiment config delta_values must be non-negative, got {bad}")
 
 
-def _experiment_rows(config: dict) -> list[list]:
-    n_values = config["n_values"]
-    families = config.get("families")
-    if families is None:
-        families = list(CONSTRUCTIONS)
-    unknown = [f for f in families if f not in CONSTRUCTIONS]
-    if unknown:
-        raise _UsageError(f"unknown families in config: {unknown}")
-    samples = config.get("samples_per_cell") or 0
-    seed = config.get("seed") or 0
-    node_budget = config.get("node_budget")
-    max_cells = config.get("max_cells")
-    rows: list[list] = []
-    cells = 0
-    for n in n_values:
-        for delta in config.get("delta_values") or _degree_band(n):
-            if max_cells is not None and cells >= max_cells:
-                rows.append(["TRUNCATED"] + [""] * (len(EXPERIMENT_HEADERS) - 1))
-                return rows
-            cells += 1
-            report = bound_report(n, delta)
-            for source, g in cell_hosts(n, delta, families, samples, seed, ()):
-                mixed = max_mixed_tiling(g, budget=node_budget)
-                single = max_single_colour_tiling(g, budget=node_budget)
-                cells_out = []
-                overrun = False
-                for fn in (moon_small, bes_small, moon_large, bes_large):
-                    value, over = _algorithm_cell(fn, g, node_budget)
-                    cells_out.append(value)
-                    overrun = overrun or over
-                status = "ok"
-                if overrun or not (mixed.proved_optimal and single.proved_optimal):
-                    status = "budget"
-                rows.append([source, n, delta, mixed.optimum,
-                             mixed.proved_optimal, single.optimum,
-                             single.proved_optimal, *cells_out,
-                             report.moon_bound, report.moon_piece,
-                             report.moon_asymptotic, report.bes_bound,
-                             report.bes_piece, report.bes_conjectural,
-                             report.extremal_min, status])
-    return rows
-
-
-def _cmd_experiment(args) -> int:
+def _experiment_grid(args) -> list[Optional[GridRow]]:
+    """Every host of the config's cells in both modes with every tiler; None marks a cut grid."""
     with open(args.config, encoding="ascii") as fh:
         config = json.load(fh)
     _check_config(config)
-    _emit(args, headers=EXPERIMENT_HEADERS, rows=_experiment_rows(config))
-    return 0
+    families = list(CONSTRUCTIONS) if config.get("families") is None else config["families"]
+    unknown = [f for f in families if f not in CONSTRUCTIONS]
+    if unknown:
+        raise _UsageError(f"unknown families in config: {unknown}")
+    cells = [(n, delta) for n in config["n_values"]
+             for delta in config.get("delta_values") or _degree_band(n)]
+    kept = cells[:config.get("max_cells")]
+    rows: list[Optional[GridRow]] = []
+    for n, delta in kept:
+        bound_report(n, delta)  # rejects a delta outside the band before any host is built
+        rows += [grid_row(source, n, delta, g, ("mixed", "single"), config.get("node_budget"),
+                          tilers=True)
+                 for source, g in cell_hosts(n, delta, families,
+                                             config.get("samples_per_cell") or 0,
+                                             config.get("seed") or 0, ())]
+    return rows if len(kept) == len(cells) else rows + [None]
+
+
+def _probe_grid(args) -> list[GridRow]:
+    for n in args.n:
+        _check_order(n, "--n")
+    return probe_question(n_values=args.n, delta_values=args.deltas,
+                          samples_per_cell=args.samples, perturbed_per_cell=args.perturbed,
+                          seed=args.seed, budget=args.budget)
+
+
+# Each grid command: its rows, the JSON key of its rows (None: no JSON form), its CSV
+# headers and the row attribute under each, and its text line (None: always CSV).
+_GRIDS = {
+    "audit": (lambda args: audit_tightness(budget=args.budget), "rows",
+              AUDIT_HEADERS, AUDIT_HEADERS,
+              lambda r: (f"{r.source}({r.n},{r.delta}) {r.mode}: optimum {r.optimum} "
+                         f"vs bound {r.bound} [{'tight' if r.matches else 'GAP'}"
+                         f"{', proved' if r.proved_optimal else ', budget exhausted'}]")),
+    "probe": (_probe_grid, "records", PROBE_HEADERS,
+              ("n", "delta", "source", "optimum", "formula_high", "formula_mid",
+               "formula_low", "below_formula"),
+              lambda r: (f"n={r.n} delta={r.delta} {r.source}: optimum {r.optimum} "
+                         f"({r.applicable_piece} piece {r.applicable_value})"
+                         + (" BELOW FORMULA" if r.below_formula else ""))),
+    "experiment": (_experiment_grid, None, EXPERIMENT_HEADERS,
+                   [f"report.{h}" if h in BoundReport.__dataclass_fields__ else h
+                    for h in EXPERIMENT_HEADERS], None),
+}
+
+
+def _cmd_grid(args) -> int:
+    """Run a grid preset and print its rows; hosts that beat a conjectural formula exit 2."""
+    grid, key, headers, attrs, line = _GRIDS[args.command]
+    rows = grid(args)
+    table = [["TRUNCATED"] + [""] * (len(headers) - 1) if r is None
+             else attrgetter(*attrs)(r) for r in rows]
+    rows = [r for r in rows if r is not None]
+    _emit(args, text=line and "\n".join(map(line, rows)),
+          payload=key and {"command": args.command, key: [r.as_dict() for r in rows]},
+          rows=[headers, *table])
+    hits = [r for r in rows if r.below_formula]
+    if not hits:
+        return 0
+    path = args.witness or f"{args.command}-violations.json"
+    entries = [{"source": r.source, "n": r.n, "delta": r.delta, "optimum": r.single_optimum,
+                "formula": r.applicable_value, "nodes_explored": r.nodes_explored,
+                "graph": to_json_dict(r.host)} for r in hits]
+    # The search is deterministic, so the nodes of the first solve prove it again.
+    for g, entry in _write_and_reload(path, {"command": args.command, "witnesses": entries}):
+        if not grid_row(entry["source"], g.n, g.min_degree(), g, ("single",),
+                        entry["nodes_explored"]).below_formula:
+            raise AnomalyError(f"reloaded {args.command} witness {entry['source']}"
+                               f"({entry['n']},{entry['delta']}) no longer beats its formula",
+                               graph=g, detail={"path": path})
+    print(f"{len(hits)} hosts beat the formula; witness file {path} written and re-confirmed",
+          file=sys.stderr)
+    return 2
 
 
 # --------------------------------------------------------------------------
@@ -622,10 +575,10 @@ def _build_parser() -> _Parser:
         p.add_argument("--colours", type=int, default=2)
         p.add_argument("--n-max", dest="n_max", type=int, default=n_max)
 
-    command("audit", _cmd_audit, "--json --csv --out --budget --witness",
+    command("audit", _cmd_grid, "--json --csv --out --budget --witness",
             help="exact optima vs closed-form bounds on the pinned instances")
 
-    p = command("probe", _cmd_probe, "--seed --json --csv --out --budget --witness",
+    p = command("probe", _cmd_grid, "--seed --json --csv --out --budget --witness",
                 help="search for hosts beating the single-colour formulas")
     p.add_argument("--n", type=_int_list, default="25",
                    help="comma-separated host orders (all >= 25)")
@@ -636,7 +589,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--perturbed", type=_nonnegative, default=1,
                    help="perturbed constructions per cell")
 
-    p = command("experiment", _cmd_experiment, "--out --witness",
+    p = command("experiment", _cmd_grid, "--out --witness",
                 help="CSV sweep over constructions, solvers, and extracted algorithms")
     p.add_argument("--config", required=True,
                    help="JSON config with n_values and options")
@@ -653,10 +606,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SearchBudgetExceeded as exc:

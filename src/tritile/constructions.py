@@ -315,11 +315,11 @@ class BoundReport:
     """Piecewise tiling guarantees for a host with min degree ``delta``.
 
     ``moon_*`` describes the best mixed-colour guarantee, ``bes_*`` the best
-    single-colour one.  Piece labels name the degree band (low up to 5n/6,
-    high from 7n/8 for mixed and 15n/17 for single).  ``moon_asymptotic``
-    marks the mid band whose mixed bound holds only up to o(n) slack;
-    ``bes_conjectural`` marks single-colour values not backed by a proof at
-    this ``n``.  ``extremal_min`` is the exact optimum of the matching
+    single-colour one.  Piece labels name the degree band: mixed low up to
+    5n/6 and high from 7n/8, single mid from 6n/7 and high from 15n/17.
+    ``moon_asymptotic`` marks the mid band whose mixed bound holds only up to
+    o(n) slack; ``bes_conjectural`` marks single-colour values not backed by
+    a proof at this ``n``.  ``extremal_min`` is the exact optimum of the matching
     construction: min(5d-4n, (4d-3n)/2, (2d-n)/3) rounded down.
     """
 
@@ -352,15 +352,6 @@ def bes_formulas(n: int, delta: int) -> dict[str, int]:
             "low": (5 * delta - 4 * n + 1) // 2}
 
 
-def bes_band(n: int, delta: int) -> str:
-    """Single-colour band of ``(n, delta)``: high from 15n/17, mid from 6n/7."""
-    if 17 * delta >= 15 * n:
-        return "high"
-    if 7 * delta >= 6 * n:
-        return "mid"
-    return "low"
-
-
 def extremal_min_formula(n: int, delta: int) -> int:
     return min(moon_formulas(n, delta).values())
 
@@ -369,13 +360,8 @@ def bound_report(n: int, delta: int) -> BoundReport:
     _check(delta in _degree_band(n),
            f"bounds are stated for 4n/5 <= delta <= n-1, got n={n}, delta={delta}")
     moon = moon_formulas(n, delta)
-    if 6 * delta <= 5 * n:
-        moon_piece = "low"
-    elif 8 * delta >= 7 * n:
-        moon_piece = "high"
-    else:
-        moon_piece = "mid"
-    bes_piece = bes_band(n, delta)
+    moon_piece = "low" if 6 * delta <= 5 * n else "high" if 8 * delta >= 7 * n else "mid"
+    bes_piece = "high" if 17 * delta >= 15 * n else "mid" if 7 * delta >= 6 * n else "low"
     proved = {"high": 66 * delta >= 65 * n or n >= 25, "mid": False,
               "low": 6 * delta <= 5 * n or n >= 25}[bes_piece]
     return BoundReport(n=n, delta=delta, moon_bound=moon[moon_piece],

@@ -384,12 +384,16 @@ def max_single_colour_tiling(g: ColouredGraph, budget: Optional[int] = None) -> 
     every per-colour search to finish, since an unfinished loser could still
     overtake the winner.
     """
-    budget = DEFAULT_NODE_BUDGET if budget is None else budget
-    table = _triangle_table(g)
+    return _single_colour_search(_triangle_table(g), g.r,
+                                 DEFAULT_NODE_BUDGET if budget is None else budget)
+
+
+def _single_colour_search(table: np.ndarray, r: int, budget: int) -> SolveResult:
+    """:func:`max_single_colour_tiling` over a host's :func:`_triangle_table`."""
     best: Optional[SolveResult] = None
     nodes = 0
     all_proved = True
-    for c in range(g.r):
+    for c in range(r):
         res = _PackingSearch(table[table[:, 3] == c], budget).run()
         nodes += res.nodes_explored
         all_proved = all_proved and res.proved_optimal

@@ -31,15 +31,18 @@ import numpy as np
 
 from tritile.constructions import (
     CONSTRUCTIONS,
+    BoundReport,
     _degree_band,
-    bes_band,
     bes_formulas,
+    bound_report,
     cell_hosts,
     extremal_min_formula,
+    moon_formulas,
 )
 from tritile.graphs import (
     AnomalyError,
     ColouredGraph,
+    SearchBudgetExceeded,
     Tiling,
     _digits,
     _undigits,
@@ -53,11 +56,21 @@ from tritile.proofs import (
     K7X2_N,
     _k7x2_extract,
     _k7x2_tables,
+    bes_large,
+    bes_small,
     bowtie_through_vertex_k6,
     extract_two_disjoint_k8,
+    moon_large,
+    moon_small,
     second_bowtie_k7,
 )
-from tritile.solvers import find_bowtie, max_mixed_tiling, max_single_colour_tiling
+from tritile.solvers import (
+    DEFAULT_NODE_BUDGET,
+    _PackingSearch,
+    _single_colour_search,
+    _triangle_table,
+    find_bowtie,
+)
 
 WITNESS_CAP = 32
 MAX_SCAN_EDGES = 30
@@ -95,7 +108,7 @@ class _Record:
     def comparable(self) -> dict:
         """Everything except the wall-clock field, for determinism checks."""
         out = self.as_dict()
-        del out["elapsed"]
+        out.pop("elapsed", None)
         return out
 
 
@@ -167,53 +180,49 @@ class RamseyResult(_Record):
         return complete_colouring(self.witness_n, self.r, self.witness_code)
 
 
-@dataclass
-class AuditRow(_Record):
-    """One tightness comparison: exact solver optimum vs. closed form."""
+@dataclass(frozen=True)
+class GridRow(_Record):
+    """One host of an ``(n, delta)`` grid next to the closed forms; see :func:`grid_row`.
 
-    construction: str
+    ``optimum`` and ``proved_optimal`` report ``mode``, the first mode solved; a column
+    that does not apply is None.  Only a ``below_formula`` row keeps its ``host``, and
+    ``as_dict`` holds the ``columns`` of the command that made the row.
+    """
+
+    source: str
     n: int
     delta: int
     mode: str
-    optimum: int
-    bound: int
-    proved_optimal: bool
     nodes_explored: int
-    theorem_equality: bool
-    elapsed: float
-
-    _derived = ("matches",)
-
-    @property
-    def matches(self) -> bool:
-        return self.optimum == self.bound
-
-
-@dataclass
-class ProbeRecord:
-    """Exact single-colour optimum of one host next to the candidate formulas.
-
-    ``formula_high/mid/low`` are the raw piece values floor((d+1)/5),
-    floor((4d-3n+1)/3), and ceil((5d-4n)/2) regardless of band;
-    ``applicable_value`` is the piece selected by the degree band of
-    ``(n, delta)``.  ``below_formula`` is only set when the optimum is proved,
-    so an exhausted budget can never masquerade as a counterexample.
-    """
-
-    n: int
-    delta: int
-    source: str
-    optimum: int
-    proved_optimal: bool
-    formula_high: int
-    formula_mid: int
-    formula_low: int
-    applicable_piece: str
-    applicable_value: int
     below_formula: bool
+    status: str
+    elapsed: float
+    bound: Optional[int]
+    report: Optional[BoundReport]
+    mixed_optimum: Optional[int] = None
+    mixed_proved: Optional[bool] = None
+    single_optimum: Optional[int] = None
+    single_proved: Optional[bool] = None
+    moon_small: Optional[int] = None
+    bes_small: Optional[int] = None
+    moon_large: Optional[int] = None
+    bes_large: Optional[int] = None
+    theorem_equality: Optional[bool] = None
+    columns: tuple[str, ...] = field(default=(), compare=False, repr=False)
+    host: Optional[ColouredGraph] = field(default=None, compare=False, repr=False)
+
+    construction = property(lambda self: self.source)
+    optimum = property(lambda self: getattr(self, f"{self.mode}_optimum"))
+    proved_optimal = property(lambda self: getattr(self, f"{self.mode}_proved"))
+    matches = property(lambda self: self.optimum == self.bound)
+    applicable_piece = property(lambda self: self.report.bes_piece)
+    applicable_value = property(lambda self: self.report.bes_bound)
+    formula_high = property(lambda self: bes_formulas(self.n, self.delta)["high"])
+    formula_mid = property(lambda self: bes_formulas(self.n, self.delta)["mid"])
+    formula_low = property(lambda self: bes_formulas(self.n, self.delta)["low"])
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {name: getattr(self, name) for name in self.columns}
 
 
 # --------------------------------------------------------------------------
@@ -960,11 +969,13 @@ def _ramsey_search(ell: int, r: int, n_max: int, budget: int,
     """Scan n upward for the first order whose :func:`_ramsey_codes` all hold a mono K_ell."""
     if ell < 2 or not 2 <= r <= 8:
         raise ValueError(f"need ell >= 2 and 2 <= r <= 8, got ell={ell}, r={r}")
+    if n_max < (first := 1 if special else ell):
+        raise ValueError(f"n_max must be at least the first order scanned, {first}, got {n_max}")
     start = time.perf_counter()
     checked: dict = {}
     witness_n, witness_code = (None, None) if special else (ell - 1, 0)
     value = None
-    for n in range(1 if special else ell, n_max + 1):
+    for n in range(first, n_max + 1):
         codes, universe = _ramsey_codes(n, r, special)
         # Codes are uint64, so an order whose codes need more bits stops
         # the search as an exhausted budget does.
@@ -1007,7 +1018,94 @@ def compute_special_ramsey(ell: int, r: int = 2, n_max: int = 6,
 
 
 # --------------------------------------------------------------------------
-# tightness audit
+# grid engine: exact optima against the closed forms
+
+
+# Each construction's mode and closed-form cap: no packing of the
+# construction in that mode beats its cap, wherever the construction exists.
+CONSTRUCTION_CAPS = {
+    "ex-triangle": ("mixed", extremal_min_formula),
+    "ex-triangle-alt": ("mixed", extremal_min_formula),
+    "ex-bes-1": ("single", lambda n, delta: bes_formulas(n, delta)["high"]),
+    "ex-bes-2": ("single", lambda n, delta: bes_formulas(n, delta)["mid"]),
+    "ex-bes-3": ("single", lambda n, delta: bes_formulas(n, delta)["low"]),
+}
+
+# Each constructive tiler with the formulas and the piece it guarantees
+# inside its band; outside it the tiler raises ValueError.
+TILERS = {"moon_small": (moon_small, moon_formulas, "low"),
+          "bes_small": (bes_small, bes_formulas, "low"),
+          "moon_large": (moon_large, moon_formulas, "high"),
+          "bes_large": (bes_large, bes_formulas, "high")}
+
+
+def grid_row(source: str, n: int, delta: int, g: ColouredGraph, modes: Sequence[str],
+             budget: Optional[int] = None, tilers: bool = False,
+             columns: tuple[str, ...] = ()) -> GridRow:
+    """Solve host ``g`` of cell ``(n, delta)`` exactly and hold it to the closed forms.
+
+    ``modes`` names the optima to solve ("mixed", "single") from one triangle
+    table; with ``tilers`` every tiler runs too.  ``budget`` caps each search,
+    None meaning its default; a ``source`` naming a construction brings in its
+    cap.  A proved inequality that fails raises AnomalyError: a tiling fails
+    ``verify``, a construction packs more than its cap, a tiler tiles less
+    than its guarantee or more than a proved mixed optimum, or a proved
+    optimum falls below a ``report`` bound neither asymptotic nor conjectural.
+    A proved single-colour optimum below a conjectural one sets ``below_formula``.
+    """
+    start = time.perf_counter()
+    nodes = DEFAULT_NODE_BUDGET if budget is None else budget
+    table = _triangle_table(g)
+    solved = {mode: _PackingSearch(table, nodes).run() if mode == "mixed"
+              else _single_colour_search(table, g.r, nodes) for mode in modes}
+    tilings = {mode: res.tiling for mode, res in solved.items()}
+    overrun = False
+    for name, (tiler, _, _) in TILERS.items() if tilers else ():
+        try:
+            tilings[name] = tiler(g, budget=budget)
+        except ValueError:
+            continue
+        except SearchBudgetExceeded:
+            overrun = True
+
+    def refute(claim: str) -> None:
+        raise AnomalyError(f"{source}({n},{delta}) {claim}", graph=g,
+                           detail={"source": source, "n": n, "delta": delta})
+
+    for name, tiling in tilings.items():
+        if not tiling.verify(g):
+            refute(f"{name} produced a tiling that fails re-verification")
+    own, cap = CONSTRUCTION_CAPS.get(source, (None, None))
+    bound = cap and cap(n, delta)
+    if own in solved and solved[own].optimum > bound:
+        refute(f"packs {solved[own].optimum} triangles, above its closed-form cap {bound}")
+    mixed = solved.get("mixed")
+    cells = {name: len(tilings[name]) for name in TILERS if name in tilings}
+    for name, count in cells.items():
+        _, formulas, piece = TILERS[name]
+        floor = formulas(n, delta)[piece]
+        if count < floor:
+            refute(f"{name} tiles {count}, below its guarantee {floor}")
+        if mixed and mixed.proved_optimal and count > mixed.optimum:
+            refute(f"{name} tiles {count}, above the proved mixed optimum {mixed.optimum}")
+    report = bound_report(n, delta) if delta in _degree_band(n) else None
+    below = False
+    for mode, floor, open_bound in ((("mixed", report.moon_bound, report.moon_asymptotic),
+                                     ("single", report.bes_bound, report.bes_conjectural))
+                                    if report else ()):
+        res = solved.get(mode)
+        if res is not None and res.proved_optimal and res.optimum < floor:
+            if not open_bound:
+                refute(f"{mode} optimum {res.optimum} is below the proved bound {floor}")
+            below = below or mode == "single"
+    for mode, res in solved.items():
+        cells.update({f"{mode}_optimum": res.optimum, f"{mode}_proved": res.proved_optimal})
+    proved = all(res.proved_optimal for res in solved.values())
+    return GridRow(source=source, n=n, delta=delta, mode=modes[0],
+                   nodes_explored=sum(res.nodes_explored for res in solved.values()),
+                   below_formula=below, status="ok" if proved and not overrun else "budget",
+                   elapsed=time.perf_counter() - start, bound=bound, report=report,
+                   columns=columns, host=g if below else None, **cells)
 
 
 # (construction, n, delta, solver mode, a proved bound covers this band)
@@ -1020,63 +1118,37 @@ AUDIT_INSTANCES = (
     ("ex-bes-2", 25, 22, "single", False),
     ("ex-bes-3", 24, 20, "single", True),
 )
+AUDIT_COLUMNS = ("construction", "n", "delta", "mode", "optimum", "bound", "proved_optimal",
+                 "nodes_explored", "theorem_equality", "elapsed", "matches")
+PROBE_COLUMNS = ("n", "delta", "source", "optimum", "proved_optimal", "formula_high",
+                 "formula_mid", "formula_low", "applicable_piece", "applicable_value",
+                 "below_formula")
 
 
-# The single-colour piece each ex-bes construction is extremal for; the
-# mixed constructions meet extremal_min_formula.
-_BES_PIECES = {"ex-bes-1": "high", "ex-bes-2": "mid", "ex-bes-3": "low"}
+def audit_tightness(budget: Optional[int] = None) -> list[GridRow]:
+    """Every pinned extremal instance solved exactly in its own mode; see :func:`grid_row`.
 
-
-def audit_tightness(budget: Optional[int] = None) -> list[AuditRow]:
-    """Solve every pinned extremal instance exactly and compare to its bound.
-
-    The solver optimum exceeding the closed-form bound would refute the
-    matching upper-bound argument, so that direction raises AnomalyError;
-    the rows record whether equality held and whether the search completed.
+    ``matches`` records whether the optimum meets the construction's cap, and
+    ``theorem_equality`` the instance's pinned band flag.
     """
-    rows = []
-    for construction, n, delta, mode, in_band in AUDIT_INSTANCES:
-        g = CONSTRUCTIONS[construction][0](n, delta)
-        start = time.perf_counter()
-        if mode == "mixed":
-            result = max_mixed_tiling(g, budget=budget)
-        else:
-            result = max_single_colour_tiling(g, budget=budget)
-        piece = _BES_PIECES.get(construction)
-        bound = (extremal_min_formula(n, delta) if piece is None
-                 else bes_formulas(n, delta)[piece])
-        if result.proved_optimal and result.optimum > bound:
-            raise AnomalyError(
-                f"{construction}({n},{delta}) packs {result.optimum} triangles, "
-                f"above its closed-form cap {bound}", graph=g,
-                detail={"construction": construction, "n": n, "delta": delta,
-                        "optimum": result.optimum, "bound": bound})
-        rows.append(AuditRow(construction=construction, n=n, delta=delta,
-                             mode=mode, optimum=result.optimum, bound=bound,
-                             proved_optimal=result.proved_optimal,
-                             nodes_explored=result.nodes_explored,
-                             theorem_equality=in_band,
-                             elapsed=time.perf_counter() - start))
-    return rows
-
-
-# --------------------------------------------------------------------------
-# open-question probe
+    return [replace(grid_row(name, n, delta, CONSTRUCTIONS[name][0](n, delta), (mode,), budget,
+                             columns=AUDIT_COLUMNS), theorem_equality=proved)
+            for name, n, delta, mode, proved in AUDIT_INSTANCES]
 
 
 def probe_question(n_values: Sequence[int] = (25,),
                    delta_values: Optional[Sequence[int]] = None,
                    samples_per_cell: int = 2, perturbed_per_cell: int = 1,
-                   seed: int = 0, budget: Optional[int] = None) -> list[ProbeRecord]:
+                   seed: int = 0, budget: Optional[int] = None) -> list[GridRow]:
     """Hunt for hosts whose exact single-colour optimum beats the formulas.
 
-    For each (n, delta) cell with n >= 25 and delta >= 4n/5, solves the
-    admissible extremal constructions, seeded random minimum-degree hosts,
-    and randomly recoloured (degree-preserving) copies of the constructions.
-    A record with ``below_formula`` set would be a counterexample to the
-    conjectured piecewise optimum; none is expected.
+    For each (n, delta) cell with n >= 25 and delta >= 4n/5, runs :func:`grid_row` on
+    the single-colour constructions, seeded random minimum-degree hosts, and randomly
+    recoloured (degree-preserving) copies of the first construction.  A
+    ``below_formula`` row would refute the conjectured optimum; none is expected.
     """
-    records: list[ProbeRecord] = []
+    singles = [name for name, (mode, _) in CONSTRUCTION_CAPS.items() if mode == "single"]
+    rows: list[GridRow] = []
     for n in n_values:
         if n < 25:
             raise ValueError(f"the probe grid starts at n=25, got n={n}")
@@ -1084,27 +1156,14 @@ def probe_question(n_values: Sequence[int] = (25,),
         for delta in band if delta_values is None else delta_values:
             if delta not in band:
                 raise ValueError(f"delta={delta} outside 4n/5..n-1 for n={n}")
-            # The single-colour constructions, then the random hosts.
-            hosts = cell_hosts(n, delta, _BES_PIECES, samples_per_cell, seed, (0,))
+            hosts = cell_hosts(n, delta, singles, samples_per_cell, seed, (0,))
             base = hosts[0] if hosts and hosts[0][0].startswith("ex-") else None
-            for k in range(perturbed_per_cell if base else 0):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(seed, spawn_key=(n, delta, 1, k)))
-                hosts.append((f"perturbed-{base[0]}-{k}",
-                              _recolour_edges(base[1], rng)))
-            formulas = bes_formulas(n, delta)
-            piece = bes_band(n, delta)
-            for source, g in hosts:
-                result = max_single_colour_tiling(g, budget=budget)
-                records.append(ProbeRecord(
-                    n=n, delta=delta, source=source, optimum=result.optimum,
-                    proved_optimal=result.proved_optimal,
-                    formula_high=formulas["high"], formula_mid=formulas["mid"],
-                    formula_low=formulas["low"],
-                    applicable_piece=piece, applicable_value=formulas[piece],
-                    below_formula=(result.proved_optimal
-                                   and result.optimum < formulas[piece])))
-    return records
+            hosts += [(f"perturbed-{base[0]}-{k}", _recolour_edges(base[1], np.random.default_rng(
+                np.random.SeedSequence(seed, spawn_key=(n, delta, 1, k)))))
+                for k in range(perturbed_per_cell if base else 0)]
+            rows += [grid_row(source, n, delta, g, ("single",), budget, columns=PROBE_COLUMNS)
+                     for source, g in hosts]
+    return rows
 
 
 def _recolour_edges(g: ColouredGraph, rng, fraction: float = 0.1) -> ColouredGraph:

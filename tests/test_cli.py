@@ -12,8 +12,9 @@ from helpers import edge_digest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tritile import cli, constructions
+from tritile import cli, constructions, verifiers
 from tritile.graphs import (
+    Tiling,
     complete_colouring,
     from_json_dict,
     read_graph,
@@ -492,6 +493,19 @@ class TestReportingCommands:
         assert rc == 0
         assert (doc["value"], doc["checked"]) == (None, {})
 
+    @pytest.mark.parametrize("argv, least", [
+        (["ramsey", "--n-max", "-1"], 3), (["ramsey", "--ell", "4", "--n-max", "3"], 4),
+        (["special-ramsey", "--n-max", "0"], 1),
+    ])
+    def test_an_n_max_below_the_first_order_is_one_error_line(self, tmp_path, monkeypatch,
+                                                              capsys, argv, least):
+        assert run_in(tmp_path, monkeypatch, argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: n_max must be at least the first order scanned, {least}, "
+            f"got {argv[-1]}"]
+
     def test_three_colour_ramsey_json_is_pinned(self, tmp_path, monkeypatch, capsys):
         rc = run_in(tmp_path, monkeypatch, ["ramsey", "--colours", "3", "--n-max", "6", "--json"])
         doc = json.loads(capsys.readouterr().out)
@@ -648,19 +662,132 @@ PINNED_EXPERIMENT_HOSTS = [
 class TestExperimentPins:
     def test_hosts_and_rows_are_pinned(self, tmp_path, monkeypatch):
         solved = []
-        solve = cli.max_mixed_tiling
+        table = verifiers._triangle_table
 
-        def recording(g, budget=None):
+        def recording(g):
             solved.append(edge_digest(g))
-            return solve(g, budget=budget)
+            return table(g)
 
-        monkeypatch.setattr(cli, "max_mixed_tiling", recording)
+        monkeypatch.setattr(verifiers, "_triangle_table", recording)
         (tmp_path / "cfg.json").write_text(json.dumps(
             {"n_values": [12, 20], "samples_per_cell": 2, "seed": 11}))
         assert run_in(tmp_path, monkeypatch,
                       ["experiment", "--config", "cfg.json", "--out", "e.csv"]) == 0
         assert (tmp_path / "e.csv").read_text() == PINNED_EXPERIMENT_CSV
         assert solved == PINNED_EXPERIMENT_HOSTS
+
+
+def raised_piece(monkeypatch, piece):
+    """Raise one single-colour piece by one wherever it is read."""
+    formulas = constructions.bes_formulas
+
+    def raised(n, delta):
+        return {**formulas(n, delta), piece: formulas(n, delta)[piece] + 1}
+
+    monkeypatch.setattr(constructions, "bes_formulas", raised)
+    monkeypatch.setattr(verifiers, "bes_formulas", raised)
+
+
+class TestGridVerdicts:
+    def test_a_tiler_below_its_guarantee_is_an_anomaly(self, tmp_path, monkeypatch, capsys):
+        tiler, formulas, piece = verifiers.TILERS["moon_small"]
+
+        def short(g, budget=None):
+            return Tiling(tiler(g, budget=budget).cliques[1:])
+
+        monkeypatch.setitem(verifiers.TILERS, "moon_small", (short, formulas, piece))
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"n_values": [12], "delta_values": [10], "families": ["ex-triangle"]}))
+        assert run_in(tmp_path, monkeypatch,
+                      ["experiment", "--config", "cfg.json", "--out", "e.csv"]) == 3
+        doc = json.loads((tmp_path / "anomaly-witness.json").read_text())
+        assert doc["anomaly"] == "ex-triangle(12,10) moon_small tiles 1, below its guarantee 2"
+        assert from_json_dict(doc["graph"]) == constructions.ex_triangle(12, 10)
+        assert not (tmp_path / "e.csv").exists()
+        capsys.readouterr()
+
+    def test_a_construction_above_its_cap_is_an_anomaly(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setitem(verifiers.CONSTRUCTION_CAPS, "ex-bes-1", (
+            "single", lambda n, delta: constructions.bes_formulas(n, delta)["low"]))
+        assert run_in(tmp_path, monkeypatch, ["audit", "--csv", "--out", "a.csv"]) == 3
+        doc = json.loads((tmp_path / "anomaly-witness.json").read_text())
+        assert doc["anomaly"] == "ex-bes-1(22,16) packs 3 triangles, above its closed-form cap -4"
+        assert from_json_dict(doc["graph"]) == constructions.ex_bes_1(22, 16)
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("argv, config, hits", [
+        (["experiment", "--config", "cfg.json", "--out", "e.csv"],
+         {"n_values": [14], "delta_values": [12], "families": ["ex-bes-1"],
+          "samples_per_cell": 1}, [("ex-bes-1", 14, 12, 2, 3)]),
+        (["probe", "--n", "25", "--deltas", "22", "--samples", "1", "--perturbed", "0",
+          "--out", "p.txt"], None, [("ex-bes-1", 25, 22, 4, 5), ("ex-bes-2", 25, 22, 4, 5)]),
+    ])
+    def test_a_host_below_a_conjectural_piece_exits_two(self, tmp_path, monkeypatch, capsys,
+                                                         argv, config, hits):
+        raised_piece(monkeypatch, "mid")
+        if config:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert run_in(tmp_path, monkeypatch, argv + ["--witness", "w.json"]) == 2
+        assert capsys.readouterr().err == (f"{len(hits)} hosts beat the formula; witness "
+                                           "file w.json written and re-confirmed\n")
+        doc = json.loads((tmp_path / "w.json").read_text())
+        assert doc["command"] == argv[0]
+        assert [(w["source"], w["n"], w["delta"], w["optimum"], w["formula"])
+                for w in doc["witnesses"]] == hits
+        for w in doc["witnesses"]:
+            g = from_json_dict(w["graph"])
+            assert (g.n, g.min_degree()) == (w["n"], w["delta"])
+            assert constructions.CONSTRUCTIONS[w["source"]][0](g.n, g.min_degree()) == g
+
+    def test_a_witness_that_no_longer_beats_its_piece_is_an_anomaly(
+            self, tmp_path, monkeypatch, capsys):
+        raised_piece(monkeypatch, "mid")
+        reload = cli._write_and_reload
+
+        def swapped(path, doc):
+            """Each witness read back as ex-bes-3, which meets the raised piece."""
+            return [(constructions.ex_bes_3(25, 22), {**entry, "source": "ex-bes-3"})
+                    for _, entry in reload(path, doc)]
+
+        monkeypatch.setattr(cli, "_write_and_reload", swapped)
+        argv = ["probe", "--n", "25", "--deltas", "22", "--samples", "0", "--perturbed", "0"]
+        assert run_in(tmp_path, monkeypatch, argv) == 3
+        doc = json.loads((tmp_path / "anomaly-witness.json").read_text())
+        assert doc["anomaly"] == "reloaded probe witness ex-bes-3(25,22) no longer beats its formula"
+        assert doc["detail"] == {"path": "probe-violations.json"}
+        capsys.readouterr()
+
+    def test_a_host_below_a_proved_piece_is_an_anomaly(self, tmp_path, monkeypatch, capsys):
+        # The low band is proved at n = 25, and ex-bes-3 meets the unraised piece exactly.
+        raised_piece(monkeypatch, "low")
+        argv = ["probe", "--n", "25", "--deltas", "20", "--samples", "0", "--perturbed", "0"]
+        assert run_in(tmp_path, monkeypatch, argv) == 3
+        doc = json.loads((tmp_path / "anomaly-witness.json").read_text())
+        assert doc["anomaly"] == "ex-bes-3(25,20) single optimum 0 is below the proved bound 1"
+        assert not (tmp_path / "probe-violations.json").exists()
+        capsys.readouterr()
+
+    def test_the_top_band_cell_runs_every_large_tiler(self, tmp_path, monkeypatch):
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"n_values": [66], "delta_values": [65], "samples_per_cell": 1}))
+        assert run_in(tmp_path, monkeypatch,
+                      ["experiment", "--config", "cfg.json", "--out", "e.csv"]) == 0
+        with open(tmp_path / "e.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["source"] for r in rows] == list(constructions.CONSTRUCTIONS) + ["random-0"]
+        assert {(r["moon_large"], r["bes_large"], r["moon_bound"], r["bes_bound"],
+                 r["bes_conjectural"], r["status"]) for r in rows} == \
+            {("21", "13", "21", "13", "False", "ok")}
+        assert [(r["mixed_optimum"], r["single_optimum"]) for r in rows] == [
+            ("21", "21"), ("21", "21"), ("21", "13"), ("22", "15"), ("22", "16"), ("22", "22")]
+        # The same cell with bes_large one tile short of its guarantee.
+        tiler, formulas, piece = verifiers.TILERS["bes_large"]
+        monkeypatch.setitem(verifiers.TILERS, "bes_large", (
+            lambda g, budget=None: Tiling(tiler(g, budget=budget).cliques[1:]), formulas, piece))
+        assert run_in(tmp_path, monkeypatch,
+                      ["experiment", "--config", "cfg.json", "--out", "e.csv"]) == 3
+        doc = json.loads((tmp_path / "anomaly-witness.json").read_text())
+        assert doc["anomaly"] == "ex-triangle(66,65) bes_large tiles 12, below its guarantee 13"
 
 
 class TestDeterminism:

@@ -875,13 +875,13 @@ class TestProbe:
 
     def test_records_and_hosts_are_pinned(self, monkeypatch):
         solved = []
-        solve = verifiers.max_single_colour_tiling
+        table = verifiers._triangle_table
 
-        def recording(g, budget=None):
+        def recording(g):
             solved.append(edge_digest(g))
-            return solve(g, budget=budget)
+            return table(g)
 
-        monkeypatch.setattr(verifiers, "max_single_colour_tiling", recording)
+        monkeypatch.setattr(verifiers, "_triangle_table", recording)
         recs = probe_question(n_values=(25,), delta_values=(20, 23), samples_per_cell=2,
                              perturbed_per_cell=1, seed=11)
         assert all(set(r.as_dict()) == set(self.KEYS) for r in recs)
