@@ -14,11 +14,15 @@ Everything a search needs before its first node is built with numpy:
   the same order, comparing one block of first vertices at a time against
   the colours among their later neighbours, decoded for that block only; a
   single-colour search takes the rows of its colour;
-* the incidence rows ``inc[v]``: a boolean (vertex, triangle) scatter,
-  one block of triangles at a time, packed little-endian and read into
-  one int per vertex, linear in T;
-* the greedy seed (below): an argmin over an array of alive triangle
-  indices, with degrees from ``bincount``.
+* three columns, one contiguous ``intp`` array per triangle corner;
+* the incidence rows ``inc[v]``: a boolean (vertex, triangle) scatter of
+  each column, one block of triangles at a time, packed little-endian and
+  read into one int per vertex, linear in T;
+* the greedy seed (below): each round sums three ``bincount`` calls for the
+  degrees, takes the ``argmin`` of ``deg[a] + deg[b] + deg[c]`` over the
+  alive triangles, and filters the three columns and their triangle
+  indices by ``~(hit[a] | hit[b] | hit[c])``, so no round copies or
+  reduces a ``(k, 3)`` array.
 
 Sets of triangles are bitsets over the list, in the manner of the
 bit-parallel clique solvers (San Segundo et al., Comput. Oper. Res. 38(2),
@@ -26,8 +30,8 @@ bit-parallel clique solvers (San Segundo et al., Comput. Oper. Res. 38(2),
 vertex ``v``.  Committing triangle ``abc`` keeps ``alive & ~(inc[a] | inc[b]
 | inc[c])``, discarding ``v`` keeps ``alive & ~inc[v]``, the support is the
 set of ``v`` with ``alive & inc[v]`` nonzero, and a vertex's alive degree is
-a ``bit_count``.  The search itself reads the triangles' vertices from a
-plain list of ``[a, b, c]`` rows.  No per-triangle conflict table is built:
+a ``bit_count``.  The search itself reads the triangles' vertices from the
+columns as three plain lists.  No per-triangle conflict table is built:
 it would take O(T^2) bits, about 29 MB for the 15,180 triangles of
 ``ex_triangle_alt(48, 47)``.
 
@@ -127,20 +131,23 @@ class _PackingSearch:
         self.table = np.asarray(triangles, dtype=np.int32).reshape(-1, 4)
         verts = self.table[:, :3]
         count = len(verts)
-        # A boolean scatter of the (vertex, triangle) incidences, packed
-        # little-endian so that bit i of row v is triangle i, one block of
-        # triangles at a time so that the boolean matrix stays small.
+        # One contiguous intp column per triangle corner, which bincount and
+        # indexing take without a cast.
+        self.columns = [np.ascontiguousarray(verts[:, k], dtype=np.intp) for k in range(3)]
+        # A boolean scatter of the (vertex, triangle) incidences, one column
+        # at a time, packed little-endian so that bit i of row v is triangle
+        # i, one block of triangles at a time so that the matrix stays small.
         rows = int(verts.max()) + 1 if count else 0
         packed = np.empty((rows, (count + 7) // 8), dtype=np.uint8)
         step = max(8, _BLOCK_CELLS // max(1, rows) // 8 * 8)
         for start in range(0, count, step):
-            block = verts[start:start + step]
-            hit = np.zeros((rows, len(block)), dtype=bool)
-            hit[block, np.arange(len(block))[:, None]] = True
-            packed[:, start // 8:(start + len(block) + 7) // 8] = np.packbits(
-                hit, axis=1, bitorder="little")
+            stop = min(count, start + step)
+            hit = np.zeros((rows, stop - start), dtype=bool)
+            for column in self.columns:
+                hit[column[start:stop], np.arange(stop - start)] = True
+            packed[:, start // 8:(stop + 7) // 8] = np.packbits(hit, axis=1, bitorder="little")
         self.inc = [int.from_bytes(row.tobytes(), "little") for row in packed]
-        self.verts = verts.tolist()
+        self.first, self.second, self.third = (column.tolist() for column in self.columns)
         self.budget = budget
         self.nodes = 0
         self.best_count = -1
@@ -174,10 +181,11 @@ class _PackingSearch:
         through ``support[0]`` not yet committed; its last child, the
         discard of ``support[0]``, replaces it on the stack.
         """
-        inc, verts, memo, limit = self.inc, self.verts, self.memo, self.memo_limit
+        inc, memo, limit = self.inc, self.memo, self.memo_limit
+        first, second, third = self.first, self.second, self.third
         chosen: list[int] = []
         stack: list[list] = []
-        alive, within, count = (1 << len(verts)) - 1, range(len(inc)), 0
+        alive, within, count = (1 << len(first)) - 1, range(len(inc)), 0
         while True:
             self.nodes += 1
             if self.nodes > self.budget:
@@ -223,9 +231,8 @@ class _PackingSearch:
                 low = through & -through
                 frame[3] = through ^ low
                 i = low.bit_length() - 1
-                a, b, c = verts[i]
                 chosen.append(i)
-                alive = parent & ~(inc[a] | inc[b] | inc[c])
+                alive = parent & ~(inc[first[i]] | inc[second[i]] | inc[third[i]])
                 count += 1
             else:
                 stack.pop()
@@ -265,20 +272,26 @@ class _PackingSearch:
         return picks
 
     def _greedy(self) -> list[int]:
-        """Repeatedly take the alive triangle of least total vertex degree."""
-        verts = self.table[:, :3]
+        """Repeatedly take the alive triangle of least total vertex degree.
+
+        Each round filters the three columns and their triangle indices by
+        the same mask, so the alive triangles stay in list order.
+        """
+        a, b, c = self.columns
+        index = np.arange(len(a))
         hit = np.zeros(len(self.inc), dtype=bool)
         chosen = []
-        alive = np.arange(len(verts))
-        while alive.size:
-            sub = verts[alive]
-            deg = np.bincount(sub.ravel(), minlength=len(hit))
+        while index.size:
+            deg = (np.bincount(a, minlength=len(hit)) + np.bincount(b, minlength=len(hit))
+                   + np.bincount(c, minlength=len(hit)))
             # argmin returns the first minimum: ties go to the lower index.
-            pick = int(np.argmin(deg[sub].sum(1)))
-            chosen.append(int(alive[pick]))
-            hit[:] = False
-            hit[sub[pick]] = True
-            alive = alive[~hit[sub].any(1)]
+            pick = int(np.argmin(deg[a] + deg[b] + deg[c]))
+            chosen.append(int(index[pick]))
+            corners = [a[pick], b[pick], c[pick]]
+            hit[corners] = True
+            keep = ~(hit[a] | hit[b] | hit[c])
+            hit[corners] = False
+            a, b, c, index = a[keep], b[keep], c[keep], index[keep]
         return chosen
 
 

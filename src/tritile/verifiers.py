@@ -207,7 +207,6 @@ class GridRow(_Record):
     bes_small: Optional[int] = None
     moon_large: Optional[int] = None
     bes_large: Optional[int] = None
-    theorem_equality: Optional[bool] = None
     columns: tuple[str, ...] = field(default=(), compare=False, repr=False)
     host: Optional[ColouredGraph] = field(default=None, compare=False, repr=False)
 
@@ -215,6 +214,9 @@ class GridRow(_Record):
     optimum = property(lambda self: getattr(self, f"{self.mode}_optimum"))
     proved_optimal = property(lambda self: getattr(self, f"{self.mode}_proved"))
     matches = property(lambda self: self.optimum == self.bound)
+    # A proved bound covers the cell in the row's mode.
+    theorem_equality = property(lambda self: self.report is not None and not (
+        self.report.moon_asymptotic if self.mode == "mixed" else self.report.bes_conjectural))
     applicable_piece = property(lambda self: self.report.bes_piece)
     applicable_value = property(lambda self: self.report.bes_bound)
     formula_high = property(lambda self: bes_formulas(self.n, self.delta)["high"])
@@ -1108,15 +1110,15 @@ def grid_row(source: str, n: int, delta: int, g: ColouredGraph, modes: Sequence[
                    columns=columns, host=g if below else None, **cells)
 
 
-# (construction, n, delta, solver mode, a proved bound covers this band)
+# (construction, n, delta, solver mode)
 AUDIT_INSTANCES = (
-    ("ex-triangle", 12, 10, "mixed", True),
-    ("ex-triangle", 30, 25, "mixed", True),
-    ("ex-triangle-alt", 24, 21, "mixed", True),
-    ("ex-bes-1", 9, 8, "single", False),
-    ("ex-bes-1", 22, 16, "single", False),
-    ("ex-bes-2", 25, 22, "single", False),
-    ("ex-bes-3", 24, 20, "single", True),
+    ("ex-triangle", 12, 10, "mixed"),
+    ("ex-triangle", 30, 25, "mixed"),
+    ("ex-triangle-alt", 24, 21, "mixed"),
+    ("ex-bes-1", 9, 8, "single"),
+    ("ex-bes-1", 22, 16, "single"),
+    ("ex-bes-2", 25, 22, "single"),
+    ("ex-bes-3", 24, 20, "single"),
 )
 AUDIT_COLUMNS = ("construction", "n", "delta", "mode", "optimum", "bound", "proved_optimal",
                  "nodes_explored", "theorem_equality", "elapsed", "matches")
@@ -1129,11 +1131,12 @@ def audit_tightness(budget: Optional[int] = None) -> list[GridRow]:
     """Every pinned extremal instance solved exactly in its own mode; see :func:`grid_row`.
 
     ``matches`` records whether the optimum meets the construction's cap, and
-    ``theorem_equality`` the instance's pinned band flag.
+    ``theorem_equality`` whether the cell is in band with a proved bound in
+    the instance's mode (not asymptotic for mixed, not conjectural for single).
     """
-    return [replace(grid_row(name, n, delta, CONSTRUCTIONS[name][0](n, delta), (mode,), budget,
-                             columns=AUDIT_COLUMNS), theorem_equality=proved)
-            for name, n, delta, mode, proved in AUDIT_INSTANCES]
+    return [grid_row(name, n, delta, CONSTRUCTIONS[name][0](n, delta), (mode,), budget,
+                     columns=AUDIT_COLUMNS)
+            for name, n, delta, mode in AUDIT_INSTANCES]
 
 
 def probe_question(n_values: Sequence[int] = (25,),

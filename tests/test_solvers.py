@@ -304,6 +304,23 @@ class TestPackingSearchMatchesReference:
             for c in range(2):
                 self.assert_same([t for t in tris if t[3] == c])
 
+    def test_greedy_seed_on_the_sweep_constructions(self):
+        # At budget 0 the search stops at the root, so the result is the
+        # greedy seed: the sweep's construction hosts (up to the 15,180
+        # triangles of ex_triangle_alt(48, 47)) and each colour's sub-table.
+        tables = 0
+        for n, delta in TestTriangleTable.SWEEP_CELLS:
+            for build, _ in CONSTRUCTIONS.values():
+                try:
+                    g = build(n, delta)
+                except ValueError:
+                    continue
+                tris = g.mono_triangles()
+                for rows in [tris] + [[t for t in tris if t[3] == c] for c in range(g.r)]:
+                    assert _PackingSearch(rows, 0).run() == ReferencePackingSearch(rows, 0).run()
+                    tables += 1
+        assert tables == 75
+
     @pytest.mark.parametrize("memo_bytes", [1, 4096])
     def test_matches_the_reference_with_a_small_memo(self, memo_bytes, monkeypatch):
         # A ceiling of one entry, or of a few, so that the memo evicts.

