@@ -25,6 +25,7 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache, partial, reduce
 from itertools import combinations
+from math import comb
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -311,12 +312,22 @@ def _confirm(cond: bool, what: str, g: Optional[ColouredGraph] = None) -> None:
 # k, so each colour's bitmap is the AND of one gather per slice.  The pair
 # test works the same way on triangle bitmaps: the partner set of a bitmap
 # is the union of its triangles' partner masks, hence the OR of one gather
-# per slice of the bitmap from tables of partial unions.  K7 takes two
-# gathers per colour and three for the pair test.  Codes go through the
-# kernels _CHUNK at a time, so that a chunk's half-dozen arrays (128 KB
-# each) and the tables (at most 32 KB each) stay in a core's cache between
-# steps.  The chunk size moves no task boundary, so reports do not depend
-# on it.
+# per slice of the bitmap from tables of partial unions.  The Ramsey
+# searches gather every colour bitmap this way over explicit codes.
+#
+# The lemma scans walk contiguous ranges of codes j << shift and need not
+# gather colour bitmaps at all.  Write j = (h << w) | l with 2^w = _CHUNK
+# (fewer when the universe is smaller): the digits below w + shift are the
+# low digits, the rest the high ones.  A triangle has colour c exactly when
+# its low edges and its high edges all have colour c, so the colour-c bitmap
+# of the code is L_c[l] & H_c[h], where L_c[l] is the bitmap of the code
+# with every high digit set to c and H_c[h] that with every low digit set to
+# c.  Both factors come from the gather kernel: the low tables once per
+# (n, w, shift) and cached, the few high words once per task.  An aligned
+# block of one h is then a slice of L_c ANDed with one word, and only the
+# pair test gathers (three slices on K7).  A block's half-dozen arrays (128
+# KB each) and the tables stay in a core's cache between steps.  The block
+# size moves no task boundary, so reports do not depend on it.
 
 _SLICE_BITS = 12
 
@@ -434,9 +445,45 @@ def _clique_bits(codes: np.ndarray, n: int, r: int, ell: int, word: int = 0
     return outs
 
 
-def _mono_bits(codes: np.ndarray, n: int) -> np.ndarray:
-    red, blue = _clique_bits(codes, n, 2, 3)
-    return np.bitwise_or(red, blue, out=red)
+def _filled_bits(codes: np.ndarray, n: int, fill: int) -> tuple[np.ndarray, np.ndarray]:
+    """The red triangle bitmaps of ``codes`` and the blue ones of ``codes | fill``.
+
+    With ``fill`` the digits a factor leaves free, these are the per-colour
+    factors of the split scan.  One call over both code sets would keep the
+    unused colour's half of each output alive in the low-table cache.
+    """
+    return (_clique_bits(codes, n, 2, 3)[0],
+            _clique_bits(codes | np.uint64(fill), n, 2, 3)[1])
+
+
+@lru_cache(maxsize=None)
+def _low_tables(n: int, w: int, shift: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only L_red and L_blue over l in [0, 2^w): the factors of the codes ``l << shift``."""
+    low = w + shift
+    high = ((1 << (n * (n - 1) // 2)) - 1) >> low << low
+    tables = _filled_bits(np.arange(1 << w, dtype=np.uint64) << np.uint64(shift), n, high)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+def _colour_chunks(n: int, lo: int, hi: int, shift: int):
+    """(j, red, blue) per aligned block of the codes ``i << shift``, i in [lo, hi).
+
+    ``red`` and ``blue`` are the block's triangle bitmaps, fresh arrays for
+    the caller to overwrite, and j is the i of their first entry.
+    """
+    w = min(_CHUNK.bit_length() - 1, n * (n - 1) // 2 - shift)
+    low = w + shift
+    red_low, blue_low = _low_tables(n, w, shift)
+    first = lo >> w
+    red_high, blue_high = _filled_bits(
+        np.arange(first, ((hi - 1) >> w) + 1, dtype=np.uint64) << np.uint64(low),
+        n, (1 << low) - 1)
+    for k, (red_word, blue_word) in enumerate(zip(red_high, blue_high)):
+        base = (first + k) << w
+        a, b = max(lo, base) - base, min(hi, base + (1 << w)) - base
+        yield base + a, red_low[a:b] & red_word, blue_low[a:b] & blue_word
 
 
 def _pair_hits(first: np.ndarray, second: np.ndarray, n: int, lo: int, hi: int
@@ -449,31 +496,31 @@ def _pair_hits(first: np.ndarray, second: np.ndarray, n: int, lo: int, hi: int
     return partners != 0
 
 
-# Vector filters: ``filt(codes, n)`` flags codes; extra parameters are bound
-# with functools.partial so that scan tasks stay picklable.
+# Vector filters: ``filt(red, blue, n)`` flags the codes of a block from its
+# triangle bitmaps per colour, which it may overwrite; extra parameters are
+# bound with functools.partial so that scan tasks stay picklable.
 
 
-def _fewer_mono(codes: np.ndarray, n: int, k: int) -> np.ndarray:
+def _fewer_mono(red: np.ndarray, blue: np.ndarray, n: int, k: int) -> np.ndarray:
     """Codes with fewer than ``k`` monochromatic triangles."""
-    x = _mono_bits(codes, n)
-    scratch = np.empty_like(x)
-    for _ in range(k - 1):
-        # x & (x - 1) clears the lowest set bit; k - 1 clears empty x
-        # exactly when fewer than k triangles are monochromatic.
-        np.subtract(x, np.uint64(1), out=scratch)
-        np.bitwise_and(x, scratch, out=x)
+    x = np.bitwise_or(red, blue, out=red)
+    # x & (x - 1) clears the lowest set bit; k - 1 rounds clear x exactly
+    # when fewer than k triangles are monochromatic.  K_n has C(n, 3), so
+    # no further round clears anything.
+    for _ in range(min(k - 1, comb(n, 3))):
+        np.subtract(x, np.uint64(1), out=blue)
+        np.bitwise_and(x, blue, out=x)
     return x == 0
 
 
-def _no_mono_pair(codes: np.ndarray, n: int, share: int) -> np.ndarray:
+def _no_mono_pair(red: np.ndarray, blue: np.ndarray, n: int, share: int) -> np.ndarray:
     """Codes without two mono triangles meeting in at most ``share`` vertices."""
-    mono = _mono_bits(codes, n)
+    mono = np.bitwise_or(red, blue, out=red)
     return ~_pair_hits(mono, mono, n, 0, share)
 
 
-def _split_pair(codes: np.ndarray, n: int, share: int) -> np.ndarray:
+def _split_pair(red: np.ndarray, blue: np.ndarray, n: int, share: int) -> np.ndarray:
     """Codes with a red and a blue triangle meeting in exactly ``share`` vertices."""
-    red, blue = _clique_bits(codes, n, 2, 3)
     return _pair_hits(red, blue, n, share, share)
 
 
@@ -490,26 +537,19 @@ def _clique_free(codes: np.ndarray, n: int, r: int, ell: int) -> np.ndarray:
     return ~mono
 
 
-def _code_chunks(lo: int, hi: int, shift: int = 0):
-    """The codes ``i << shift`` for i in [lo, hi), as increasing numpy chunks."""
-    for clo in range(lo, hi, _CHUNK):
-        codes = np.arange(clo, min(clo + _CHUNK, hi), dtype=np.uint64)
-        np.left_shift(codes, np.uint64(shift), out=codes)
-        yield codes
-
-
 def _scan_task(args: tuple) -> tuple[int, int, int, list[int]]:
     n, filt, check, lo, hi, shift = args
     checked = hits = fails = 0
     found: list[int] = []
-    for codes in _code_chunks(lo, hi, shift):
-        checked += len(codes)
-        bad = np.flatnonzero(filt(codes, n))
+    for first, red, blue in _colour_chunks(n, lo, hi, shift):
+        checked += len(red)
+        bad = np.flatnonzero(filt(red, blue, n))
         hits += len(bad)
         if check is not None:
-            bad = [i for i in bad if not check(complete_colouring(n, 2, int(codes[i])))]
+            bad = [i for i in bad
+                   if not check(complete_colouring(n, 2, (first + int(i)) << shift))]
         fails += len(bad)
-        found.extend(int(codes[i]) for i in bad[:WITNESS_CAP - len(found)])
+        found.extend((first + int(i)) << shift for i in bad[:WITNESS_CAP - len(found)])
     return checked, hits, fails, found
 
 

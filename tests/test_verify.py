@@ -93,6 +93,23 @@ class TestExhaustiveScans:
             for c in range(2):
                 assert all(g.colour_adj[c][v].bit_count() == 2 for v in range(5))
 
+    def test_degenerate_orders_smaller_than_one_block(self):
+        # Each universe here is smaller than one scan block.
+        assert [(r.checked, r.violation_count) for r in
+                (verify_fact_k6(n=n, min_triangles=1) for n in range(6))] == \
+            [(1, 1), (1, 1), (2, 2), (8, 6), (64, 18), (1024, 12)]
+        assert [(r.checked, r.violation_count) for r in
+                (verify_lemma_k8(n=n, workers=1) for n in range(7))] == \
+            [(1, 1), (1, 1), (2, 2), (8, 8), (64, 64), (1024, 1024), (32768, 16746)]
+
+    def test_mono_count_rounds_stop_at_the_triangle_count(self):
+        # No colouring of K6 has 10^9 mono triangles; the count of
+        # clear-lowest-bit rounds must not grow with min_triangles.
+        rep = verify_fact_k6(n=6, min_triangles=10**9)
+        assert (rep.checked, rep.violation_count) == (32768, 32768)
+        assert rep.violations == tuple(range(32))
+        assert rep.elapsed < 0.5
+
     def test_claim_k7_clean(self):
         rep = verify_claim_k7()
         assert rep.universe_size == 1 << 21
@@ -182,7 +199,8 @@ class TestExhaustiveScans:
     def test_confirm_rejects_a_witness_that_holds(self):
         with pytest.raises(AnomalyError, match="claim-k7 witness"):
             _confirm_witnesses(self.report("claim-k7", 7, (0,)), "claim-k7")
-        qualifying = np.flatnonzero(_split_pair(np.arange(1 << 15, dtype=np.uint64), 6, 0))
+        qualifying = np.flatnonzero(_split_pair(
+            *verifiers._clique_bits(np.arange(1 << 15, dtype=np.uint64), 6, 2, 3), 6, 0))
         good = int(qualifying[0])
         assert bowtie_extraction_holds(complete_colouring(6, 2, good))
         with pytest.raises(AnomalyError, match="bowtie-k6 witness"):
@@ -215,8 +233,8 @@ def reference_pair_hit(n, first, second, lo, hi):
 def _k8_codes():
     rng = np.random.default_rng(8)
     random = rng.integers(0, 1 << 28, size=300, dtype=np.uint64)
-    return np.concatenate([random, random & ~np.uint64(1), np.arange(4000, 6000, dtype=np.uint64),
-                           *verifiers._code_chunks(4000, 6000, shift=1)])
+    steps = np.arange(4000, 6000, dtype=np.uint64)
+    return np.concatenate([random, random & ~np.uint64(1), steps, steps << np.uint64(1)])
 
 
 class TestSliceKernels:
@@ -293,12 +311,36 @@ class TestSliceKernels:
         assert r ** most <= 1 << 12 < r ** (most + 1)
         assert verifiers._slices(0, r) == ((0, 0),)  # K0 and K1: one slice of width 0
 
+    @pytest.mark.parametrize("n, lo, hi, shift", [
+        (6, 0, 1 << 15, 0),
+        (7, 3 * (1 << 14) - 1234, 5 * (1 << 14) + 567, 0),
+        (8, (1 << 20) - 3000, (1 << 20) + 2000, 1),
+    ], ids=["k6-all", "k7-off-block", "k8-shifted"])
+    def test_split_chunk_bitmaps(self, n, lo, hi, shift):
+        # Blocks tile [lo, hi) in order, aligned to the block size even
+        # where the range is not.
+        size = verifiers._CHUNK
+        start = lo
+        for first, red, blue in verifiers._colour_chunks(n, lo, hi, shift):
+            assert first == start and len(red) == len(blue) > 0
+            assert (first + len(red) - 1) // size == first // size
+            ref = [reference_colour_bits(n, (first + j) << shift) for j in range(len(red))]
+            assert [[int(r), int(b)] for r, b in zip(red, blue)] == ref
+            start += len(red)
+        assert start == hi
+
     def test_reports_do_not_depend_on_the_chunk_size(self, monkeypatch):
-        reports = [verify_lemma_k8(n=7, workers=1).comparable(),
-                   verify_claim_k7().comparable()]
-        monkeypatch.setattr(verifiers, "_CHUNK", 1 << 10)
-        assert [verify_lemma_k8(n=7, workers=1).comparable(),
-                verify_claim_k7().comparable()] == reports
+        def reports():
+            return [verify_lemma_k8(n=7, workers=1).comparable(),
+                    verify_claim_k7().comparable(), verify_fact_k6().comparable(),
+                    verify_fact_k6(min_triangles=5).comparable(),
+                    _bowtie_sweep(6, 0, 1).comparable()]
+
+        before = reports()
+        # 2^16 is larger than the whole K6 universe.
+        for size in (1 << 10, 1 << 16):
+            monkeypatch.setattr(verifiers, "_CHUNK", size)
+            assert reports() == before
 
 
 @settings(max_examples=80, deadline=None)
