@@ -296,8 +296,11 @@ def _given(**flags) -> dict:
 
 def _cmd_verify(args) -> int:
     lemma = args.lemma
-    if args.samples is not None and lemma not in ("lemma-k8", "k7x2"):
-        raise _UsageError(f"--samples applies to lemma-k8 and k7x2, not {lemma}")
+    for flag in ("seed", "samples"):
+        if getattr(args, flag) is not None and lemma not in ("lemma-k8", "k7x2"):
+            raise _UsageError(f"--{flag} applies to lemma-k8 and k7x2, not {lemma}")
+    if args.seed is None:
+        args.seed = 0  # the campaigns' default, which an anomaly dump names
     if args.restarts is not None and lemma != "k7x2":
         raise _UsageError(f"--restarts applies to k7x2 only, not {lemma}")
     if lemma == "fact-k6":
@@ -561,6 +564,7 @@ def _build_parser() -> _Parser:
     p = command("verify", _cmd_verify, "--seed --workers --json --out --witness",
                 help="run an exhaustive or randomized lemma campaign")
     p.add_argument("--lemma", required=True, choices=LEMMAS)
+    p.set_defaults(seed=None)  # so that a lemma without a seed can refuse one
     p.add_argument("--samples", type=_nonnegative, default=None,
                    help="sample count (lemma-k8 extractor subset / k7x2)")
     p.add_argument("--restarts", type=_nonnegative, default=None,

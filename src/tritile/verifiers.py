@@ -23,7 +23,7 @@ import multiprocessing
 import os
 import time
 from dataclasses import asdict, dataclass, field, replace
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, partial
 from itertools import combinations
 from math import comb
 from typing import Callable, Iterable, Optional, Sequence
@@ -303,45 +303,42 @@ def _confirm(cond: bool, what: str, g: Optional[ColouredGraph] = None) -> None:
 # --------------------------------------------------------------------------
 # scan engine over edge codes
 #
-# The kernels work on slice tables.  A code's E base-r digits are cut into
-# near-equal slices of at most w digits, w the largest with r^w <= 2^_SLICE_BITS.
-# For slice k, colour c and each value x of its digits, tables[c][k][x] marks
-# the cliques whose edges inside the slice all have colour c in x; a clique
-# with no edge in the slice is marked for every colour.  A clique has colour
-# c exactly when it is marked in tables[c][k][slice k of the code] for every
-# k, so each colour's bitmap is the AND of one gather per slice.  The pair
-# test works the same way on triangle bitmaps: the partner set of a bitmap
-# is the union of its triangles' partner masks, hence the OR of one gather
-# per slice of the bitmap from tables of partial unions.  The Ramsey
-# searches gather every colour bitmap this way over explicit codes.
+# Every exhaustive scan walks its codes in blocks.  The lowest ``digits``
+# base-r digits of a code are its low digits, the rest its high ones, and a
+# block is one value of the high digits together with every low value the
+# scan visits: up to _CHUNK of them, or all that the scan's fixed digits
+# allow when those alone are more.  A clique has colour c exactly when its
+# low edges and its high edges all have colour c, so per 64-bit word of
+# cliques the colour-c bitmap of a code is L_c[low] & H_c[high].  L_c marks
+# the cliques whose low edges all have colour c, the high digits left free,
+# and H_c those whose high edges do, the low digits left free.  One builder
+# makes both by comparing digits: the low factor once per scan shape and
+# cached, the high words a batch of blocks at a time, so that a search that
+# stops early builds few of them.  A block's bitmaps are thus one slice of
+# the low factor ANDed with one word per colour and word, with no work per
+# code; its few arrays (128 KB per colour and word) and the low factor stay
+# in a core's cache between steps.
 #
-# The lemma scans walk contiguous ranges of codes j << shift and need not
-# gather colour bitmaps at all.  Write j = (h << w) | l with 2^w = _CHUNK
-# (fewer when the universe is smaller): the digits below w + shift are the
-# low digits, the rest the high ones.  A triangle has colour c exactly when
-# its low edges and its high edges all have colour c, so the colour-c bitmap
-# of the code is L_c[l] & H_c[h], where L_c[l] is the bitmap of the code
-# with every high digit set to c and H_c[h] that with every low digit set to
-# c.  Both factors come from the gather kernel: the low tables once per
-# (n, w, shift) and cached, the few high words once per task.  An aligned
-# block of one h is then a slice of L_c ANDed with one word, and only the
-# pair test gathers (three slices on K7).  A block's half-dozen arrays (128
-# KB each) and the tables stay in a core's cache between steps.  The block
-# size moves no task boundary, so reports do not depend on it.
+# The pair test works on triangle bitmaps through slice tables.  The
+# partner set of a bitmap is the union of its triangles' partner masks: cut
+# the bitmap into slices of at most _SLICE_BITS bits, and it is the OR of
+# one lookup per slice in tables of partial unions.  Neither the block size
+# nor the batch moves a task boundary, so reports do not depend on them.
 
 _SLICE_BITS = 12
+_HIGH_BATCH = 256
+_FACTOR_ROWS = 1 << 10
 
 
-def _slices(digits: int, r: int) -> tuple[tuple[int, int], ...]:
-    """(shift, width) of each slice when ``digits`` base-r digits are cut into near-equal slices.
+def _slices(bits: int) -> tuple[tuple[int, int], ...]:
+    """(shift, width) of each slice when ``bits`` bits are cut into near-equal slices.
 
-    There is always at least one slice, of width 0 when ``digits`` is 0.
+    There is always at least one slice, of width 0 when ``bits`` is 0.
     """
-    most = next(w for w in range(1, _SLICE_BITS + 1) if r ** (w + 1) > 1 << _SLICE_BITS)
     out = []
     shift = 0
-    for left in range(max(1, -(-digits // most)), 0, -1):
-        width = -(-(digits - shift) // left)
+    for left in range(max(1, -(-bits // _SLICE_BITS)), 0, -1):
+        width = -(-(bits - shift) // left)
         out.append((shift, width))
         shift += width
     return tuple(out)
@@ -362,28 +359,81 @@ def _pack_words(flags: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _clique_tables(n: int, ell: int, r: int
-                   ) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[np.ndarray, ...], ...]]:
-    """The code slices of r-coloured K_n, and per colour c and slice k the table of its K_ell.
-
-    Clique j is bit j in ``combinations(range(n), ell)`` order: ``tables[c][k]``
-    is a (words, r^width) array whose row w holds bits 64w..64w+63, with at
-    least one word.
-    """
+def _clique_edges(n: int, ell: int) -> np.ndarray:
+    """Row j holds the lexicographic edge indices of the j-th K_ell of K_n in
+    ``combinations(range(n), ell)`` order."""
     index = {e: i for i, e in enumerate(lex_edges(n))}
-    masks = np.array([sum(1 << index[e] for e in combinations(verts, 2))
-                      for verts in combinations(range(n), ell)], dtype=np.uint64)
-    slices = _slices(len(index), r)
-    per_slice = []
-    for shift, width in slices:
-        part = (masks >> np.uint64(shift)) & np.uint64((1 << width) - 1)
-        # digits[j, x] is digit j of the slice value x, least significant first,
-        # so bit j of weights @ (digits == c) is set where digit j is c.
-        digits = np.indices((r,) * width, dtype=np.uint8).reshape(width, r ** width)[::-1]
-        weights = np.uint64(1) << np.arange(width, dtype=np.uint64)
-        per_slice.append([_pack_words(((weights @ (digits == c))[:, None] & part) == part)
-                          for c in range(r)])
-    return slices, tuple(zip(*per_slice))
+    out = np.array([[index[e] for e in combinations(verts, 2)]
+                    for verts in combinations(range(n), ell)],
+                   dtype=np.intp).reshape(-1, ell * (ell - 1) // 2)
+    out.flags.writeable = False
+    return out
+
+
+def _factor(codes: np.ndarray, n: int, r: int, ell: int, lo: int, hi: int) -> np.ndarray:
+    """(r, words, len(codes)) K_ell bitmaps of ``codes`` with only the digits in [lo, hi) read.
+
+    Bit j of word w of entry [c, w, i] is clique 64w + j, set when each of
+    its edges with a digit in [lo, hi) has colour c in ``codes[i]``; the
+    other digits are free.  There is at least one word.  The codes go
+    through in pieces of _FACTOR_ROWS, which keeps the temporaries small.
+    """
+    edges = _clique_edges(n, ell)
+    places = np.array([r ** d for d in range(lo, hi)], dtype=np.uint64)
+    out = np.empty((r, max(1, -(-len(edges) // 64)), len(codes)), dtype=np.uint64)
+    for s in range(0, len(codes), _FACTOR_ROWS):
+        part = codes[s:s + _FACTOR_ROWS]
+        digits = part[:, None] // places % np.uint64(r)
+        same = np.ones((len(part), n * (n - 1) // 2), dtype=bool)
+        for c in range(r):
+            np.equal(digits, c, out=same[:, lo:hi])
+            out[c, :, s:s + len(part)] = _pack_words(same[:, edges].all(axis=2))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _low_block(n: int, r: int, ell: int, digits: int, fixed: int, allowed: tuple[int, ...]
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted low codes of a block and their factor, both read-only.
+
+    The low codes are those below r^digits whose lowest ``fixed`` digits
+    take values in ``allowed``.
+    """
+    low = np.zeros(1, dtype=np.uint64)
+    # Each pass appends a lower digit, so the codes come out sorted.
+    for _ in range(fixed):
+        low = (low[:, None] * np.uint64(r) + np.array(allowed, dtype=np.uint64)).ravel()
+    low = (np.arange(r ** (digits - fixed), dtype=np.uint64)[:, None]
+           * np.uint64(r ** fixed) + low).ravel()
+    factor = _factor(low, n, r, ell, 0, digits)
+    low.flags.writeable = factor.flags.writeable = False
+    return low, factor
+
+
+def _colour_chunks(n: int, r: int, ell: int, lo: int, hi: int, fixed: int = 0,
+                   allowed: Sequence[int] = ()):
+    """(code, low, bits) per block of the codes i in [lo, hi) of a scan, in increasing order.
+
+    The scan visits, in increasing order, the codes of r-coloured K_n whose
+    lowest ``fixed`` digits take values in ``allowed`` and whose other
+    digits are free; i counts them from 0.  Entry k of a block is the code
+    ``code + low[k]``, and ``bits[c, w, k]`` is word w of its colour-c K_ell
+    bitmap; ``bits`` is a fresh array for the caller to overwrite.
+    """
+    edges = n * (n - 1) // 2
+    allowed = tuple(allowed) if fixed else ()
+    digits, size = fixed, len(allowed) ** fixed
+    while digits < edges and size * r <= _CHUNK:
+        digits, size = digits + 1, size * r
+    low, factor = _low_block(n, r, ell, digits, fixed, allowed)
+    place = r ** digits
+    first, last = lo // size, (hi - 1) // size + 1
+    for start in range(first, last, _HIGH_BATCH):
+        heads = np.arange(start, min(start + _HIGH_BATCH, last), dtype=np.uint64)
+        high = _factor(heads * np.uint64(place), n, r, ell, digits, edges)
+        for k, h in enumerate(range(start, start + len(heads))):
+            a, b = max(lo - h * size, 0), min(hi - h * size, size)
+            yield h * place, low[a:b], factor[:, :, a:b] & high[:, :, k, None]
 
 
 @lru_cache(maxsize=None)
@@ -399,7 +449,7 @@ def _partner_tables(n: int, lo: int, hi: int
     incidence = (tris[:, :, None] == np.arange(n)).sum(axis=1)
     meet = incidence @ incidence.T
     partners = _pack_words((lo <= meet) & (meet <= hi) & ~np.eye(len(tris), dtype=bool))[0]
-    slices = _slices(len(tris), 2)
+    slices = _slices(len(tris))
     tables = []
     for shift, width in slices:
         table = np.zeros(1, dtype=np.uint64)
@@ -410,80 +460,20 @@ def _partner_tables(n: int, lo: int, hi: int
     return slices, tuple(tables)
 
 
-def _gather(values: np.ndarray, r: int, slices: Sequence[tuple[int, int]], op: np.ufunc,
-            pairs: Sequence[tuple[Sequence[np.ndarray], np.ndarray]]) -> None:
-    """For each ``(tables, out)``: out = ``op`` over k of ``tables[k][slice k of values]``.
-
-    Slice k holds base-r digits shift..shift + width - 1.  Binary values are
-    cut by a shift and a mask, as division on uint64 costs about seven times
-    as much; other bases divide.
-    """
+def _gather(values: np.ndarray, slices: Sequence[tuple[int, int]],
+            tables: Sequence[np.ndarray], out: np.ndarray) -> None:
+    """out = the OR over k of ``tables[k][slice k of values]``; slice k holds bits
+    shift..shift + width - 1."""
     idx = np.empty_like(values)
     part = np.empty_like(values)
     for k, (shift, width) in enumerate(slices):
-        if r == 2:
-            np.right_shift(values, np.uint64(shift), out=idx)
-            np.bitwise_and(idx, np.uint64((1 << width) - 1), out=idx)
-        else:
-            np.floor_divide(values, np.uint64(r ** shift), out=idx)
-            np.remainder(idx, np.uint64(r ** width), out=idx)
-        for tables, out in pairs:
-            # mode="clip" lets take write straight into ``out``; the
-            # indices are in range, so it never clips.
-            np.take(tables[k], idx.view(np.int64), out=part if k else out, mode="clip")
-            if k:
-                op(out, part, out=out)
-
-
-def _clique_bits(codes: np.ndarray, n: int, r: int, ell: int, word: int = 0
-                 ) -> list[np.ndarray]:
-    """Per colour, the bitmap of its K_ell numbered 64 * word to 64 * word + 63."""
-    slices, tables = _clique_tables(n, ell, r)
-    outs = [np.empty_like(codes) for _ in range(r)]
-    _gather(codes, r, slices, np.bitwise_and,
-            [([t[word] for t in colour], out) for colour, out in zip(tables, outs)])
-    return outs
-
-
-def _filled_bits(codes: np.ndarray, n: int, fill: int) -> tuple[np.ndarray, np.ndarray]:
-    """The red triangle bitmaps of ``codes`` and the blue ones of ``codes | fill``.
-
-    With ``fill`` the digits a factor leaves free, these are the per-colour
-    factors of the split scan.  One call over both code sets would keep the
-    unused colour's half of each output alive in the low-table cache.
-    """
-    return (_clique_bits(codes, n, 2, 3)[0],
-            _clique_bits(codes | np.uint64(fill), n, 2, 3)[1])
-
-
-@lru_cache(maxsize=None)
-def _low_tables(n: int, w: int, shift: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only L_red and L_blue over l in [0, 2^w): the factors of the codes ``l << shift``."""
-    low = w + shift
-    high = ((1 << (n * (n - 1) // 2)) - 1) >> low << low
-    tables = _filled_bits(np.arange(1 << w, dtype=np.uint64) << np.uint64(shift), n, high)
-    for t in tables:
-        t.flags.writeable = False
-    return tables
-
-
-def _colour_chunks(n: int, lo: int, hi: int, shift: int):
-    """(j, red, blue) per aligned block of the codes ``i << shift``, i in [lo, hi).
-
-    ``red`` and ``blue`` are the block's triangle bitmaps, fresh arrays for
-    the caller to overwrite, and j is the i of their first entry.
-    """
-    w = min(_CHUNK.bit_length() - 1, n * (n - 1) // 2 - shift)
-    low = w + shift
-    red_low, blue_low = _low_tables(n, w, shift)
-    first = lo >> w
-    red_high, blue_high = _filled_bits(
-        np.arange(first, ((hi - 1) >> w) + 1, dtype=np.uint64) << np.uint64(low),
-        n, (1 << low) - 1)
-    for k, (red_word, blue_word) in enumerate(zip(red_high, blue_high)):
-        base = (first + k) << w
-        a, b = max(lo, base) - base, min(hi, base + (1 << w)) - base
-        yield base + a, red_low[a:b] & red_word, blue_low[a:b] & blue_word
+        np.right_shift(values, np.uint64(shift), out=idx)
+        np.bitwise_and(idx, np.uint64((1 << width) - 1), out=idx)
+        # mode="clip" lets take write straight into ``out``; the indices
+        # are in range, so it never clips.
+        np.take(tables[k], idx.view(np.int64), out=part if k else out, mode="clip")
+        if k:
+            np.bitwise_or(out, part, out=out)
 
 
 def _pair_hits(first: np.ndarray, second: np.ndarray, n: int, lo: int, hi: int
@@ -491,18 +481,20 @@ def _pair_hits(first: np.ndarray, second: np.ndarray, n: int, lo: int, hi: int
     """True where a triangle of ``first`` meets another of ``second`` in lo..hi vertices."""
     slices, tables = _partner_tables(n, lo, hi)
     partners = np.empty_like(first)
-    _gather(first, 2, slices, np.bitwise_or, ((tables, partners),))
+    _gather(first, slices, tables, partners)
     np.bitwise_and(partners, second, out=partners)
     return partners != 0
 
 
-# Vector filters: ``filt(red, blue, n)`` flags the codes of a block from its
-# triangle bitmaps per colour, which it may overwrite; extra parameters are
-# bound with functools.partial so that scan tasks stay picklable.
+# Vector filters: ``filt(bits, n)`` flags the codes of a block from its
+# clique bitmaps per colour and word (triangles, for the lemma scans),
+# which it may overwrite; extra parameters are bound with functools.partial
+# so that scan tasks stay picklable.
 
 
-def _fewer_mono(red: np.ndarray, blue: np.ndarray, n: int, k: int) -> np.ndarray:
+def _fewer_mono(bits: np.ndarray, n: int, k: int) -> np.ndarray:
     """Codes with fewer than ``k`` monochromatic triangles."""
+    red, blue = bits[:, 0]
     x = np.bitwise_or(red, blue, out=red)
     # x & (x - 1) clears the lowest set bit; k - 1 rounds clear x exactly
     # when fewer than k triangles are monochromatic.  K_n has C(n, 3), so
@@ -513,43 +505,35 @@ def _fewer_mono(red: np.ndarray, blue: np.ndarray, n: int, k: int) -> np.ndarray
     return x == 0
 
 
-def _no_mono_pair(red: np.ndarray, blue: np.ndarray, n: int, share: int) -> np.ndarray:
+def _no_mono_pair(bits: np.ndarray, n: int, share: int) -> np.ndarray:
     """Codes without two mono triangles meeting in at most ``share`` vertices."""
+    red, blue = bits[:, 0]
     mono = np.bitwise_or(red, blue, out=red)
     return ~_pair_hits(mono, mono, n, 0, share)
 
 
-def _split_pair(red: np.ndarray, blue: np.ndarray, n: int, share: int) -> np.ndarray:
+def _split_pair(bits: np.ndarray, n: int, share: int) -> np.ndarray:
     """Codes with a red and a blue triangle meeting in exactly ``share`` vertices."""
-    return _pair_hits(red, blue, n, share, share)
+    return _pair_hits(bits[0, 0], bits[1, 0], n, share, share)
 
 
-def _clique_free(codes: np.ndarray, n: int, r: int, ell: int) -> np.ndarray:
-    """Codes of r-colourings of K_n without a monochromatic K_ell.
-
-    Per 64-bit word of cliques, the OR of the r colour bitmaps marks the mono ones.
-    """
-    _, tables = _clique_tables(n, ell, r)
-    mono = np.zeros(codes.shape, dtype=bool)
-    for word in range(len(tables[0][0])):
-        bits = reduce(np.bitwise_or, _clique_bits(codes, n, r, ell, word))
-        np.logical_or(mono, bits != 0, out=mono)
-    return ~mono
+def _clique_free(bits: np.ndarray, n: int) -> np.ndarray:
+    """Codes without a monochromatic clique: no bit in any colour's words."""
+    return np.bitwise_or.reduce(bits.reshape(-1, bits.shape[-1]), axis=0) == 0
 
 
 def _scan_task(args: tuple) -> tuple[int, int, int, list[int]]:
     n, filt, check, lo, hi, shift = args
     checked = hits = fails = 0
     found: list[int] = []
-    for first, red, blue in _colour_chunks(n, lo, hi, shift):
-        checked += len(red)
-        bad = np.flatnonzero(filt(red, blue, n))
+    for code, low, bits in _colour_chunks(n, 2, 3, lo, hi, shift, (0,)):
+        checked += len(low)
+        bad = np.flatnonzero(filt(bits, n))
         hits += len(bad)
         if check is not None:
-            bad = [i for i in bad
-                   if not check(complete_colouring(n, 2, (first + int(i)) << shift))]
+            bad = [i for i in bad if not check(complete_colouring(n, 2, code + int(low[i])))]
         fails += len(bad)
-        found.extend((first + int(i)) << shift for i in bad[:WITNESS_CAP - len(found)])
+        found.extend(code + int(low[i]) for i in bad[:WITNESS_CAP - len(found)])
     return checked, hits, fails, found
 
 
@@ -591,6 +575,8 @@ def _run_scan(n: int, filt: Callable, lo: int, hi: int, workers: Optional[int] =
 
 
 def _edge_count_or_raise(n: int) -> int:
+    if n < 0:
+        raise ValueError(f"order must be nonnegative, got {n}")
     edges = n * (n - 1) // 2
     if edges > MAX_SCAN_EDGES:
         raise ValueError(f"K_{n} has {edges} edges; exhaustive scans stop at "
@@ -689,6 +675,8 @@ def verify_lemma_k8(n: int = 8, workers: Optional[int] = None,
         raise ValueError(f"extractor sample count must be nonnegative, got {extractor_samples}")
     if extractor_samples and n != 8:
         raise ValueError("the extractor subset is defined on the K8 universe")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     start = time.perf_counter()
     shift = 1 if n == 8 else 0
     report = _scan_report("lemma-k8" if n == 8 else f"disjoint-pair-k{n}", n,
@@ -981,50 +969,38 @@ def verify_k7_blowup(samples: int = 1_000_000, adversarial_restarts: int = 1_000
 # Ramsey-style searches
 
 
-def _ramsey_codes(n: int, r: int, special: bool):
-    """(increasing stream of uint64 chunks, count) of the r-colourings of K_n a search visits.
-
-    With ``special`` these are the colourings in which vertex 0 misses
-    colour 0.  The n-1 edges at vertex 0 are the lowest digits of the
-    lexicographic edge order, so such a code is ``high * r**apex + base``:
-    a free code of the other edges above a base whose n-1 apex digits
-    avoid 0.  The classic search has an apex of width 0.
-    """
-    apex = n - 1 if special else 0
-    rest = r ** (n * (n - 1) // 2 - apex)
-
-    def stream():
-        # Each pass appends a lower digit, so the bases come out sorted.
-        bases = np.zeros(1, dtype=np.uint64)
-        for _ in range(apex):
-            bases = (bases[:, None] * np.uint64(r) + np.arange(1, r, dtype=np.uint64)).ravel()
-        step = max(1, _CHUNK // len(bases))
-        for lo in range(0, rest, step):
-            high = np.arange(lo, min(lo + step, rest), dtype=np.uint64)
-            yield (high[:, None] * np.uint64(r ** apex) + bases).ravel()
-
-    return stream(), (r - 1) ** apex * rest
-
-
 def _ramsey_search(ell: int, r: int, n_max: int, budget: int,
                    special: bool) -> RamseyResult:
-    """Scan n upward for the first order whose :func:`_ramsey_codes` all hold a mono K_ell."""
+    """Scan n upward for the first order whose colourings all hold a mono K_ell.
+
+    With ``special`` these are the colourings in which vertex 0 misses colour
+    0.  The n-1 edges at vertex 0 are the lowest digits of the lexicographic
+    edge order, so the scan fixes those digits to 1..r-1.
+    """
     if ell < 2 or not 2 <= r <= 8:
         raise ValueError(f"need ell >= 2 and 2 <= r <= 8, got ell={ell}, r={r}")
     if n_max < (first := 1 if special else ell):
         raise ValueError(f"n_max must be at least the first order scanned, {first}, got {n_max}")
+    if budget < 0:
+        raise ValueError(f"code budget must be nonnegative, got {budget}")
     start = time.perf_counter()
     checked: dict = {}
     witness_n, witness_code = (None, None) if special else (ell - 1, 0)
     value = None
     for n in range(first, n_max + 1):
-        codes, universe = _ramsey_codes(n, r, special)
+        edges = n * (n - 1) // 2
+        apex = n - 1 if special else 0
+        universe = (r - 1) ** apex * r ** (edges - apex)
         # Codes are uint64, so an order whose codes need more bits stops
         # the search as an exhausted budget does.
-        if universe > budget or r ** (n * (n - 1) // 2) > 1 << 64:
+        if universe > budget or r ** edges > 1 << 64:
             break
-        free = (chunk[_clique_free(chunk, n, r, ell)] for chunk in codes)
-        code = next((int(f[0]) for f in free if f.size), None)
+        code = None
+        for head, low, bits in _colour_chunks(n, r, ell, 0, universe, apex, range(1, r)):
+            free = np.flatnonzero(_clique_free(bits, n))
+            if free.size:
+                code = head + int(low[free[0]])
+                break
         checked[n] = universe
         if code is None:
             value = n

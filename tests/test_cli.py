@@ -437,7 +437,8 @@ class TestFlagSurface:
     @pytest.mark.parametrize("lemma, flag", [
         ("fact-k6", "--samples"), ("claim-k7", "--samples"), ("bowtie", "--samples"),
         ("fact-k6", "--restarts"), ("claim-k7", "--restarts"), ("lemma-k8", "--restarts"),
-        ("bowtie", "--restarts"),
+        ("bowtie", "--restarts"), ("fact-k6", "--seed"), ("claim-k7", "--seed"),
+        ("bowtie", "--seed"),
     ])
     def test_a_campaign_option_the_lemma_ignores_is_one_error_line(
             self, tmp_path, monkeypatch, capsys, lemma, flag):

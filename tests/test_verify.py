@@ -8,6 +8,7 @@ keep reproducing them exactly.
 
 from functools import partial, reduce
 from itertools import combinations
+from math import comb
 from operator import or_
 
 import numpy as np
@@ -64,7 +65,6 @@ from tritile.verifiers import (
     _k7x2_packs,
     _max_disjoint_capped,
     _no_mono_pair,
-    _ramsey_codes,
     _run_scan,
     _split_pair,
 )
@@ -175,6 +175,15 @@ class TestExhaustiveScans:
         with pytest.raises(ValueError, match="exhaustive"):
             verify_fact_k6(n=9)
 
+    def test_negative_orders_and_seeds_are_rejected_up_front(self):
+        with pytest.raises(ValueError, match="order must be nonnegative, got -1"):
+            verify_fact_k6(n=-1)
+        with pytest.raises(ValueError, match="order must be nonnegative, got -2"):
+            verify_lemma_k8(n=-2)
+        for samples in (0, 3):
+            with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+                verify_lemma_k8(extractor_samples=samples, seed=-1)
+
     def test_enumeration_range_validation(self):
         with pytest.raises(ValueError, match="universe"):
             enumerate_colourings(4, 2, lambda c, g: None, lo=10, hi=100)
@@ -200,7 +209,7 @@ class TestExhaustiveScans:
         with pytest.raises(AnomalyError, match="claim-k7 witness"):
             _confirm_witnesses(self.report("claim-k7", 7, (0,)), "claim-k7")
         qualifying = np.flatnonzero(_split_pair(
-            *verifiers._clique_bits(np.arange(1 << 15, dtype=np.uint64), 6, 2, 3), 6, 0))
+            verifiers._factor(np.arange(1 << 15, dtype=np.uint64), 6, 2, 3, 0, 15), 6, 0))
         good = int(qualifying[0])
         assert bowtie_extraction_holds(complete_colouring(6, 2, good))
         with pytest.raises(AnomalyError, match="bowtie-k6 witness"):
@@ -237,8 +246,29 @@ def _k8_codes():
     return np.concatenate([random, random & ~np.uint64(1), steps, steps << np.uint64(1)])
 
 
+def reference_clique_bits(n, r, ell, code):
+    """Per colour, the bitmap of the K_ell whose edges all carry it."""
+    g = complete_colouring(n, r, code)
+    bits = [0] * r
+    for j, verts in enumerate(combinations(range(n), ell)):
+        colours = {g.edge_colour(u, v) for u, v in combinations(verts, 2)}
+        if len(colours) == 1:
+            bits[colours.pop()] |= 1 << j
+    return bits
+
+
+def entry_bits(bits, i):
+    """Entry i of (colours, words, codes) bitmaps as one int per colour."""
+    return [sum(int(word) << 64 * w for w, word in enumerate(colour[:, i])) for colour in bits]
+
+
+def walked_codes(*args):
+    """Every code that ``_colour_chunks(*args)`` walks, in walk order."""
+    return [code + int(c) for code, low, _ in verifiers._colour_chunks(*args) for c in low]
+
+
 class TestSliceKernels:
-    """The slice-table kernels against plain-python references."""
+    """The block and slice-table kernels against plain-python references."""
 
     @pytest.mark.parametrize("n, codes", [
         (6, np.arange(1 << 15, dtype=np.uint64)),
@@ -246,7 +276,7 @@ class TestSliceKernels:
         (8, _k8_codes()),
     ], ids=["k6-all", "k7-slice", "k8-random"])
     def test_colour_bitmaps_and_pair_hits(self, n, codes):
-        red, blue = verifiers._clique_bits(codes, n, 2, 3)
+        red, blue = verifiers._factor(codes, n, 2, 3, 0, n * (n - 1) // 2)[:, 0]
         ref = [reference_colour_bits(n, int(code)) for code in codes]
         assert [[int(r), int(b)] for r, b in zip(red, blue)] == ref
         mono = red | blue
@@ -262,54 +292,69 @@ class TestSliceKernels:
 
     @pytest.mark.parametrize("n, ell", [(5, 2), (6, 3), (8, 4)])
     def test_clique_bitmaps_span_several_words(self, n, ell):
-        # K8 has 70 K4, so its tables hold two 64-bit words per entry.
+        # K8 has 70 K4, so their bitmaps take two 64-bit words.
         self._check_clique_bitmaps(n, ell, 2)
 
     @pytest.mark.parametrize("n, ell", [(5, 2), (6, 3), (8, 4)])
     def test_three_colour_clique_bitmaps_span_several_words(self, n, ell):
         self._check_clique_bitmaps(n, ell, 3)
 
+    # Five colours cut no digit range at a power of two; eight fill 63 bits
+    # on K7.  Orders whose codes need more than 64 bits are left out.
+    @pytest.mark.parametrize("n, ell, r", [(n, ell, r) for r in (4, 5, 8)
+                                           for n, ell in ((5, 2), (6, 3), (7, 4), (8, 4))
+                                           if r ** comb(n, 2) <= 1 << 64])
+    def test_clique_bitmaps_for_more_colours(self, n, ell, r):
+        self._check_clique_bitmaps(n, ell, r)
+
     @staticmethod
     def _check_clique_bitmaps(n, ell, r):
-        cliques = list(combinations(range(n), ell))
-        codes = np.random.default_rng(n).integers(0, r ** (n * (n - 1) // 2), size=200,
-                                                   dtype=np.uint64)
-        words = [verifiers._clique_bits(codes, n, r, ell, w)
-                 for w in range(-(-len(cliques) // 64))]
-        for i, code in enumerate(codes.tolist()):
-            g = complete_colouring(n, r, code)
-            for j, verts in enumerate(cliques):
-                colours = {g.edge_colour(u, v) for u, v in combinations(verts, 2)}
-                assert [int(bits[i]) >> (j % 64) & 1 for bits in words[j // 64]] == \
-                    [colours == {c} for c in range(r)]
+        # The factor of every digit is the code's bitmaps, and the factors of
+        # two complementary digit ranges AND to it.
+        edges = n * (n - 1) // 2
+        codes = np.random.default_rng(n).integers(0, r ** edges, size=200, dtype=np.uint64)
+        bits = verifiers._factor(codes, n, r, ell, 0, edges)
+        assert bits.shape == (r, -(-comb(n, ell) // 64), len(codes))
+        assert [entry_bits(bits, i) for i in range(len(codes))] == \
+            [reference_clique_bits(n, r, ell, code) for code in codes.tolist()]
+        cut = edges // 3
+        assert np.array_equal(verifiers._factor(codes, n, r, ell, 0, cut)
+                              & verifiers._factor(codes, n, r, ell, cut, edges), bits)
 
     @pytest.mark.parametrize("n", range(2, 9))
     @pytest.mark.parametrize("ell", [2, 3, 4])
     def test_two_colour_tables_are_the_zero_and_one_tables(self, n, ell):
         # The reference: per slice of the edge bits, zero[x] marks the cliques
-        # with no edge bit set in x inside the slice, one[x] those with all set.
+        # with no edge bit set in x inside the slice, one[x] those with all
+        # set.  The two-colour factors of the slice's values are these tables.
         index = {e: i for i, e in enumerate(lex_edges(n))}
         masks = np.array([sum(1 << index[e] for e in combinations(verts, 2))
                           for verts in combinations(range(n), ell)], dtype=np.uint64)
-        slices, (zero, one) = verifiers._clique_tables(n, ell, 2)
-        for (shift, width), z, o in zip(slices, zero, one):
+        for shift, width in verifiers._slices(len(index)):
             part = (masks >> np.uint64(shift)) & np.uint64((1 << width) - 1)
-            sub = np.arange(1 << width, dtype=np.uint64)[:, None] & part
-            assert z.tobytes() == verifiers._pack_words(sub == 0).tobytes()
-            assert o.tobytes() == verifiers._pack_words(sub == part).tobytes()
-            assert z.shape == o.shape == (max(1, -(-len(masks) // 64)), 1 << width)
+            values = np.arange(1 << width, dtype=np.uint64)
+            zero, one = verifiers._factor(values << np.uint64(shift), n, 2, ell,
+                                          shift, shift + width)
+            sub = values[:, None] & part
+            assert zero.tobytes() == verifiers._pack_words(sub == 0).tobytes()
+            assert one.tobytes() == verifiers._pack_words(sub == part).tobytes()
+            assert zero.shape == one.shape == (max(1, -(-len(masks) // 64)), 1 << width)
 
-    @pytest.mark.parametrize("r, most", [(2, 12), (3, 7), (4, 6), (5, 5), (8, 4)])
-    def test_slices_are_the_widest_that_fit_a_table(self, r, most):
-        # r^most digit values fit in 2^12 entries, r^(most + 1) do not.
-        for digits in range(0, 80):
-            slices = verifiers._slices(digits, r)
+    @pytest.mark.parametrize("n", range(3))
+    def test_orders_without_triangles_have_one_empty_word(self, n):
+        bits = verifiers._factor(np.arange(1 << comb(n, 2), dtype=np.uint64), n, 2, 3,
+                                 0, comb(n, 2))
+        assert bits.shape == (2, 1, 1 << comb(n, 2)) and not bits.any()
+
+    def test_slices_are_the_widest_that_fit_a_table(self):
+        # 12 bits index a table of 2^12 entries.
+        for bits in range(0, 80):
+            slices = verifiers._slices(bits)
             widths = [w for _, w in slices]
             assert [s for s, _ in slices] == [sum(widths[:k]) for k in range(len(widths))]
-            assert sum(widths) == digits and max(widths) - min(widths) <= 1
-            assert max(widths) <= most and len(slices) == max(1, -(-digits // most))
-        assert r ** most <= 1 << 12 < r ** (most + 1)
-        assert verifiers._slices(0, r) == ((0, 0),)  # K0 and K1: one slice of width 0
+            assert sum(widths) == bits and max(widths) - min(widths) <= 1
+            assert max(widths) <= 12 and len(slices) == max(1, -(-bits // 12))
+        assert verifiers._slices(0) == ((0, 0),)  # K0 and K1: one slice of width 0
 
     @pytest.mark.parametrize("n, lo, hi, shift", [
         (6, 0, 1 << 15, 0),
@@ -318,15 +363,17 @@ class TestSliceKernels:
     ], ids=["k6-all", "k7-off-block", "k8-shifted"])
     def test_split_chunk_bitmaps(self, n, lo, hi, shift):
         # Blocks tile [lo, hi) in order, aligned to the block size even
-        # where the range is not.
+        # where the range is not; entry k of a block is code + low[k].
         size = verifiers._CHUNK
         start = lo
-        for first, red, blue in verifiers._colour_chunks(n, lo, hi, shift):
-            assert first == start and len(red) == len(blue) > 0
-            assert (first + len(red) - 1) // size == first // size
-            ref = [reference_colour_bits(n, (first + j) << shift) for j in range(len(red))]
-            assert [[int(r), int(b)] for r, b in zip(red, blue)] == ref
-            start += len(red)
+        for code, low, bits in verifiers._colour_chunks(n, 2, 3, lo, hi, shift, (0,)):
+            assert bits.shape == (2, 1, len(low)) and len(low) > 0
+            assert code % (size << shift) == 0
+            assert [code + int(c) for c in low] == [i << shift for i in range(start, start + len(low))]
+            assert (start + len(low) - 1) // size == start // size
+            assert [entry_bits(bits, k) for k in range(len(low))] == \
+                [reference_colour_bits(n, code + int(c)) for c in low]
+            start += len(low)
         assert start == hi
 
     def test_reports_do_not_depend_on_the_chunk_size(self, monkeypatch):
@@ -771,39 +818,39 @@ class TestRamsey:
         assert mono_triangle_count(w) == 0
 
     def test_special_codes_are_sorted_and_special(self):
-        stream, count = _ramsey_codes(4, 3, True)
-        codes = [int(c) for chunk in stream for c in chunk]
-        assert len(codes) == count == 2 ** 3 * 3 ** 3
-        assert codes == sorted(codes)
-        g = complete_colouring(4, 3, codes[0])
-        assert all(g.edge_colour(0, v) != 0 for v in range(1, 4))
+        codes = walked_codes(4, 3, 3, 0, 2 ** 3 * 3 ** 3, 3, (1, 2))
+        assert len(codes) == 2 ** 3 * 3 ** 3
+        assert codes == sorted(set(codes))
+        for code in codes:
+            g = complete_colouring(4, 3, code)
+            assert all(g.edge_colour(0, v) != 0 for v in range(1, 4))
 
     def test_three_colour_special_stream_over_many_chunks(self):
-        stream, count = _ramsey_codes(6, 3, True)
-        chunks = list(stream)
-        codes = np.concatenate(chunks)
-        assert len(chunks) > 100 and all(c.dtype == np.uint64 for c in chunks)
+        count = 2 ** 5 * 3 ** 10
+        blocks = list(verifiers._colour_chunks(6, 3, 3, 0, count, 5, (1, 2)))
+        codes = np.concatenate([low + np.uint64(code) for code, low, _ in blocks])
+        assert len(blocks) > 100 and all(low.dtype == np.uint64 for _, low, _ in blocks)
         assert len(codes) == count == 1_889_568
         assert (codes[1:] > codes[:-1]).all()
         for code in codes[::9973]:
             g = complete_colouring(6, 3, int(code))
             assert all(g.edge_colour(0, v) != 0 for v in range(1, 6))
+        # The bitmaps of a few entries per block against the plain list.
+        for code, low, bits in blocks[::17]:
+            for k in (0, len(low) // 2, len(low) - 1):
+                assert entry_bits(bits, k) == reference_clique_bits(6, 3, 3, code + int(low[k]))
 
     def test_classic_codes_are_the_whole_universe(self):
-        stream, count = _ramsey_codes(4, 3, False)
-        codes = [int(c) for chunk in stream for c in chunk]
-        assert codes == list(range(3 ** 6)) and count == 3 ** 6
+        assert walked_codes(4, 3, 3, 0, 3 ** 6) == list(range(3 ** 6))
 
     def test_two_colour_special_codes_force_the_apex_bits(self):
-        stream, count = _ramsey_codes(4, 2, True)
-        codes = [int(c) for chunk in stream for c in chunk]
-        assert codes == [(i << 3) | 0b111 for i in range(8)] and count == 8
+        assert walked_codes(4, 2, 3, 0, 8, 3, (1,)) == [(i << 3) | 0b111 for i in range(8)]
 
     @pytest.mark.parametrize("n", [5, 6])
     @pytest.mark.parametrize("ell", [3, 4])
     def test_mono_clique_check_matches_reference(self, n, ell):
-        # Five colours divide the codes into slices; eight cut them into
-        # 4-digit slices whose 8^4 = 4096 values fill a whole table.
+        # Five colours cut no digit range at a power of two; eight fill
+        # three bits per digit.
         for r in (2, 3, 4, 5, 8):
             rng = np.random.default_rng(1000 * r + 100 * n + ell)
             codes = rng.integers(0, r ** (n * (n - 1) // 2), size=2000, dtype=np.uint64)
@@ -811,7 +858,7 @@ class TestRamsey:
             # 200 more codes each get one planted on a random vertex set.
             codes = np.concatenate([codes, [plant_mono_clique(int(c), n, r, ell, rng)
                                             for c in codes[:200]]]).astype(np.uint64)
-            free = _clique_free(codes, n, r, ell)
+            free = _clique_free(verifiers._factor(codes, n, r, ell, 0, n * (n - 1) // 2), n)
             want = [not reference_has_mono_clique(complete_colouring(n, r, int(c)), ell)
                     for c in codes]
             assert free.tolist() == want
@@ -841,7 +888,7 @@ class TestRamsey:
         # Every code flagged: each order takes its first code as the witness
         # until K_12, whose 2^66 codes do not fit in a uint64.
         monkeypatch.setattr(verifiers, "_clique_free",
-                            lambda codes, n, r, ell: np.ones(codes.shape, dtype=bool))
+                            lambda bits, n: np.ones(bits.shape[-1], dtype=bool))
         res = compute_ramsey(3, 2, n_max=20, budget=1 << 70)
         assert res.value is None
         assert sorted(res.checked) == list(range(3, 12))
@@ -851,7 +898,27 @@ class TestRamsey:
         assert max(res.checked) == 9  # 3^36 < 2^64 < 3^45
         assert res.witness_code == (3 ** 8 - 1) // 2  # every apex digit 1
 
+    def test_high_factors_are_built_a_batch_at_a_time(self, monkeypatch):
+        # Three colours on K6 walk 3^7 blocks of 3^8 codes, and block 96
+        # holds the first clique-free colouring: the search builds the high
+        # factors of the first batch of blocks only, not one per block.
+        built = {}
+        factor = verifiers._factor
+
+        def counting(codes, n, r, ell, lo, hi):
+            if lo:
+                built[n] = built.get(n, 0) + len(codes)
+            return factor(codes, n, r, ell, lo, hi)
+
+        monkeypatch.setattr(verifiers, "_factor", counting)
+        res = compute_ramsey(3, 3, 6)
+        assert (res.witness_n, res.witness_code // 3 ** 8) == (6, 96)
+        assert built[6] == verifiers._HIGH_BATCH < 3 ** 7
+        assert all(count <= verifiers._HIGH_BATCH for count in built.values())
+
     def test_parameter_validation(self):
+        with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
+            compute_ramsey(3, budget=-1)
         with pytest.raises(ValueError, match="ell"):
             compute_ramsey(1, 2)
         with pytest.raises(ValueError, match="ell"):
