@@ -11,9 +11,10 @@ stdout and files, except for the ``elapsed`` wall-clock fields inside JSON
 reports.  ``verify --workers 1`` is the reference configuration; other
 worker counts must produce the same bytes there too.
 
-Each subcommand takes only the flags it reads, and flags are spelled out
-in full: a flag a command would ignore ends with exit 1 and one ``error:``
-line, like any other usage error.
+Each subcommand takes only the flags it reads, and so does each choice
+that `gen`, `tile` and `verify` run (a family, an algorithm, a lemma).
+Flags are spelled out in full: a flag a command or its choice would ignore
+ends with exit 1 and one ``error:`` line, like any other usage error.
 """
 
 from __future__ import annotations
@@ -48,7 +49,9 @@ from tritile.graphs import (
     AnomalyError,
     MonoClique,
     SearchBudgetExceeded,
+    _is_a,
     from_json_dict,
+    parse_json,
     read_graph,
     to_json_dict,
     write_graph,
@@ -126,67 +129,92 @@ def _clique_rows(tiling) -> list:
 
 
 # --------------------------------------------------------------------------
+# per-choice flags: `gen`, `tile` and `verify` each map a choice to (the per-choice
+# flags it reads, by keyword, with "|" between alternative sets; what it runs on
+# their values).  The parser leaves every per-choice flag None unless it is given.
+
+
+def _chosen(args, option: str, table: dict) -> tuple:
+    """The runner that ``--option`` chose, and the given per-choice flags it reads, by keyword.
+
+    A per-choice flag given to a choice that does not read it is refused, naming the
+    choices that do.  A left-out ``--seed`` takes its default 0, which the sidecar and
+    an anomaly dump name.
+    """
+    choice = getattr(args, option)
+    reads = {c: keys.replace("|", " ").split() for c, (keys, _) in table.items()}
+    for key in dict.fromkeys(sum(reads.values(), [])):
+        if getattr(args, key) is not None and key not in reads[choice]:
+            readers = [c for c in table if key in reads[c]]
+            listed = f"{', '.join(readers[:-1])} and {readers[-1]}" if readers[1:] else readers[0]
+            raise _UsageError(f"--{key.replace('_', '-')} applies to {listed}, not {choice}")
+    if getattr(args, "seed", 0) is None:
+        args.seed = 0
+    return table[choice][1], _given(**{key: getattr(args, key) for key in reads[choice]})
+
+
+def _given(**flags) -> dict:
+    """The flags the user passed, so that left-out ones take the callee's defaults."""
+    return {k: v for k, v in flags.items() if v is not None}
+
+
+# --------------------------------------------------------------------------
 # gen
 
 
-GEN_FAMILIES = tuple(CONSTRUCTIONS) + (
-    "pinned-apex", "special-blowup", "random", "badly-k5", "doubled-k7")
+def _construction(family: str, n: int, delta: int) -> tuple:
+    builder, layout = CONSTRUCTIONS[family]
+    return builder(n, delta), layout(n, delta)
+
+
+def _pinned_apex(n: int, delta: int) -> tuple:
+    sizes = pinned_apex_sizes(n, delta)
+    return pinned_apex_colouring(sizes), {"sizes": sizes}
+
+
+def _seeded(seed: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(seed))
+
+
+# Each family's builder returns (host, classes).  A family needs every flag of the
+# alternative set that its given flags pick, else of its first set.
+GEN_FAMILIES = {
+    **{family: ("n delta", functools.partial(_construction, family))
+       for family in CONSTRUCTIONS},
+    "pinned-apex": ("n delta", _pinned_apex),
+    "special-blowup": ("t | n delta", lambda **flags: (special_blowup(**flags), None)),
+    "random": ("n delta seed", lambda n, delta, seed: (
+        random_min_degree_colouring(n, delta, _seeded(seed)), None)),
+    "badly-k5": ("", lambda: (badly_coloured_k5(), None)),
+    "doubled-k7": ("seed", lambda seed: (
+        k7x2_graph(_seeded(seed).integers(0, 2, size=len(K7X2_EDGES), dtype=np.uint8)), None)),
+}
 
 
 def _cmd_gen(args) -> int:
     family = args.family
+    build, params = _chosen(args, "family", GEN_FAMILIES)
     _check_order(args.n, "--n")
     _check_order(None if args.t is None else 3 * args.t + 1, "--t")
-    params: dict = {}
-    classes = None
-    if family in CONSTRUCTIONS:
-        _require(args, "n", "delta")
-        builder, layout = CONSTRUCTIONS[family]
-        g = builder(args.n, args.delta)
-        classes = layout(args.n, args.delta)
-        params = {"n": args.n, "delta": args.delta}
-    elif family == "pinned-apex":
-        _require(args, "n", "delta")
-        sizes = pinned_apex_sizes(args.n, args.delta)
-        g = pinned_apex_colouring(sizes)
-        classes = {"sizes": sizes}
-        params = {"n": args.n, "delta": args.delta}
-    elif family == "special-blowup":
-        if args.t is not None:
-            g = special_blowup(t=args.t)
-            params = {"t": args.t}
-        else:
-            _require(args, "n", "delta")
-            g = special_blowup(n=args.n, delta=args.delta)
-            params = {"n": args.n, "delta": args.delta}
-    elif family == "random":
-        _require(args, "n", "delta")
-        rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-        g = random_min_degree_colouring(args.n, args.delta, rng)
-        params = {"n": args.n, "delta": args.delta, "seed": args.seed}
-    elif family == "badly-k5":
-        g = badly_coloured_k5()
-    elif family == "doubled-k7":
-        rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-        g = k7x2_graph(rng.integers(0, 2, size=len(K7X2_EDGES), dtype=np.uint8))
-        params = {"seed": args.seed}
-    else:
-        raise _UsageError(f"unknown family {family!r}")
+    sets = GEN_FAMILIES[family][0].split("|")
+    needed = next((s for s in sets if params.keys() & set(s.split())), sets[0]).split()
+    missing = [key for key in needed if key not in params]
+    if missing:
+        raise _UsageError(f"--family {family} needs --{missing[0]}")
+    g, classes = build(**params)
     write_graph(g, args.out)
     sidecar = args.out + ".classes.json"
+    # The fields that the sidecar and the --json line share.
+    shared = {"schema": SCHEMA, "family": family, "params": params, "n": g.n,
+              "min_degree": g.min_degree()}
     with open(sidecar, "w", encoding="ascii") as fh:
-        _dump_json({"schema": SCHEMA, "family": family, "params": params,
-                    "n": g.n, "r": g.r, "min_degree": g.min_degree(),
-                    "classes": classes}, fh)
-    summary = (f"wrote {family} host (n={g.n}, min degree {g.min_degree()}) "
-               f"to {args.out} and {sidecar}")
+        _dump_json({**shared, "r": g.r, "classes": classes}, fh)
     if args.json:
-        print(json.dumps({"schema": SCHEMA, "command": "gen", "family": family,
-                          "params": params, "path": args.out,
-                          "sidecar": sidecar, "n": g.n,
-                          "min_degree": g.min_degree()}, sort_keys=True))
+        print(json.dumps({**shared, "command": "gen", "path": args.out, "sidecar": sidecar},
+                         sort_keys=True))
     else:
-        print(summary)
+        print(f"wrote {family} host (n={g.n}, min degree {g.min_degree()}) "
+              f"to {args.out} and {sidecar}")
     return 0
 
 
@@ -195,12 +223,6 @@ def _check_order(n: Optional[int], flag: str) -> None:
     if n is not None and n > MAX_VERTICES:
         raise _UsageError(f"{flag} asks for a host of {n} vertices; hosts have at most "
                           f"{MAX_VERTICES}")
-
-
-def _require(args, *names) -> None:
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise _UsageError(f"--family {args.family} needs --{name}")
 
 
 # --------------------------------------------------------------------------
@@ -227,24 +249,33 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-# The constructive tilers by their command-line names.
-_ALGORITHMS = {name.replace("_", "-"): tiler for name, (tiler, _, _) in TILERS.items()}
+def _tiler(tiler, g, budget: Optional[int] = None) -> tuple:
+    return tiler(g, budget=budget), ()
+
+
+def _phased(g, seed_clique: tuple[int, ...] = ()) -> tuple:
+    if len(seed_clique) < 2:
+        raise _UsageError("phased needs --seed-clique v0,v1,... with at least two vertices")
+    if not all(0 <= v < g.n for v in seed_clique):
+        raise ValueError("seed must be a monochromatic clique of the host")
+    result = phased_tiler(g, MonoClique(seed_clique, g.edge_colour(*seed_clique[:2])))
+    return result.tiling, result.notes
+
+
+# Each algorithm's tiler returns (tiling, notes); the constructive tilers go by
+# their command-line names.
+_ALGORITHMS = {
+    **{name.replace("_", "-"): ("budget", functools.partial(_tiler, tiler))
+       for name, (tiler, _, _) in TILERS.items()},
+    "phased": ("seed_clique", _phased),
+}
 
 
 def _cmd_tile(args) -> int:
+    tiler, flags = _chosen(args, "algorithm", _ALGORITHMS)
     g = read_graph(args.path)
     start = time.perf_counter()
-    notes: tuple[str, ...] = ()
-    if args.algorithm == "phased":
-        verts = args.seed_clique or ()
-        if len(verts) < 2:
-            raise _UsageError("phased needs --seed-clique v0,v1,... with at least two vertices")
-        if not all(0 <= v < g.n for v in verts):
-            raise ValueError("seed must be a monochromatic clique of the host")
-        result = phased_tiler(g, MonoClique(verts, g.edge_colour(verts[0], verts[1])))
-        tiling, notes = result.tiling, result.notes
-    else:
-        tiling = _ALGORITHMS[args.algorithm](g, budget=args.budget)
+    tiling, notes = tiler(g, **flags)
     elapsed = time.perf_counter() - start
     if not tiling.verify(g):
         raise AnomalyError(f"{args.algorithm} produced a tiling that fails "
@@ -262,9 +293,6 @@ def _cmd_tile(args) -> int:
 
 # --------------------------------------------------------------------------
 # verify
-
-
-LEMMAS = ("fact-k6", "claim-k7", "lemma-k8", "bowtie", "k7x2")
 
 
 def _write_and_reload(path: str, doc: dict) -> list:
@@ -289,33 +317,24 @@ def _write_and_reconfirm_witnesses(lemma: str, reports, path: str) -> None:
                 graph=g, detail={"path": path})
 
 
-def _given(**flags) -> dict:
-    """The flags the user passed, so that left-out ones take the campaign's defaults."""
-    return {k: v for k, v in flags.items() if v is not None}
+# Each lemma's campaign returns its reports; a left-out --samples or --restarts
+# takes the campaign's default.
+LEMMAS = {
+    "fact-k6": ("", lambda workers: [verify_fact_k6(workers=workers)]),
+    "claim-k7": ("", lambda workers: [verify_claim_k7(workers=workers)]),
+    "lemma-k8": ("seed samples", lambda workers, seed, samples=None: [
+        verify_lemma_k8(workers=workers, seed=seed, **_given(extractor_samples=samples))]),
+    "bowtie": ("", lambda workers: list(verify_bowtie_lemmas(workers=workers))),
+    "k7x2": ("seed samples restarts", lambda workers, seed, samples=None, restarts=None: [
+        verify_k7_blowup(seed=seed, workers=workers,
+                         **_given(samples=samples, adversarial_restarts=restarts))]),
+}
 
 
 def _cmd_verify(args) -> int:
     lemma = args.lemma
-    for flag in ("seed", "samples"):
-        if getattr(args, flag) is not None and lemma not in ("lemma-k8", "k7x2"):
-            raise _UsageError(f"--{flag} applies to lemma-k8 and k7x2, not {lemma}")
-    if args.seed is None:
-        args.seed = 0  # the campaigns' default, which an anomaly dump names
-    if args.restarts is not None and lemma != "k7x2":
-        raise _UsageError(f"--restarts applies to k7x2 only, not {lemma}")
-    if lemma == "fact-k6":
-        reports = [verify_fact_k6(workers=args.workers)]
-    elif lemma == "claim-k7":
-        reports = [verify_claim_k7(workers=args.workers)]
-    elif lemma == "lemma-k8":
-        reports = [verify_lemma_k8(workers=args.workers, seed=args.seed,
-                                   **_given(extractor_samples=args.samples))]
-    elif lemma == "bowtie":
-        reports = list(verify_bowtie_lemmas(workers=args.workers))
-    elif lemma == "k7x2":
-        reports = [verify_k7_blowup(seed=args.seed, workers=args.workers,
-                                    **_given(samples=args.samples,
-                                             adversarial_restarts=args.restarts))]
+    campaign, flags = _chosen(args, "lemma", LEMMAS)
+    reports = campaign(workers=args.workers, **flags)
     payload = {"command": "verify", "lemma": lemma,
                "reports": [r.as_dict() for r in reports]}
     lines = []
@@ -378,10 +397,6 @@ _CONFIG_LISTS = {"n_values": int, "delta_values": int, "families": str}
 _CONFIG_INTS = {"samples_per_cell": 0, "seed": 0, "node_budget": 0, "max_cells": 1}
 
 
-def _is_a(value, kind: type) -> bool:
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
 def _check_config(config) -> None:
     """Reject a malformed experiment config before any host is built."""
     if not isinstance(config, dict):
@@ -411,7 +426,7 @@ def _check_config(config) -> None:
 def _experiment_grid(args) -> list[Optional[GridRow]]:
     """Every host of the config's cells in both modes with every tiler; None marks a cut grid."""
     with open(args.config, encoding="ascii") as fh:
-        config = json.load(fh)
+        config = parse_json(fh.read(), "experiment config")
     _check_config(config)
     families = list(CONSTRUCTIONS) if config.get("families") is None else config["families"]
     unknown = [f for f in families if f not in CONSTRUCTIONS]
@@ -544,6 +559,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True,
                    help="host file path; the classes go to PATH.classes.json")
     p.add_argument("--family", required=True, choices=GEN_FAMILIES)
+    p.set_defaults(seed=None)  # so that a family without a seed can refuse one
     p.add_argument("--n", type=int)
     p.add_argument("--delta", type=int)
     p.add_argument("--t", type=int)
@@ -556,8 +572,7 @@ def _build_parser() -> _Parser:
     p = command("tile", _cmd_tile, "--json --out --budget --witness",
                 help="run a constructive tiling algorithm on a host file")
     p.add_argument("path")
-    p.add_argument("--algorithm", required=True,
-                   choices=tuple(_ALGORITHMS) + ("phased",))
+    p.add_argument("--algorithm", required=True, choices=_ALGORITHMS)
     p.add_argument("--seed-clique", dest="seed_clique", type=_int_list,
                    help="comma-separated seed clique vertices (phased only)")
 
@@ -602,13 +617,8 @@ def _build_parser() -> _Parser:
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -521,18 +521,31 @@ def to_json_dict(g: ColouredGraph) -> dict:
     return {"n": g.n, "r": g.r, "edges": [list(e) for e in g.edges()]}
 
 
+def _is_a(value, kind: type) -> bool:
+    """``isinstance``, except that a bool (JSON's true or false) is no integer."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def parse_json(text: str, what: str):
+    """``json.loads``, with a document nested too deep for the parser a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} is nested too deeply") from None
+
+
 def from_json_dict(data: dict) -> ColouredGraph:
     """Inverse of :func:`to_json_dict`; malformed input raises ValueError."""
     if not isinstance(data, dict) or not {"n", "r", "edges"} <= data.keys():
         raise ValueError("graph json needs an object with keys n, r, edges")
     n, r, edges = data["n"], data["r"], data["edges"]
-    if not (isinstance(n, int) and isinstance(r, int)):
+    if not (_is_a(n, int) and _is_a(r, int)):
         raise ValueError(f"graph json n and r must be integers, got {n!r} and {r!r}")
     if not isinstance(edges, list):
         raise ValueError("graph json edges must be a list")
     for e in edges:
         if not (isinstance(e, (list, tuple)) and len(e) == 3
-                and all(isinstance(x, int) for x in e)):
+                and all(_is_a(x, int) for x in e)):
             raise ValueError(f"graph json edge must be [u, v, c] integers, got {e!r}")
     try:
         return ColouredGraph(n, r, [tuple(e) for e in edges])
@@ -545,5 +558,5 @@ def read_graph(path) -> ColouredGraph:
     with open(path, encoding="ascii") as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
-        return from_json_dict(json.loads(text))
+        return from_json_dict(parse_json(text, "graph json"))
     return parse_graph_text(text)

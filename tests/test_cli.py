@@ -241,6 +241,9 @@ class TestSolveAndTile:
         '{"n": "3", "r": 2, "edges": [[0, 1, 0]]}',
         '  {"n": 3, "r": 2, "edges": [[0, 1]]}',
         '{"n": 1000000, "r": 2, "edges": []}',
+        '{"n": true, "r": 2, "edges": []}',
+        '{"n": 3, "r": true, "edges": []}',
+        '{"n": 3, "r": 2, "edges": [[0, 1, true]]}',
     ])
     def test_malformed_json_graph_is_one_error_line(self, tmp_path, monkeypatch,
                                                     capsys, text):
@@ -341,7 +344,7 @@ class TestAnomalyExit:
             raise AnomalyError("manufactured failure", graph=g,
                                detail={"reason": "test"})
 
-        monkeypatch.setitem(cli._ALGORITHMS, "moon-small", boom)
+        monkeypatch.setitem(cli._ALGORITHMS, "moon-small", ("budget", boom))
         g = complete_colouring(6, 2, 0)
         write_graph(g, tmp_path / "g.txt")
         rc = run_in(tmp_path, monkeypatch,
@@ -402,6 +405,14 @@ DROPPED_FLAGS = [(command, flag) for command, taken in FLAGS_TAKEN.items()
                  for flag in COMMON_FLAGS if flag not in taken.split()]
 
 
+LEMMA_REFUSALS = [
+    ("fact-k6", "--samples"), ("claim-k7", "--samples"), ("bowtie", "--samples"),
+    ("fact-k6", "--restarts"), ("claim-k7", "--restarts"), ("lemma-k8", "--restarts"),
+    ("bowtie", "--restarts"), ("fact-k6", "--seed"), ("claim-k7", "--seed"),
+    ("bowtie", "--seed"),
+]
+
+
 def flag_argv(flag: str) -> list[str]:
     given = COMMON_FLAGS[flag][0]
     return [flag] if given is None else [flag, given]
@@ -434,12 +445,7 @@ class TestFlagSurface:
         assert err == [f"error: unrecognized arguments: {' '.join(flag_argv(flag))}"]
         assert not (tmp_path / "o.txt").exists()
 
-    @pytest.mark.parametrize("lemma, flag", [
-        ("fact-k6", "--samples"), ("claim-k7", "--samples"), ("bowtie", "--samples"),
-        ("fact-k6", "--restarts"), ("claim-k7", "--restarts"), ("lemma-k8", "--restarts"),
-        ("bowtie", "--restarts"), ("fact-k6", "--seed"), ("claim-k7", "--seed"),
-        ("bowtie", "--seed"),
-    ])
+    @pytest.mark.parametrize("lemma, flag", LEMMA_REFUSALS)
     def test_a_campaign_option_the_lemma_ignores_is_one_error_line(
             self, tmp_path, monkeypatch, capsys, lemma, flag):
         argv = ["verify", "--lemma", lemma, flag, "3", "--out", "o.txt"]
@@ -447,6 +453,145 @@ class TestFlagSurface:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {flag} applies to ")
         assert not (tmp_path / "o.txt").exists()
+
+
+# The per-choice flags that each gen family, tile algorithm and verify lemma
+# reads, written out here rather than read from cli.
+CHOICE_READS = {
+    "gen": {**dict.fromkeys(("ex-triangle", "ex-triangle-alt", "ex-bes-1", "ex-bes-2",
+                             "ex-bes-3", "pinned-apex"), "--n --delta"),
+            "special-blowup": "--t --n --delta", "random": "--n --delta --seed",
+            "badly-k5": "", "doubled-k7": "--seed"},
+    "tile": {**dict.fromkeys(("moon-small", "bes-small", "moon-large", "bes-large"), "--budget"),
+             "phased": "--seed-clique"},
+    "verify": {"fact-k6": "", "claim-k7": "", "lemma-k8": "--seed --samples", "bowtie": "",
+               "k7x2": "--seed --samples --restarts"},
+}
+PER_CHOICE_FLAGS = {"gen": "--n --delta --t --seed", "tile": "--budget --seed-clique",
+                    "verify": "--seed --samples --restarts"}
+UNREAD_FLAGS = [(command, choice, flag) for command, table in CHOICE_READS.items()
+                for choice, reads in table.items() for flag in PER_CHOICE_FLAGS[command].split()
+                if flag not in reads.split()]
+# A value for each per-choice flag, and each choice's own flags with values
+# that it accepts; special-blowup reads --t, or --n and --delta.
+FLAG_VALUES = {"--n": "12", "--delta": "10", "--t": "3", "--seed": "5", "--budget": "3",
+               "--seed-clique": "0,1,2", "--samples": "3", "--restarts": "3"}
+CHOICE_FLAGS = {
+    "gen": {"ex-triangle": "--n 12 --delta 10", "ex-triangle-alt": "--n 25 --delta 22",
+            "ex-bes-1": "--n 20 --delta 16", "ex-bes-2": "--n 25 --delta 22",
+            "ex-bes-3": "--n 18 --delta 15", "pinned-apex": "--n 18 --delta 15",
+            "special-blowup": "--t 3", "random": "--n 15 --delta 12 --seed 1",
+            "badly-k5": "", "doubled-k7": "--seed 4"},
+    "tile": {**dict.fromkeys(("moon-small", "bes-small", "moon-large", "bes-large"),
+                             "--budget 100"),
+             "phased": "--seed-clique 0,1,2,3,4,5,6,7,8,9,10,11"},
+    "verify": {"fact-k6": "", "claim-k7": "", "lemma-k8": "--seed 3 --samples 5",
+               "bowtie": "", "k7x2": "--seed 3 --samples 5 --restarts 1"},
+}
+TILE_HOSTS = {"moon-small": "tri.txt", "bes-small": "tri.txt", "moon-large": "high.txt",
+              "bes-large": "top.txt", "phased": "k15.txt"}
+# What each lemma's campaign is called with, beside workers, given CHOICE_FLAGS.
+CAMPAIGN_KEYWORDS = {"fact-k6": {}, "claim-k7": {}, "bowtie": {},
+                     "lemma-k8": {"seed": 3, "extractor_samples": 5},
+                     "k7x2": {"seed": 3, "samples": 5, "adversarial_restarts": 1}}
+CHOICE_OPTION = {"gen": "--family", "tile": "--algorithm", "verify": "--lemma"}
+
+
+def choice_argv(command: str, choice: str, flags: str) -> list[str]:
+    """An argv running ``choice`` with ``flags``, its output to o.txt."""
+    path = [TILE_HOSTS[choice]] if command == "tile" else []
+    return [command, *path, CHOICE_OPTION[command], choice, *flags.split(), "--out", "o.txt"]
+
+
+def write_choice_hosts(tmp_path) -> None:
+    write_graph(constructions.ex_triangle(12, 10), tmp_path / "tri.txt")
+    write_graph(constructions.ex_bes_1(25, 22), tmp_path / "high.txt")
+    write_graph(constructions.ex_triangle(66, 65), tmp_path / "top.txt")
+    write_graph(complete_colouring(15, 2, 0), tmp_path / "k15.txt")
+
+
+def record_campaigns(monkeypatch) -> list:
+    """Replace the campaigns with one that records its keywords and holds."""
+    seen = []
+
+    def record(**kwargs):
+        seen.append(kwargs)
+        return verify_fact_k6()
+
+    for name in ("verify_fact_k6", "verify_claim_k7", "verify_lemma_k8", "verify_k7_blowup"):
+        monkeypatch.setattr(cli, name, record)
+    monkeypatch.setattr(cli, "verify_bowtie_lemmas", lambda **kwargs: [record(**kwargs)])
+    return seen
+
+
+class TestChoiceFlags:
+    def test_the_unread_pairs(self):
+        counts = {c: sum(1 for command, _, _ in UNREAD_FLAGS if command == c)
+                  for c in PER_CHOICE_FLAGS}
+        assert counts == {"gen": 21, "tile": 5, "verify": 10}
+        assert sorted((choice, flag) for command, choice, flag in UNREAD_FLAGS
+                      if command == "verify") == sorted(LEMMA_REFUSALS)
+
+    @pytest.mark.parametrize("command, choice, flag",
+                             [p for p in UNREAD_FLAGS if p[0] != "verify"])
+    def test_a_flag_the_choice_ignores_is_one_error_line(self, tmp_path, monkeypatch, capsys,
+                                                         command, choice, flag):
+        write_choice_hosts(tmp_path)
+        before = set(os.listdir(tmp_path))
+        argv = choice_argv(command, choice,
+                           f"{CHOICE_FLAGS[command][choice]} {flag} {FLAG_VALUES[flag]}")
+        assert run_in(tmp_path, monkeypatch, argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {flag} applies to ")
+        assert err[0].endswith(f", not {choice}")
+        assert set(os.listdir(tmp_path)) == before
+
+    @pytest.mark.parametrize("command, choice, own",
+                             [(c, choice, own) for c, table in CHOICE_FLAGS.items()
+                              for choice, own in table.items()]
+                             + [("gen", "special-blowup", "--n 12 --delta 8")])
+    def test_a_choice_given_its_own_flags_exits_zero(self, tmp_path, monkeypatch, capsys,
+                                                     command, choice, own):
+        write_choice_hosts(tmp_path)
+        seen = record_campaigns(monkeypatch)
+        assert run_in(tmp_path, monkeypatch, choice_argv(command, choice, own)) == 0
+        assert (tmp_path / "o.txt").exists()
+        if command == "verify":
+            assert seen == [{"workers": 1, **CAMPAIGN_KEYWORDS[choice]}]
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("family, n", [("random", "12"), ("doubled-k7", None)])
+    def test_a_left_out_seed_is_recorded_as_zero(self, tmp_path, monkeypatch, capsys,
+                                                 family, n):
+        sizes = ["--n", n, "--delta", "9"] if n else []
+        assert run_in(tmp_path, monkeypatch,
+                      ["gen", "--family", family, *sizes, "--out", "g.txt"]) == 0
+        side = json.loads((tmp_path / "g.txt.classes.json").read_text())
+        assert side["params"]["seed"] == 0
+        seeded = ["gen", "--family", family, *sizes, "--seed", "0", "--out", "s.txt"]
+        assert run_in(tmp_path, monkeypatch, seeded) == 0
+        assert (tmp_path / "s.txt").read_text() == (tmp_path / "g.txt").read_text()
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("sizes", [["--n", "12"], ["--delta", "8"],
+                                       ["--n", "12", "--delta", "8"]])
+    def test_special_blowup_takes_t_or_sizes_not_both(self, tmp_path, monkeypatch, capsys,
+                                                      sizes):
+        argv = ["gen", "--family", "special-blowup", "--t", "3", *sizes, "--out", "g.txt"]
+        assert run_in(tmp_path, monkeypatch, argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("argv, need", [
+        (["--family", "ex-triangle", "--n", "12"], "--delta"),
+        (["--family", "random", "--delta", "9"], "--n"),
+        (["--family", "special-blowup", "--n", "12"], "--delta"),
+        (["--family", "special-blowup"], "--t"),
+    ])
+    def test_a_missing_flag_is_named(self, tmp_path, monkeypatch, capsys, argv, need):
+        assert run_in(tmp_path, monkeypatch, ["gen", *argv, "--out", "g.txt"]) == 1
+        assert capsys.readouterr().err == f"error: --family {argv[1]} needs {need}\n"
 
 
 class TestReportingCommands:
@@ -862,6 +1007,17 @@ class TestInputFuzz:
                                     "--out", os.path.join(tmp, "e.csv"),
                                     "--witness", os.path.join(tmp, "w.json")])
         assert_clean_exit(rc, err)
+
+    @pytest.mark.parametrize("argv, key, what", [
+        (["solve", "doc.json"], "n", "graph json"),
+        (["experiment", "--config", "doc.json"], "n_values", "experiment config"),
+    ])
+    def test_deeply_nested_json_is_one_error_line(self, tmp_path, monkeypatch, capsys,
+                                                  argv, key, what):
+        # Nested past the json module's recursion limit.
+        (tmp_path / "doc.json").write_text(f'{{"{key}": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert run_in(tmp_path, monkeypatch, argv) == 1
+        assert capsys.readouterr().err == f"error: {what} is nested too deeply\n"
 
     @settings(max_examples=50, deadline=None)
     @given(host_files())
