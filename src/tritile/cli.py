@@ -145,12 +145,17 @@ def _chosen(args, option: str, table: dict) -> tuple:
     reads = {c: keys.replace("|", " ").split() for c, (keys, _) in table.items()}
     for key in dict.fromkeys(sum(reads.values(), [])):
         if getattr(args, key) is not None and key not in reads[choice]:
-            readers = [c for c in table if key in reads[c]]
-            listed = f"{', '.join(readers[:-1])} and {readers[-1]}" if readers[1:] else readers[0]
-            raise _UsageError(f"--{key.replace('_', '-')} applies to {listed}, not {choice}")
+            raise _UsageError(f"--{key.replace('_', '-')} applies to {_readers(table, key)}, "
+                              f"not {choice}")
     if getattr(args, "seed", 0) is None:
         args.seed = 0
     return table[choice][1], _given(**{key: getattr(args, key) for key in reads[choice]})
+
+
+def _readers(table: dict, key: str) -> str:
+    """The choices in ``table`` that read the per-choice flag ``key``, as "a, b and c"."""
+    readers = [c for c, (keys, _) in table.items() if key in keys.replace("|", " ").split()]
+    return f"{', '.join(readers[:-1])} and {readers[-1]}" if readers[1:] else readers[0]
 
 
 def _given(**flags) -> dict:
@@ -196,9 +201,12 @@ def _cmd_gen(args) -> int:
     build, params = _chosen(args, "family", GEN_FAMILIES)
     _check_order(args.n, "--n")
     _check_order(None if args.t is None else 3 * args.t + 1, "--t")
-    sets = GEN_FAMILIES[family][0].split("|")
-    needed = next((s for s in sets if params.keys() & set(s.split())), sets[0]).split()
-    missing = [key for key in needed if key not in params]
+    sets = [keys.split() for keys in GEN_FAMILIES[family][0].split("|")]
+    picked = [keys for keys in sets if params.keys() & set(keys)] or sets[:1]
+    if picked[1:]:
+        alternatives = " or ".join(" ".join(f"--{key}" for key in keys) for keys in sets)
+        raise _UsageError(f"--family {family} takes {alternatives}, not both")
+    missing = [key for key in picked[0] if key not in params]
     if missing:
         raise _UsageError(f"--family {family} needs --{missing[0]}")
     g, classes = build(**params)
@@ -560,9 +568,8 @@ def _build_parser() -> _Parser:
                    help="host file path; the classes go to PATH.classes.json")
     p.add_argument("--family", required=True, choices=GEN_FAMILIES)
     p.set_defaults(seed=None)  # so that a family without a seed can refuse one
-    p.add_argument("--n", type=int)
-    p.add_argument("--delta", type=int)
-    p.add_argument("--t", type=int)
+    for key, what in (("n", "host order"), ("delta", "min degree"), ("t", "3t+1 vertices")):
+        p.add_argument(f"--{key}", type=int, help=f"{what} ({_readers(GEN_FAMILIES, key)})")
 
     p = command("solve", _cmd_solve, "--json --out --budget",
                 help="exact optimum triangle tiling of a host file")

@@ -227,7 +227,6 @@ class _K7x2Tables(NamedTuple):
     tri_verts: np.ndarray       # (280, 3): the vertices of each triangle
     tri_masks: np.ndarray       # (280,) int16: the vertex mask of each triangle
     vmasks: tuple[int, ...]     # the same masks as python ints
-    tri_index: dict[int, int]   # vertex mask -> triangle index
     through: tuple              # per edge: (1 << t, a, b) for the ten triangles t through
                                 # it, a and b their other two edges
     apart: tuple[int, ...]      # per triangle: the bitset of the triangles disjoint from it
@@ -247,7 +246,6 @@ def _k7x2_tables() -> _K7x2Tables:
                       if all(e in index for e in combinations(t, 2))])
     rows = np.array([[index[e] for e in combinations(t, 2)] for t in verts.tolist()])
     masks = np.bitwise_or.reduce(1 << verts, axis=1).astype(np.int16)  # small kernel temps
-    vmasks = tuple(masks.tolist())
     # A stable sort of the flattened edge table lists each edge's ten triangles in order.
     pos = np.argsort(rows.ravel(), kind="stable").reshape(len(K7X2_EDGES), 10)
     others = np.take_along_axis(rows[pos // 3], np.array([[1, 2], [0, 2], [0, 1]])[pos % 3], 2)
@@ -264,8 +262,8 @@ def _k7x2_tables() -> _K7x2Tables:
     i, j, shared = (x[shared & (shared - 1) == 0] for x in (i, j, shared))  # <= 1 class shared
     upper = np.flatnonzero(uppers == 3)
     lower_verts = np.array([mask_of(2 * k for k in iter_bits(m)) for m in range(128)], np.int16)
-    return _K7x2Tables(rows, verts, masks, vmasks, {mask: t for t, mask in enumerate(vmasks)},
-                       through, tuple(int.from_bytes(r, "little") for r in apart),
+    return _K7x2Tables(rows, verts, masks, tuple(masks.tolist()), through,
+                       tuple(int.from_bytes(r, "little") for r in apart),
                        weights, weights.sum(axis=0).astype(np.int64),
                        np.stack([i, j, shared, classes[i] ^ shared, classes[j] ^ shared], axis=1),
                        upper, classes[upper], lower_verts)

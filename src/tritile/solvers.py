@@ -49,7 +49,11 @@ A dynamic greedy packing (repeatedly take the alive triangle with the
 smallest total triangle-degree over its vertices, the lowest index on a
 tie) seeds the incumbent; on the extremal constructions in this package it
 already hits the optimum and the root bound certifies it, so those solves
-finish in one node.
+finish in one node.  A search given a ``cap`` stops at its first packing of
+``cap`` triangles, the seed included, which proves the capped optimum; its
+nodes test the cap only where the incumbent grows, so an uncapped search's
+nodes pay nothing for it.  The capped packings of :mod:`tritile.verifiers`
+run here.
 
 Most nodes of a deep search meet an alive set that an earlier node of the
 same search already met: one pass of perfbench's ``solve`` workload makes
@@ -123,10 +127,12 @@ class _PackingSearch:
     """Branch and bound over one fixed triangle list.
 
     A set of triangles is one int with bit ``i`` for triangle ``i``, and
-    ``inc[v]`` is the set of triangles through vertex ``v``.
+    ``inc[v]`` is the set of triangles through vertex ``v``.  A ``cap`` other
+    than None stops the search at its first packing of ``cap`` triangles.
     """
 
-    def __init__(self, triangles: Sequence[Triangle] | np.ndarray, budget: int):
+    def __init__(self, triangles: Sequence[Triangle] | np.ndarray, budget: int,
+                 cap: Optional[int] = None):
         # int32 holds any vertex below MAX_VERTICES at half the memory of int64.
         self.table = np.asarray(triangles, dtype=np.int32).reshape(-1, 4)
         verts = self.table[:, :3]
@@ -149,6 +155,7 @@ class _PackingSearch:
         self.inc = [int.from_bytes(row.tobytes(), "little") for row in packed]
         self.first, self.second, self.third = (column.tolist() for column in self.columns)
         self.budget = budget
+        self.cap = cap
         self.nodes = 0
         self.best_count = -1
         self.best_sel: list[int] = []
@@ -164,7 +171,8 @@ class _PackingSearch:
         self.best_sel = seed
         proved = True
         try:
-            self._search()
+            if len(seed) != self.cap:  # else the seed proves the capped optimum
+                self._search()
         except SearchBudgetExceeded:
             proved = False
         tiling = Tiling(tuple(MonoClique.of(self.table[i].tolist()) for i in self.best_sel))
@@ -193,6 +201,8 @@ class _PackingSearch:
             if count > self.best_count:
                 self.best_count = count
                 self.best_sel = chosen[:]
+                if count == self.cap:
+                    return
             if alive:
                 entry = memo.get(alive)
                 # The alive triangles through each support vertex: built with
@@ -281,7 +291,7 @@ class _PackingSearch:
         index = np.arange(len(a))
         hit = np.zeros(len(self.inc), dtype=bool)
         chosen = []
-        while index.size:
+        while index.size and len(chosen) != self.cap:
             deg = (np.bincount(a, minlength=len(hit)) + np.bincount(b, minlength=len(hit))
                    + np.bincount(c, minlength=len(hit)))
             # argmin returns the first minimum: ties go to the lower index.
@@ -403,18 +413,12 @@ def max_single_colour_tiling(g: ColouredGraph, budget: Optional[int] = None) -> 
 
 def _single_colour_search(table: np.ndarray, r: int, budget: int) -> SolveResult:
     """:func:`max_single_colour_tiling` over a host's :func:`_triangle_table`."""
-    best: Optional[SolveResult] = None
-    nodes = 0
-    all_proved = True
-    for c in range(r):
-        res = _PackingSearch(table[table[:, 3] == c], budget).run()
-        nodes += res.nodes_explored
-        all_proved = all_proved and res.proved_optimal
-        if best is None or res.optimum > best.optimum:
-            best = res
-    assert best is not None
+    results = [_PackingSearch(table[table[:, 3] == c], budget).run() for c in range(r)]
+    # max keeps the first of equal optima, so ties go to the lower colour.
+    best = max(results, key=lambda res: res.optimum)
     return SolveResult(optimum=best.optimum, tiling=best.tiling,
-                       nodes_explored=nodes, proved_optimal=all_proved)
+                       nodes_explored=sum(res.nodes_explored for res in results),
+                       proved_optimal=all(res.proved_optimal for res in results))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache, partial
 from itertools import combinations
 from math import comb
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -243,8 +243,16 @@ def has_mono_pair_sharing_at_most(g: ColouredGraph, shared: int) -> bool:
 
 def max_disjoint_mono_capped(g: ColouredGraph, cap: int = 3) -> int:
     """Size of a largest vertex-disjoint monochromatic-triangle family, capped."""
-    return len(_max_disjoint_capped([(1 << u) | (1 << v) | (1 << w)
-                                     for u, v, w, _ in g.mono_triangles()], cap))
+    return len(_capped_packing(g.mono_triangles(), cap))
+
+
+def _capped_packing(triangles: Sequence | np.ndarray, cap: int) -> list[int]:
+    """The positions of a largest packing of the ``(u, v, w, c)`` rows, cut off at ``cap``;
+    raises :class:`SearchBudgetExceeded` past ``DEFAULT_NODE_BUDGET`` nodes."""
+    search = _PackingSearch(triangles, DEFAULT_NODE_BUDGET, cap)
+    if not search.run().proved_optimal:
+        raise SearchBudgetExceeded(f"capped packing search exceeded {DEFAULT_NODE_BUDGET} nodes")
+    return search.best_sel
 
 
 def lemma_violated(lemma: str, g: ColouredGraph, extra: Optional[dict] = None) -> bool:
@@ -265,33 +273,6 @@ def lemma_violated(lemma: str, g: ColouredGraph, extra: Optional[dict] = None) -
         # A violation is a qualifying colouring whose extraction failed.
         return not bowtie_extraction_holds(g)
     raise ValueError(f"unknown lemma {lemma!r}")
-
-
-def _max_disjoint_capped(masks: Sequence[int], cap: int) -> list[int]:
-    """A largest family of pairwise disjoint ``masks``, cut off at ``cap`` members.
-
-    The family comes in list order, and its length is the capped maximum.
-    """
-    best: list[int] = []
-    chosen: list[int] = []
-    k = len(masks)
-
-    def rec(i: int, used: int) -> None:
-        nonlocal best
-        if len(chosen) > len(best):
-            best = chosen[:]
-        if len(best) >= cap:
-            return
-        for j in range(i, k):
-            if not masks[j] & used:
-                chosen.append(masks[j])
-                rec(j + 1, used | masks[j])
-                chosen.pop()
-                if len(best) >= cap:
-                    return
-
-    rec(0, 0)
-    return best
 
 
 def _confirm(cond: bool, what: str, g: Optional[ColouredGraph] = None) -> None:
@@ -652,7 +633,11 @@ def _extracts(extractor: Callable, g: ColouredGraph) -> bool:
         return False
 
 
-def _extract_k8_task(codes: tuple[int, ...]) -> list[int]:
+def _extract_k8_task(args: tuple) -> list[int]:
+    """The codes among one task's K8 samples on which the extractor fails."""
+    index, count, seed = args
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+    codes = rng.integers(0, 1 << comb(8, 2), size=count, dtype=np.int64).tolist()
     return [code for code in codes
             if not _extracts(extract_two_disjoint_k8, complete_colouring(8, 2, code))]
 
@@ -670,6 +655,7 @@ def verify_lemma_k8(n: int = 8, workers: Optional[int] = None,
 
     ``extractor_samples`` additionally runs the constructive K8 extractor on
     that many uniformly sampled codes (n=8 only) and counts its failures.
+    Each task of ``_K8_CHUNK`` codes draws its own, so workers do not change them.
     """
     if extractor_samples < 0:
         raise ValueError(f"extractor sample count must be nonnegative, got {extractor_samples}")
@@ -683,12 +669,8 @@ def verify_lemma_k8(n: int = 8, workers: Optional[int] = None,
                           partial(_no_mono_pair, share=0), "lemma-k8",
                           workers, shift=shift)
     if extractor_samples:
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        sample = rng.integers(0, report.universe_size, size=extractor_samples,
-                              dtype=np.int64)
-        step = 10_000
-        tasks = [tuple(int(c) for c in sample[i:i + step])
-                 for i in range(0, extractor_samples, step)]
+        tasks = [(index, min(_K8_CHUNK, extractor_samples - lo), seed)
+                 for index, lo in enumerate(range(0, extractor_samples, _K8_CHUNK))]
         failures = [code for f in _map_tasks(_extract_k8_task, tasks, workers)
                     for code in f]
         report = replace(report, elapsed=time.perf_counter() - start,
@@ -793,7 +775,8 @@ def k7x2_graph(bits: Sequence[int]) -> ColouredGraph:
 # its index, so the samples depend on it.  A task's colourings are drawn
 # _K7X2_DRAW rows per rng call and go through the extractor kernel and the
 # check of its triangles _K7X2_HOSTS rows at a time, so that a batch's
-# temporaries stay well under 1 MB.
+# temporaries stay well under 1 MB.  lemma-k8's samples run in tasks of _K8_CHUNK codes.
+_K8_CHUNK = 10_000
 _K7X2_CHUNK = 100_000
 _K7X2_DRAW = 10_000
 _K7X2_HOSTS = 256
@@ -846,25 +829,40 @@ def _k7x2_adversarial_task(args: tuple, cap: int = 3) -> tuple[int, int, list[in
     mono = sum(1 << t for t, (x, y, z) in enumerate(tri_edges) if bits[x] == bits[y] == bits[z])
     delta = [tog.bit_count() - 2 * (tog & mono).bit_count() for tog in toggles]
 
-    def largest(tris: Iterable[int]) -> list[int]:
-        return [tab.tri_index[p] for p in _max_disjoint_capped([tab.vmasks[t] for t in tris], cap)]
+    def largest(alive: int, kept: list[int]) -> list[int]:
+        """A largest packing of the mono set ``alive``, capped: ``kept``, disjoint triangles
+        of it, grown by lowest disjoint ones up to the cap, else a capped search."""
+        while len(kept) < cap and (lowest := _k7x2_third(alive, kept)) is not None:
+            kept = kept + [lowest]
+        if len(kept) == cap:
+            return kept
+        tris = list(iter_bits(alive))
+        # The search reads the vertices alone; the colour column is a placeholder.
+        rows = np.pad(tab.tri_verts[tris], ((0, 0), (0, 1)))
+        return [tris[i] for i in _capped_packing(rows, cap)]
 
-    packing = largest(iter_bits(mono))
+    # The first packing starts from the lowest mono triangle; the host's K6 makes one.
+    packing = largest(mono, [(mono & -mono).bit_length() - 1])
     current = (len(packing), mono.bit_count())
-    evaluated = 1
-    min_floor = current[0]
+    evaluated, min_floor = 0, cap
     violations: list[int] = []
-    if current[0] < cap:
-        violations.append(k7x2_code(bits))
-    for _ in range(max_steps):
+    while True:
+        # The skipped flips rely on P being mono, the extensions of its kept triangles on
+        # it being disjoint, and the counts on delta agreeing with the mono set.
+        _confirm(mono.bit_count() == current[1] and all(mono >> t & 1 for t in packing)
+                 and not any(tab.vmasks[s] & tab.vmasks[t] for s, t in combinations(packing, 2)),
+                 "a descent's mono set and kept packing")
+        evaluated += 1
+        min_floor = min(min_floor, current[0])
+        if current[0] < cap:
+            violations.append(k7x2_code(bits))
+        if evaluated > max_steps:
+            break
         packings: dict[int, list[int]] = {}
         search = [e for t in packing for e in tri_edges[t]] if len(packing) == cap else range(m)
         for f in search:
             after = mono ^ toggles[f]
-            kept = [t for t in packing if after >> t & 1]
-            third = _k7x2_third(after, kept) if len(kept) == cap - 1 else None
-            packings[f] = kept + [third] if third is not None else largest(
-                kept + list(iter_bits(after)))
+            packings[f] = largest(after, [t for t in packing if after >> t & 1])
         least = min(delta)
         floor, change, f = min([(len(p), delta[f], f) for f, p in packings.items()
                                 if len(p) < cap], default=(cap, least, delta.index(least)))
@@ -880,16 +878,7 @@ def _k7x2_adversarial_task(args: tuple, cap: int = 3) -> tuple[int, int, list[in
         delta[f] = -delta[f]
         bits[f] ^= 1
         packing = packings.get(f, packing)
-        # The skipped flips rely on P being mono, the third-triangle picks on it being
-        # disjoint, and the counts on delta agreeing with the mono set.
-        _confirm(mono.bit_count() == best[1] and all(mono >> t & 1 for t in packing)
-                 and not any(tab.vmasks[s] & tab.vmasks[t] for s, t in combinations(packing, 2)),
-                 "a descent's mono set and kept packing")
         current = best
-        evaluated += 1
-        min_floor = min(min_floor, floor)
-        if floor < cap:
-            violations.append(k7x2_code(bits))
     return evaluated, min_floor, violations
 
 
@@ -916,14 +905,14 @@ def verify_k7_blowup(samples: int = 1_000_000, adversarial_restarts: int = 1_000
     through f by +1 if that edge had f's colour, else by -1.  The triangles
     of P share no edge, so when |P| = cap a flip off P's edges keeps P mono
     and its floor is the cap.  A flip of an edge of P (any flip, when
-    |P| < cap) keeps P's still-mono triangles; when cap - 1 remain, one AND
-    of bitsets finds a mono triangle avoiding them, which makes the floor the
-    cap, and the full capped search runs only where none exists or fewer
-    remain.  So every flip gets the (floor, count) of a full search, whichever
-    largest P is kept, and the step, the first strict minimum in edge order
-    (the least delta when every floor is the cap), is the same.  A taken
-    flip's packing becomes P and is confirmed mono and pairwise disjoint,
-    and the mono set's size is confirmed against the count.
+    |P| < cap) keeps P's still-mono triangles and adds the lowest mono
+    triangle avoiding all kept, one AND of bitsets each, up to the cap; a
+    restart's first P grows so from its lowest mono triangle.  Only where
+    that falls short does the capped packing search run.  So every flip gets
+    the (floor, count) of a full search, whichever largest P is kept, and the
+    step, the first strict minimum in edge order (the least delta when every
+    floor is the cap), is the same.  Each state's P is confirmed mono and
+    pairwise disjoint, and the mono set's size is confirmed against the count.
     """
     if samples < 0 or adversarial_restarts < 0:
         raise ValueError("sample and restart counts must be nonnegative")

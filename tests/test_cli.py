@@ -579,9 +579,20 @@ class TestChoiceFlags:
                                                       sizes):
         argv = ["gen", "--family", "special-blowup", "--t", "3", *sizes, "--out", "g.txt"]
         assert run_in(tmp_path, monkeypatch, argv) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --family special-blowup takes --t or --n --delta, not both"]
         assert os.listdir(tmp_path) == []
+
+    def test_size_flags_name_the_families_that_read_them(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "400")
+        with pytest.raises(SystemExit):
+            cli.run(["gen", "--help"])
+        helps = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()
+                 if line.lstrip().startswith("--")}
+        sizes = ("(ex-triangle, ex-triangle-alt, ex-bes-1, ex-bes-2, ex-bes-3, pinned-apex, "
+                 "special-blowup and random)")
+        assert helps["--n"].endswith(sizes) and helps["--delta"].endswith(sizes)
+        assert helps["--t"].endswith("(special-blowup)")
 
     @pytest.mark.parametrize("argv, need", [
         (["--family", "ex-triangle", "--n", "12"], "--delta"),

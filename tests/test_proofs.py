@@ -28,6 +28,7 @@ from tritile.graphs import (
     ColouredGraph,
     MonoClique,
     SearchBudgetExceeded,
+    Tiling,
     blow_up,
     complete_colouring,
     first_pair,
@@ -543,6 +544,29 @@ class TestPhasedTiler:
         result = phased_tiler(g, MonoClique(tuple(range(12)), RED))
         assert len(result.tiling) >= (36 - 2) // 3
         assert result.tiling.verify(g)
+
+    def test_phase_three_pairs_the_pentagon_with_quiet_seed_vertices(self):
+        # K17: a red K12 seed on 0..11, a red C5 on 12..16 with its complement
+        # blue, every cross edge blue.  The pentagon has no mono triangle, so
+        # phase I takes nothing, and no outside vertex has a red edge into the
+        # seed, so phase II takes nothing.  Phase III takes (0, 12, 14) and
+        # (1, 13, 15), each around one quiet seed vertex; the rest of the seed
+        # is chopped into red triangles.
+        def colour(u, v):
+            if v < 12:
+                return RED
+            if u < 12:
+                return BLUE
+            return RED if (v - u) % 5 in (1, 4) else BLUE
+
+        g = ColouredGraph(17, 2, [(u, v, colour(u, v)) for u in range(17)
+                                  for v in range(u + 1, 17)])
+        result = phased_tiler(g, MonoClique(tuple(range(12)), RED))
+        assert result.strict and result.notes == ()
+        assert result.tiling == Tiling((
+            MonoClique((0, 12, 14), BLUE), MonoClique((1, 13, 15), BLUE),
+            MonoClique((2, 3, 4), RED), MonoClique((5, 6, 7), RED), MonoClique((8, 9, 10), RED)))
+        assert result.tiling.verify(g) and len(result.tiling) == (17 - 2) // 3
 
     def test_relaxed_mode_reports_instead_of_raising(self):
         edges = [(u, v, RED) for u in range(6) for v in range(u + 1, 6)]

@@ -330,6 +330,24 @@ class TestPackingSearchMatchesReference:
         self.test_matches_the_reference_loop()
         self.test_matches_the_reference_on_recoloured_extremal_hosts()
 
+    def test_a_cap_stops_the_search_at_its_first_packing_of_that_size(self):
+        # Six disjoint triangles, three decoys that each meet two of them in
+        # their third vertices, and a padding triangle through two hubs for
+        # every other vertex of the six.  The greedy seed takes the three
+        # decoys and one padding triangle, 4, where the optimum is 6.
+        tris = sorted([(3 * j, 3 * j + 1, 3 * j + 2, 0) for j in range(6)]
+                      + [(6 * k + 2, 6 * k + 5, 18 + k, 0) for k in range(3)]
+                      + [(v, 21, 22, 0) for v in range(18) if v % 3 != 2])
+        uncapped = _PackingSearch(tris, 100).run()
+        assert uncapped == ReferencePackingSearch(tris, 100).run()
+        assert (uncapped.optimum, uncapped.nodes_explored) == (6, 19)
+        assert len(_PackingSearch(tris, 100)._greedy()) == 4
+        got = {cap: _PackingSearch(tris, 100, cap=cap).run() for cap in range(8)}
+        assert {cap: (res.optimum, res.nodes_explored) for cap, res in got.items()} == {
+            **{cap: (cap, 0) for cap in range(5)}, 5: (5, 6), 6: (6, 7), 7: (6, 19)}
+        assert all(res.proved_optimal and len(res.tiling) == res.optimum
+                   for res in got.values())
+
     def test_deep_search_stays_off_the_call_stack(self):
         # 80 disjoint copies of four pairwise-meeting triangles on six
         # vertices: each copy packs one, yet every bound reads two, so the

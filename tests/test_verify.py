@@ -63,12 +63,11 @@ from tritile.verifiers import (
     _k7x2_adversarial_task,
     _k7x2_colour_rows,
     _k7x2_packs,
-    _max_disjoint_capped,
     _no_mono_pair,
     _run_scan,
     _split_pair,
 )
-from tritile.solvers import find_bowtie
+from tritile.solvers import DEFAULT_NODE_BUDGET, _PackingSearch, find_bowtie
 
 
 class TestExhaustiveScans:
@@ -166,6 +165,26 @@ class TestExhaustiveScans:
         assert rep.checked == 1 << 27
         assert rep.reduction_factor == 2
         assert rep.violation_count == 0
+
+    def test_extractor_failures_do_not_depend_on_workers(self, monkeypatch):
+        # The extractor fails on every code divisible by 3: the failures are
+        # the sampled codes of that kind, in the same order at any worker count.
+        # The exhaustive scan is not under test, so it is skipped.
+        real = verifiers.extract_two_disjoint_k8
+        monkeypatch.setattr(verifiers, "_run_scan", lambda *args, **kwargs: (0, 0, 0, []))
+
+        def failing(g):
+            if colouring_code(g) % 3 == 0:
+                raise ValueError("chosen to fail")
+            return real(g)
+
+        monkeypatch.setattr(verifiers, "extract_two_disjoint_k8", failing)
+        one, two = (verify_lemma_k8(workers=w, extractor_samples=12_000, seed=4)
+                    for w in (1, 2))
+        assert one.comparable() == two.comparable()
+        codes = one.extra["extractor_failure_codes"]
+        assert len(codes) == verifiers.WITNESS_CAP and all(code % 3 == 0 for code in codes)
+        assert 3_500 < one.extra["extractor_failures"] < 4_500
 
     def test_extractor_subset_rejects_other_orders(self):
         with pytest.raises(ValueError, match="K8"):
@@ -752,14 +771,20 @@ class TestDoubledK7MatchesReference:
 def test_capped_search_returns_a_largest_disjoint_family(g, cap):
     tris = g.mono_triangles()
     masks = [(1 << u) | (1 << v) | (1 << w) for u, v, w, _ in tris]
-    packing = _max_disjoint_capped(masks, cap)
-    assert len(packing) == min(cap, oracle_max_packing(tris)) == reference_capped_count(masks, cap)
-    rest = iter(masks)
-    assert all(t in rest for t in packing)
+    search = _PackingSearch(tris, DEFAULT_NODE_BUDGET, cap=cap)
+    res = search.run()
+    best = oracle_max_packing(tris)
+    assert res.proved_optimal
+    assert (res.optimum == len(search.best_sel) == min(cap, best)
+            == reference_capped_count(masks, cap))
+    assert res.tiling == Tiling(tuple(MonoClique.of(tris[i]) for i in search.best_sel))
     used = 0
-    for t in packing:
-        assert not t & used
-        used |= t
+    for i in search.best_sel:
+        assert not masks[i] & used
+        used |= masks[i]
+    if cap > best:
+        # A cap the packing never reaches leaves the search as it is uncapped.
+        assert res == _PackingSearch(tris, DEFAULT_NODE_BUDGET).run()
 
 
 def reference_has_mono_clique(g, ell):
