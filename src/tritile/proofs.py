@@ -229,6 +229,7 @@ class _K7x2Tables(NamedTuple):
     vmasks: tuple[int, ...]     # the same masks as python ints
     through: tuple              # per edge: (1 << t, a, b) for the ten triangles t through
                                 # it, a and b their other two edges
+    slots: tuple                # slots[k][e]: the bitset of the triangles whose k-th edge is e
     apart: tuple[int, ...]      # per triangle: the bitset of the triangles disjoint from it
     weights: np.ndarray         # (84, 14): W[e, u] = 1 << v for the edge e = uv, as floats
     full: np.ndarray            # (14,): each vertex's neighbourhood mask
@@ -263,10 +264,19 @@ def _k7x2_tables() -> _K7x2Tables:
     upper = np.flatnonzero(uppers == 3)
     lower_verts = np.array([mask_of(2 * k for k in iter_bits(m)) for m in range(128)], np.int16)
     return _K7x2Tables(rows, verts, masks, tuple(masks.tolist()), through,
+                       _slot_masks(rows, len(K7X2_EDGES)),
                        tuple(int.from_bytes(r, "little") for r in apart),
                        weights, weights.sum(axis=0).astype(np.int64),
                        np.stack([i, j, shared, classes[i] ^ shared, classes[j] ^ shared], axis=1),
                        upper, classes[upper], lower_verts)
+
+
+def _slot_masks(tri_edges: np.ndarray, edge_count: int) -> tuple:
+    """Per column k of the (T, 3) edge table ``tri_edges`` and per edge e, the T-bit
+    set of the triangles whose k-th edge is e."""
+    hits = tri_edges.T[:, None, :] == np.arange(edge_count)[:, None]
+    return tuple(tuple(int.from_bytes(r, "little") for r in k)
+                 for k in np.packbits(hits, axis=2, bitorder="little"))
 
 
 _K7X2_FAILURES = (None, "transversal K7 without a near-disjoint triangle pair",

@@ -275,10 +275,11 @@ def lemma_violated(lemma: str, g: ColouredGraph, extra: Optional[dict] = None) -
     raise ValueError(f"unknown lemma {lemma!r}")
 
 
-def _confirm(cond: bool, what: str, g: Optional[ColouredGraph] = None) -> None:
+def _confirm(cond: bool, what: str, g: Optional[ColouredGraph] = None,
+             detail: Optional[dict] = None) -> None:
     if not cond:
         raise AnomalyError(f"vector scan and slow recheck disagree on {what}",
-                           graph=g)
+                           graph=g, detail=detail)
 
 
 # --------------------------------------------------------------------------
@@ -812,6 +813,22 @@ def _k7x2_third(mono: int, kept: Sequence[int]) -> Optional[int]:
     return (mono & -mono).bit_length() - 1 if mono else None
 
 
+def _k7x2_setup(row: np.ndarray) -> tuple[list[int], int, list[int]]:
+    """A descent's state for the 0/1 colour row ``row`` of ``K7X2_EDGES``: per edge
+    the triangles a flip of it toggles, the mono set, and per edge the change a
+    flip makes to the mono count; :func:`verify_k7_blowup` gives the identity.
+    """
+    tab = _k7x2_tables()
+    x, y, z = (int.from_bytes(col, "little") for col in
+               np.packbits(row[tab.tri_edges.T], axis=1, bitorder="little"))
+    full = (1 << len(tab.tri_edges)) - 1
+    e01, e12, e02 = full ^ x ^ y, full ^ y ^ z, full ^ x ^ z
+    mono = e01 & e12
+    toggles = [s0 & e12 | s1 & e02 | s2 & e01 for s0, s1, s2 in zip(*tab.slots)]
+    delta = [tog.bit_count() - 2 * (tog & mono).bit_count() for tog in toggles]
+    return toggles, mono, delta
+
+
 def _k7x2_adversarial_task(args: tuple, cap: int = 3) -> tuple[int, int, list[int]]:
     """One steepest-descent restart; see :func:`verify_k7_blowup` for the argument.
 
@@ -822,36 +839,44 @@ def _k7x2_adversarial_task(args: tuple, cap: int = 3) -> tuple[int, int, list[in
     tab = _k7x2_tables()
     through, tri_edges = tab.through, tab.tri_edges.tolist()
     m = len(K7X2_EDGES)
-    bits = rng.integers(0, 2, size=m, dtype=np.uint8).tolist()
-    # toggles[e]: the triangles whose mono status a flip of e changes, those through
-    # e whose other two edges agree; delta[e]: the change in the mono count.
-    toggles = [sum(bit for bit, a, b in row if bits[a] == bits[b]) for row in through]
-    mono = sum(1 << t for t, (x, y, z) in enumerate(tri_edges) if bits[x] == bits[y] == bits[z])
-    delta = [tog.bit_count() - 2 * (tog & mono).bit_count() for tog in toggles]
+    row = rng.integers(0, 2, size=m, dtype=np.uint8)
+    bits = row.tolist()
+    toggles, mono, delta = _k7x2_setup(row)
+    evaluated, min_floor = 0, cap
+
+    def confirm(cond: bool, what: str) -> None:
+        if not cond:  # the dump names the state; built on failure only
+            _confirm(cond, what, k7x2_graph(bits), {"restart": restart_index, "seed": seed,
+                                                    "state": evaluated, "code": k7x2_code(bits)})
+
+    sums = row[tab.tri_edges].sum(axis=1)
+    confirm(mono.bit_count() == np.count_nonzero((sums == 0) | (sums == 3)),
+            "a descent's first mono set")
+
+    def searched(alive: int) -> list[int]:
+        """A largest packing of the mono set ``alive``, capped, from the capped search."""
+        tris = list(iter_bits(alive))
+        # The search reads the vertices alone; the colour column is a placeholder.
+        rows = np.pad(tab.tri_verts[tris], ((0, 0), (0, 1)))
+        return [tris[i] for i in _capped_packing(rows, cap)]
 
     def largest(alive: int, kept: list[int]) -> list[int]:
         """A largest packing of the mono set ``alive``, capped: ``kept``, disjoint triangles
         of it, grown by lowest disjoint ones up to the cap, else a capped search."""
         while len(kept) < cap and (lowest := _k7x2_third(alive, kept)) is not None:
             kept = kept + [lowest]
-        if len(kept) == cap:
-            return kept
-        tris = list(iter_bits(alive))
-        # The search reads the vertices alone; the colour column is a placeholder.
-        rows = np.pad(tab.tri_verts[tris], ((0, 0), (0, 1)))
-        return [tris[i] for i in _capped_packing(rows, cap)]
+        return kept if len(kept) == cap else searched(alive)
 
     # The first packing starts from the lowest mono triangle; the host's K6 makes one.
     packing = largest(mono, [(mono & -mono).bit_length() - 1])
     current = (len(packing), mono.bit_count())
-    evaluated, min_floor = 0, cap
     violations: list[int] = []
     while True:
         # The skipped flips rely on P being mono, the extensions of its kept triangles on
         # it being disjoint, and the counts on delta agreeing with the mono set.
-        _confirm(mono.bit_count() == current[1] and all(mono >> t & 1 for t in packing)
-                 and not any(tab.vmasks[s] & tab.vmasks[t] for s, t in combinations(packing, 2)),
-                 "a descent's mono set and kept packing")
+        confirm(mono.bit_count() == current[1] and all(mono >> t & 1 for t in packing)
+                and not any(tab.vmasks[s] & tab.vmasks[t] for s, t in combinations(packing, 2)),
+                "a descent's mono set and kept packing")
         evaluated += 1
         min_floor = min(min_floor, current[0])
         if current[0] < cap:
@@ -859,13 +884,31 @@ def _k7x2_adversarial_task(args: tuple, cap: int = 3) -> tuple[int, int, list[in
         if evaluated > max_steps:
             break
         packings: dict[int, list[int]] = {}
-        search = [e for t in packing for e in tri_edges[t]] if len(packing) == cap else range(m)
-        for f in search:
-            after = mono ^ toggles[f]
-            packings[f] = largest(after, [t for t in packing if after >> t & 1])
-        least = min(delta)
-        floor, change, f = min([(len(p), delta[f], f) for f, p in packings.items()
-                                if len(p) < cap], default=(cap, least, delta.index(least)))
+        if len(packing) == cap:
+            # A flip of an edge of t kills t and no other triangle of P, so only a
+            # searched flip can fall below the cap.
+            below = []
+            for t in packing:
+                kept = [s for s in packing if s != t]
+                for f in tri_edges[t]:
+                    after = mono ^ toggles[f]
+                    third = _k7x2_third(after, kept)
+                    if third is not None:
+                        packings[f] = kept + [third]
+                    else:
+                        packings[f] = p = searched(after)
+                        if len(p) < cap:
+                            below.append((len(p), delta[f], f))
+        else:
+            for f in range(m):
+                after = mono ^ toggles[f]
+                packings[f] = largest(after, [t for t in packing if after >> t & 1])
+            below = [(len(p), delta[f], f) for f, p in packings.items() if len(p) < cap]
+        if below:
+            floor, change, f = min(below)
+        else:
+            change = min(delta)
+            floor, f = cap, delta.index(change)
         best = (floor, current[1] + change)
         if best >= current:
             break
@@ -902,17 +945,24 @@ def verify_k7_blowup(samples: int = 1_000_000, adversarial_restarts: int = 1_000
     toggles exactly the triangles through e whose other two edges agree, so
     the change delta[e] in the mono count is kept for every edge: flipping f
     negates delta[f] and moves the delta of each other edge of a triangle
-    through f by +1 if that edge had f's colour, else by -1.  The triangles
-    of P share no edge, so when |P| = cap a flip off P's edges keeps P mono
-    and its floor is the cap.  A flip of an edge of P (any flip, when
-    |P| < cap) keeps P's still-mono triangles and adds the lowest mono
-    triangle avoiding all kept, one AND of bitsets each, up to the cap; a
-    restart's first P grows so from its lowest mono triangle.  Only where
-    that falls short does the capped packing search run.  So every flip gets
-    the (floor, count) of a full search, whichever largest P is kept, and the
-    step, the first strict minimum in edge order (the least delta when every
-    floor is the cap), is the same.  Each state's P is confirmed mono and
-    pairwise disjoint, and the mono set's size is confirmed against the count.
+    through f by +1 if that edge had f's colour, else by -1.  A restart sets
+    these up from bitsets: with e01, e12 and e02 the triangles whose named
+    edge slots agree and slot_k[e] the triangles whose k-th edge is e, the
+    mono set is e01 & e12 and the toggles of e are
+    slot0[e] & e12 | slot1[e] & e02 | slot2[e] & e01.  The triangles of P
+    share no edge, so when |P| = cap a flip off P's edges keeps P mono and
+    its floor is the cap, and a flip of an edge of P's triangle t kills t,
+    which is mono, and keeps the rest of P: the lowest mono triangle
+    avoiding all of P but t, one AND of bitsets each, restores the cap.
+    When |P| < cap, every flip keeps P's still-mono triangles and adds such
+    lowest triangles up to the cap; a restart's first P grows so from its
+    lowest mono triangle.  Only where that falls short does the capped
+    packing search run.  So every flip gets the (floor, count) of a full
+    search, whichever largest P is kept, and the step, the first strict
+    minimum in edge order (the least delta when no floor is below the cap),
+    is the same.  Each restart's first mono set is confirmed against a count
+    over the edge colours, each state's P mono and pairwise disjoint, and
+    the mono set's size against the count.
     """
     if samples < 0 or adversarial_restarts < 0:
         raise ValueError("sample and restart counts must be nonnegative")

@@ -63,6 +63,7 @@ from tritile.verifiers import (
     _k7x2_adversarial_task,
     _k7x2_colour_rows,
     _k7x2_packs,
+    _k7x2_setup,
     _no_mono_pair,
     _run_scan,
     _split_pair,
@@ -616,6 +617,17 @@ def reference_adversarial_task(args, cap=3):
     return evaluated, min_floor, violations
 
 
+def reference_descent_setup(bits):
+    """A descent's first toggles, mono set and count changes, one triangle at a time."""
+    tab = _k7x2_tables()
+    bits = list(bits)
+    toggles = [sum(bit for bit, a, b in row if bits[a] == bits[b]) for row in tab.through]
+    mono = sum(1 << t for t, (x, y, z) in enumerate(tab.tri_edges.tolist())
+               if bits[x] == bits[y] == bits[z])
+    delta = [tog.bit_count() - 2 * (tog & mono).bit_count() for tog in toggles]
+    return toggles, mono, delta
+
+
 def corrupt(tris, rng):
     """Each triple with one slot replaced: by a random triangle, or by a copy of
     another slot or a random triangle through one of its vertices."""
@@ -755,15 +767,58 @@ class TestDoubledK7MatchesReference:
         with pytest.raises(AnomalyError, match="a descent's mono set and kept packing"):
             _k7x2_adversarial_task(args)
 
-    def test_a_mono_set_out_of_step_with_the_counts_is_caught(self, monkeypatch):
-        # One triangle of edge 5's incidence list swapped for its neighbour:
-        # the toggled mono set drifts from the counts kept in delta.
-        tab = _k7x2_tables()
-        bit, a, b = tab.through[5][0]
-        bad = tab.through[:5] + (((bit << 1, a, b),) + tab.through[5][1:],) + tab.through[6:]
-        monkeypatch.setattr(verifiers, "_k7x2_tables", lambda: tab._replace(through=bad))
-        with pytest.raises(AnomalyError, match="a descent's mono set and kept packing"):
+    def test_bitset_setup_matches_the_reference(self):
+        rows = np.random.default_rng(27).integers(0, 2, size=(2000, len(K7X2_EDGES)),
+                                                  dtype=np.uint8)
+        alternating = np.arange(len(K7X2_EDGES), dtype=np.uint8) % 2
+        for row in [*rows, 0 * alternating, 0 * alternating + 1, alternating]:
+            assert _k7x2_setup(row) == reference_descent_setup(row)
+
+    @staticmethod
+    def caught_descent(monkeypatch, tables):
+        monkeypatch.setattr(verifiers, "_k7x2_tables", lambda: tables)
+        with pytest.raises(AnomalyError, match="a descent's mono set and kept packing") as info:
             _k7x2_adversarial_task((0, 0, 10_000))
+        return info.value
+
+    def test_a_mono_set_out_of_step_with_the_counts_is_caught(self, monkeypatch):
+        # One triangle of edge 6's incidence list swapped for its neighbour.
+        # Edge 6 is restart (0, 0)'s first flip: its update leaves two edges'
+        # toggles wrong, and the toggled mono set drifts from the counts kept
+        # in delta.  The dump names the state where that shows.
+        tab = _k7x2_tables()
+        bit, a, b = tab.through[6][0]
+        bad = tab.through[:6] + (((bit << 1, a, b),) + tab.through[6][1:],) + tab.through[7:]
+        exc = self.caught_descent(monkeypatch, tab._replace(through=bad))
+        assert exc.detail == {"restart": 0, "seed": 0, "state": 7,
+                              "code": exc.detail["code"]}
+        assert exc.graph == k7x2_graph(k7x2_bits(exc.detail["code"]))
+
+    def test_a_first_mono_set_off_the_edge_sums_is_caught(self, monkeypatch):
+        def dropped(row):
+            toggles, mono, delta = real(row)
+            return toggles, mono & (mono - 1), delta
+
+        real = _k7x2_setup
+        monkeypatch.setattr(verifiers, "_k7x2_setup", dropped)
+        with pytest.raises(AnomalyError, match="a descent's first mono set") as info:
+            _k7x2_adversarial_task((2, 1, 10_000))
+        assert info.value.detail["state"] == 0
+
+    def test_a_corrupted_slot_mask_is_caught(self, monkeypatch):
+        # Edge 5's slot-1 mask with its lowest triangle swapped for the next
+        # one: the first toggles of edge 5 are wrong, and its flip, the
+        # restart's third, sets the mono set apart from the counts.
+        tab = _k7x2_tables()
+        mask = tab.slots[1][5]
+        low = mask & -mask
+        assert not low << 1 & mask
+        bad = tab.slots[1][:5] + (mask ^ low ^ low << 1,) + tab.slots[1][6:]
+        exc = self.caught_descent(monkeypatch,
+                                  tab._replace(slots=(tab.slots[0], bad, tab.slots[2])))
+        assert exc.detail == {"restart": 0, "seed": 0, "state": 3,
+                              "code": exc.detail["code"]}
+        assert exc.graph == k7x2_graph(k7x2_bits(exc.detail["code"]))
 
 
 @settings(max_examples=150, deadline=None)
