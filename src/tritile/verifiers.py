@@ -304,8 +304,17 @@ def _confirm(cond: bool, what: str, g: Optional[ColouredGraph] = None,
 # The pair test works on triangle bitmaps through slice tables.  The
 # partner set of a bitmap is the union of its triangles' partner masks: cut
 # the bitmap into slices of at most _SLICE_BITS bits, and it is the OR of
-# one lookup per slice in tables of partial unions.  Neither the block size
-# nor the batch moves a task boundary, so reports do not depend on them.
+# one lookup per slice in tables of partial unions.  The test asks only
+# whether that union meets a second bitmap, so it runs in two stages: the
+# first slice's lookup, ANDed with the second bitmap, for every code of the
+# block, then the lookups of the other slices for the codes it left
+# undecided only.  It is exact: the union is the OR over slices k of
+# T_k[slice_k(x)], so it meets the second bitmap exactly when some slice's
+# term does.  A code whose first term meets it is a hit whatever the other
+# terms hold, and for any other code the OR of the remaining terms decides.
+# On K7 the first slice leaves 2.5% of the claim-k7 codes and 7.4% of the
+# disjoint-pair codes undecided.  Neither the block size nor the batch
+# moves a task boundary, so reports do not depend on them.
 
 _SLICE_BITS = 12
 _HIGH_BATCH = 256
@@ -460,12 +469,24 @@ def _gather(values: np.ndarray, slices: Sequence[tuple[int, int]],
 
 def _pair_hits(first: np.ndarray, second: np.ndarray, n: int, lo: int, hi: int
                ) -> np.ndarray:
-    """True where a triangle of ``first`` meets another of ``second`` in lo..hi vertices."""
+    """True where a triangle of ``first`` meets another of ``second`` in lo..hi vertices.
+
+    The first slice decides most codes; the other slices are looked up only
+    for the rest (see the scan-engine comment).
+    """
     slices, tables = _partner_tables(n, lo, hi)
-    partners = np.empty_like(first)
-    _gather(first, slices, tables, partners)
+    # The first slice sits at shift 0; its indices are in range, so "clip" never clips.
+    idx = np.bitwise_and(first, np.uint64((1 << slices[0][1]) - 1))
+    partners = np.take(tables[0], idx.view(np.int64), mode="clip")
     np.bitwise_and(partners, second, out=partners)
-    return partners != 0
+    hits = partners != 0
+    undecided = np.flatnonzero(~hits)
+    if len(slices) > 1:
+        rest = np.empty(len(undecided), dtype=np.uint64)
+        _gather(first[undecided], slices[1:], tables[1:], rest)
+        np.bitwise_and(rest, second[undecided], out=rest)
+        hits[undecided] = rest != 0
+    return hits
 
 
 # Vector filters: ``filt(bits, n)`` flags the codes of a block from its

@@ -1,8 +1,9 @@
 """Shared test utilities: small random graphs, seeded recolourings, vertex
 and colour permutations, a bowtie's centre, an edge-list digest, a plain
 enumeration of complete colourings, a brute-force packing oracle, the
-trivial degree threshold, and the graph-walking doubled-K7 extractor that
-the table-driven one is checked against."""
+trivial degree threshold, the one-shot slice-table pair test, and the
+graph-walking doubled-K7 extractor that the table-driven one is checked
+against."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from hypothesis import strategies as st
 
+from tritile import verifiers
 from tritile.graphs import (
     AnomalyError,
     Bowtie,
@@ -111,6 +113,20 @@ def enumerate_colourings(n: int, r: int,
     for code in range(lo, hi):
         visitor(code, complete_colouring(n, r, code))
     return hi - lo
+
+
+def one_shot_pair_hits(first: np.ndarray, second: np.ndarray, n: int, lo: int, hi: int
+                       ) -> np.ndarray:
+    """The pair test without an early exit: the partner union over every slice, then one AND.
+
+    ``tritile.verifiers._pair_hits`` settles most codes from the first slice
+    alone; it must flag exactly the codes that this flags.
+    """
+    slices, tables = verifiers._partner_tables(n, lo, hi)
+    partners = np.empty_like(first)
+    verifiers._gather(first, slices, tables, partners)
+    np.bitwise_and(partners, second, out=partners)
+    return partners != 0
 
 
 def trivial_degree_threshold(ramsey_number: int, n: int) -> int:

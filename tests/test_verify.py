@@ -16,6 +16,7 @@ import pytest
 from helpers import (
     edge_digest,
     enumerate_colourings,
+    one_shot_pair_hits,
     oracle_max_packing,
     reference_extract_three_disjoint_k7x2,
     small_graphs,
@@ -303,12 +304,86 @@ class TestSliceKernels:
         for first, second, lo, hi in ((mono, mono, 0, 0), (mono, mono, 0, 1),
                                       (red, blue, 0, 0), (red, blue, 1, 1), (red, red, 2, 3)):
             hits = verifiers._pair_hits(first, second, n, lo, hi)
+            assert np.array_equal(hits, one_shot_pair_hits(first, second, n, lo, hi))
             # Distinct bitmaps are few; check each once.
             seen = {}
             for f, s, h in zip(first.tolist(), second.tolist(), hits.tolist()):
                 if (f, s) not in seen:
                     seen[f, s] = reference_pair_hit(n, f, s, lo, hi)
                 assert h == seen[f, s]
+
+    @staticmethod
+    def _staged_pair_hits(monkeypatch, first, second, n, lo, hi):
+        """``_pair_hits`` with the values and slices of each ``_gather`` call recorded:
+        the lookups past the first slice."""
+        calls = []
+        gather = verifiers._gather
+
+        def recording(values, slices, tables, out):
+            calls.append((values.copy(), tuple(slices)))
+            gather(values, slices, tables, out)
+
+        monkeypatch.setattr(verifiers, "_gather", recording)
+        hits = verifiers._pair_hits(first, second, n, lo, hi)
+        monkeypatch.undo()
+        assert np.array_equal(hits, one_shot_pair_hits(first, second, n, lo, hi))
+        return hits, calls
+
+    @pytest.mark.parametrize("case", ["all-decided", "none-decided", "mixed"])
+    @pytest.mark.parametrize("n, lo, hi", [(7, 0, 1), (7, 0, 0), (7, 1, 1), (8, 0, 0)])
+    def test_first_slice_decides_and_later_slices_see_only_the_rest(self, monkeypatch,
+                                                                    case, n, lo, hi):
+        slices, _ = verifiers._partner_tables(n, lo, hi)
+        head = (1 << slices[0][1]) - 1
+        everything = (1 << comb(n, 3)) - 1
+        # Sparse bitmaps, about one triangle in eight, leave codes that the
+        # first slice does not decide.
+        rng = np.random.default_rng(n + 10 * lo + 100 * hi)
+        words = rng.integers(0, 1 << 63, size=(3, 2, 600), dtype=np.uint64, endpoint=True)
+        first, second = np.bitwise_and.reduce(words) & np.uint64(everything)
+        if case == "all-decided":
+            # Each first bitmap holds triangle 0, which meets some other
+            # triangle in lo..hi vertices, and every triangle is in second.
+            first = first | np.uint64(1)
+            second = np.full_like(second, everything)
+        elif case == "none-decided":
+            # No triangle of the first slice, so its table entry is empty.
+            first = first & ~np.uint64(head)
+        hits, calls = self._staged_pair_hits(monkeypatch, first, second, n, lo, hi)
+        # Stage 1 decides a code when a first-slice triangle of ``first``
+        # has a partner in ``second``.
+        decided = np.array([reference_pair_hit(n, f & head, s_, lo, hi)
+                            for f, s_ in zip(first.tolist(), second.tolist())])
+        assert {"all-decided": decided.all(), "none-decided": not decided.any(),
+                "mixed": 0 < decided.sum() < len(decided)}[case]
+        ((values, rest),) = calls
+        assert np.array_equal(values, first[~decided]) and rest == slices[1:]
+        assert hits[decided].all()
+
+    @pytest.mark.parametrize("n", range(3))
+    def test_pair_hits_with_one_slice_make_one_lookup(self, monkeypatch, n):
+        # Below K3 there are no triangles and one slice of width 0, so the
+        # first slice's lookup is the only one.
+        empty = np.zeros(1 << comb(n, 2), dtype=np.uint64)
+        hits, calls = self._staged_pair_hits(monkeypatch, empty, empty, n, 0, 1)
+        assert not hits.any() and calls == []
+
+    @pytest.mark.parametrize("filt, lo, hi, flagged", [
+        (partial(verifiers._no_mono_pair, share=1), 0, 1, 0),
+        (partial(verifiers._no_mono_pair, share=0), 0, 0, 4662),
+        (partial(verifiers._split_pair, share=1), 1, 1, 1_830_150),
+    ], ids=["claim-k7", "disjoint-pair-k7", "bowtie-k7"])
+    def test_staged_filters_flag_the_one_shot_codes_on_all_of_k7(self, filt, lo, hi, flagged):
+        split = filt.func is verifiers._split_pair
+        total = 0
+        for _, _, bits in verifiers._colour_chunks(7, 2, 3, 0, 1 << 21, 0, (0,)):
+            red, blue = bits[:, 0]
+            ref = one_shot_pair_hits(red, blue, 7, lo, hi) if split else \
+                ~one_shot_pair_hits(red | blue, red | blue, 7, lo, hi)
+            got = filt(bits, 7)
+            assert np.array_equal(got, ref)
+            total += int(got.sum())
+        assert total == flagged
 
     @pytest.mark.parametrize("n, ell", [(5, 2), (6, 3), (8, 4)])
     def test_clique_bitmaps_span_several_words(self, n, ell):
